@@ -20,6 +20,7 @@ inputs and under any degree of update parallelism.
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -264,6 +265,16 @@ def _sorted_mean(stack: np.ndarray) -> np.ndarray:
     return np.sort(stack, axis=0).sum(axis=0) / stack.shape[0]
 
 
+def _check_finite(params: ModelParams, losses: list[float], stage: str) -> None:
+    """Raise :class:`EngineError` when a loss or a parameter is not finite."""
+
+    if not np.all(np.isfinite(losses)):
+        raise EngineError(f"{stage} diverged: non-finite loss")
+    for name, tensor in params.tensors.items():
+        if not np.all(np.isfinite(tensor)):
+            raise EngineError(f"{stage} diverged: non-finite values in {name}")
+
+
 def local_update(
     spec: ModelSpec,
     params: ModelParams,
@@ -279,7 +290,8 @@ def local_update(
     With ``prox_reference`` set, the proximal term ``(mu/2) * ||w - ref||^2``
     is added to every batch objective.  Zero epochs (or a zero learning rate)
     return the starting parameters unchanged; the reported loss is the mean
-    over all batch losses before their steps (NaN when no batch ran).
+    over all batch losses before their steps (NaN when no batch ran).  A
+    non-finite batch loss or final parameter raises :class:`EngineError`.
     """
 
     features = np.asarray(features, dtype=np.float64)
@@ -306,6 +318,7 @@ def local_update(
                     )
             current = sgd_step(current, grads, config.learning_rate)
             batch_losses.append(loss)
+    _check_finite(current, batch_losses, "local training")
     mean_loss = float(np.mean(batch_losses)) if batch_losses else float("nan")
     return current, mean_loss
 
@@ -348,8 +361,7 @@ def stage1_aggregate(
                     f"({shape} vs {p.tensors[name].shape})"
                 )
         if weighting == "uniform":
-            stack = np.stack([p.tensors[name] for p in params_list])
-            out[name] = np.sort(stack, axis=0).sum(axis=0) / len(params_list)
+            out[name] = _sorted_mean(np.stack([p.tensors[name] for p in params_list]))
         else:
             stack = np.stack([w * p.tensors[name] for w, p in zip(weights, params_list)])
             out[name] = np.sort(stack, axis=0).sum(axis=0)
@@ -364,35 +376,51 @@ def heterofl_aggregate(
 
     Each client contributes to exactly the leading block its submodel covers;
     every global coordinate becomes the mean of the clients covering it, and
-    coordinates nobody covers keep their previous value.  When every client
-    covers everything this is arithmetic-for-arithmetic the uniform Stage-1
-    average.
+    coordinates nobody covers keep their previous value.  The merge works
+    cell by cell: on each axis the block stops of all clients cut a tensor
+    into a grid of cells, every coordinate of a cell is covered by the same
+    clients, and a cell's mean sorts and sums the values of those clients
+    only.  When every client covers everything this is
+    arithmetic-for-arithmetic the uniform Stage-1 average.
     """
 
     if not contributions:
         raise EngineError("cannot aggregate an empty client set")
     out: dict[str, np.ndarray] = {}
     for name, base in global_params.tensors.items():
-        padded = []
+        blocks = []
         for params, omap in contributions:
             if name not in omap.extents:
                 raise DimensionError(f"{name}: contribution has no overlap extent")
             block = params.tensors.get(name)
             if block is None:
                 raise DimensionError(f"{name}: contribution is missing the tensor")
-            canvas = np.full(base.shape, np.nan)
-            sl = omap.slices(name)
-            if block.shape != canvas[sl].shape:
+            if block.shape != base[omap.slices(name)].shape:
                 raise DimensionError(
                     f"{name}: contribution shape {block.shape} does not fit extent "
                     f"{omap.extents[name]}"
                 )
-            canvas[sl] = block
-            padded.append(canvas)
-        stack = np.sort(np.stack(padded), axis=0)  # NaN sorts to the end
-        count = np.sum(~np.isnan(stack), axis=0)
-        total = np.nansum(stack, axis=0)
-        out[name] = np.where(count > 0, total / np.maximum(count, 1), base)
+            blocks.append(block)
+        merged = base.copy()
+        cuts = [
+            sorted({0, size, *(b.shape[axis] for b in blocks)})
+            for axis, size in enumerate(base.shape)
+        ]
+        for bounds in itertools.product(*(zip(c[:-1], c[1:]) for c in cuts)):
+            covering = [b for b in blocks if all(hi <= stop for (_, hi), stop in zip(bounds, b.shape))]
+            if not covering:
+                continue
+            cell = tuple(slice(lo, hi) for lo, hi in bounds)
+            stack = np.stack([b[cell] for b in covering])
+            if stack[0].size == 1 < base.size:
+                # NumPy sums a column of scalars pairwise, but each coordinate
+                # of a wider stack one operand after the other.  A lone
+                # coordinate of a larger tensor is widened to two columns so
+                # it is summed in the same order as the rest of the tensor.
+                merged[cell] = _sorted_mean(np.repeat(stack, 2, axis=-1))[..., :1]
+            else:
+                merged[cell] = _sorted_mean(stack)
+        out[name] = merged
     return ModelParams(out)
 
 
@@ -416,7 +444,9 @@ def stage2_dml(
     own logits unless configured otherwise), softened at the distillation
     temperature, and each cluster takes one SGD step toward it.  Batches are
     sequential: later batches see earlier steps.  Returns new states plus the
-    mean per-step KL value (0.0 when no KL term is active).
+    mean per-step KL value (0.0 when no KL term is active).  A non-finite
+    loss or parameter after any step raises :class:`EngineError` naming the
+    cluster.
 
     With a single cluster and ``kl_only`` the consensus equals the cluster's
     own distribution, the gradient is exactly zero, and parameters come back
@@ -452,6 +482,7 @@ def stage2_dml(
                 )
                 own = snapshots[r]
                 logit_grad = None
+                step_losses = []
                 if config.loss_mode in ("kl_only", "combined"):
                     kl_value, kl_grad = kl_fn(
                         softmax_with_temperature(consensus, config.temperature),
@@ -460,16 +491,20 @@ def stage2_dml(
                     )
                     kl_sum += kl_value
                     kl_steps += 1
+                    step_losses.append(kl_value)
                     logit_grad = scale * kl_grad
                 if config.loss_mode in ("ce_only", "combined"):
                     pseudo = np.argmax(consensus, axis=1)
-                    _, ce_grad = cross_entropy(own, pseudo)
+                    ce_value, ce_grad = cross_entropy(own, pseudo)
+                    step_losses.append(ce_value)
                     if config.loss_mode == "ce_only":
                         logit_grad = ce_grad
                     else:
                         logit_grad = config.loss_alpha * logit_grad + (1.0 - config.loss_alpha) * ce_grad
                 grads = backward_from_cache(state.spec, params[r], caches_by_cluster[r], logit_grad)
-                new_params.append(sgd_step(params[r], grads, config.learning_rate))
+                stepped = sgd_step(params[r], grads, config.learning_rate)
+                _check_finite(stepped, step_losses, f"cluster {state.cluster_id}: distillation")
+                new_params.append(stepped)
             params = new_params
     new_states = [replace(s, params=p) for s, p in zip(states, params)]
     mean_kl = kl_sum / kl_steps if kl_steps else 0.0

@@ -44,15 +44,6 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float = 1.0) -> np
     return e / e.sum(axis=1, keepdims=True)
 
 
-def log_softmax_with_temperature(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    logits = _check_logits(logits)
-    if temperature <= 0:
-        raise DimensionError(f"temperature must be positive, got {temperature}")
-    scaled = logits / float(temperature)
-    scaled = scaled - scaled.max(axis=1, keepdims=True)
-    return scaled - np.log(np.exp(scaled).sum(axis=1, keepdims=True))
-
-
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross entropy against integer labels, with gradient wrt logits."""
 
@@ -65,10 +56,13 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     n, c = logits.shape
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
         raise DimensionError(f"labels must lie in [0, {c})")
-    logp = log_softmax_with_temperature(logits, 1.0)
-    loss = -float(logp[np.arange(n), labels].mean())
-    grad = softmax_with_temperature(logits, 1.0)
-    grad[np.arange(n), labels] -= 1.0
+    rows = np.arange(n)
+    scaled = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(scaled)
+    s = e.sum(axis=1, keepdims=True)
+    loss = -float((scaled[rows, labels] - np.log(s[:, 0])).mean())
+    grad = e / s
+    grad[rows, labels] -= 1.0
     grad /= n
     return loss, grad
 

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +264,18 @@ def test_jsonl_can_be_disabled(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert not (out / "metrics.jsonl").exists()
     assert (out / "summary.csv").is_file()
+
+
+def test_diverging_run_exits_2_and_keeps_earlier_rounds(tmp_path, capsys):
+    raw = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" / "quickstart.yaml").read_text())
+    raw["training"].update(learning_rate=500, rounds=10)
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"round \d+, cluster \d+, client \d+: local training diverged", err), err
+    lines = read_metrics(out)
+    assert len(lines) <= 7
+    assert [r["round"] for r in lines] == list(range(len(lines)))
+    assert all(np.isfinite(r["mean_local_loss"]) for r in lines)

@@ -6,8 +6,12 @@ the snapshot/consensus/step recipe; permutation and parallelism invariances
 are asserted bitwise.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.clustering import ClientProfile
 from fedsim.data import make_blobs
@@ -28,7 +32,9 @@ from fedsim.errors import ConfigError, DimensionError, EngineError
 from fedsim.losses import cross_entropy
 from fedsim.models import (
     ModelParams,
+    OverlapMap,
     build_pruned_spec,
+    cnn_spec,
     extract_overlap,
     init_params,
     mlp_spec,
@@ -177,6 +183,168 @@ class TestHeteroflAggregate:
             heterofl_aggregate(global_params, [])
 
 
+def heterofl_canvas(global_params, contributions):
+    """The merge as a mean over every client: each block is padded to the
+    global shape with NaN, the stack is sorted per coordinate (NaN last) and
+    summed with NaN read as +0.0."""
+
+    out = {}
+    for name, base in global_params.tensors.items():
+        padded = []
+        for params, omap in contributions:
+            canvas = np.full(base.shape, np.nan)
+            canvas[omap.slices(name)] = params.tensors[name]
+            padded.append(canvas)
+        stack = np.sort(np.stack(padded), axis=0)
+        count = np.sum(~np.isnan(stack), axis=0)
+        total = np.nansum(stack, axis=0)
+        out[name] = np.where(count > 0, total / np.maximum(count, 1), base)
+    return ModelParams(out)
+
+
+def assert_same_bytes(a: ModelParams, b: ModelParams):
+    """Bitwise equality, which unlike ``array_equal`` tells -0.0 from +0.0."""
+
+    assert set(a.tensors) == set(b.tensors)
+    for name in a.tensors:
+        assert a.tensors[name].shape == b.tensors[name].shape, name
+        assert a.tensors[name].tobytes() == b.tensors[name].tobytes(), name
+
+
+def spread_params(spec, seed):
+    """Parameters whose magnitudes span twelve decades, so summation order
+    shows in the low bits."""
+
+    rng = np.random.default_rng(seed)
+    return ModelParams(
+        {k: v * 10.0 ** rng.integers(-6, 7, size=v.shape) for k, v in init_params(spec, seed).tensors.items()}
+    )
+
+
+def random_contributions(base, rng, count):
+    rates = rng.choice([1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.3, 0.2], size=count)
+    out = []
+    for rate in rates:
+        spec = build_pruned_spec(base, float(rate))
+        out.append((spread_params(spec, int(rng.integers(2**31))), overlap_map(base, spec)))
+    return out
+
+
+def hand_built(extent_maps, seed):
+    """Contributions with arbitrary (not necessarily nested) prefix extents."""
+
+    rng = np.random.default_rng(seed)
+    return [
+        (ModelParams({name: rng.normal(size=ext) for name, ext in extents.items()}), OverlapMap(extents))
+        for extents in extent_maps
+    ]
+
+
+class TestCellMergeMatchesCanvas:
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_mlp_specs(self, seed):
+        rng = np.random.default_rng(seed)
+        hidden = tuple(int(h) for h in rng.integers(1, 10, size=rng.integers(1, 3)))
+        base = mlp_spec((int(rng.integers(1, 6)),), hidden, int(rng.integers(2, 5)))
+        global_params = spread_params(base, seed)
+        contributions = random_contributions(base, rng, int(rng.integers(1, 20)))
+        assert_same_bytes(
+            heterofl_aggregate(global_params, contributions),
+            heterofl_canvas(global_params, contributions),
+        )
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=15, deadline=None)
+    def test_random_cnn_specs(self, seed):
+        rng = np.random.default_rng(seed)
+        channels = tuple(int(c) for c in rng.integers(1, 7, size=rng.integers(1, 3)))
+        base = cnn_spec((int(rng.integers(1, 3)), 6, 6), channels, int(rng.integers(2, 4)),
+                        dense_width=int(rng.integers(2, 9)))
+        global_params = spread_params(base, seed)
+        contributions = random_contributions(base, rng, int(rng.integers(1, 10)))
+        assert any(t.ndim == 4 for t in global_params.tensors.values())
+        assert_same_bytes(
+            heterofl_aggregate(global_params, contributions),
+            heterofl_canvas(global_params, contributions),
+        )
+
+    def test_extents_that_are_not_nested(self):
+        shapes = {"w": (10, 10), "b": (10,)}
+        global_params = ModelParams({k: np.random.default_rng(1).normal(size=v) for k, v in shapes.items()})
+        extents = [
+            {"w": (5, 10), "b": (5,)},
+            {"w": (10, 5), "b": (10,)},
+            {"w": (7, 3), "b": (7,)},
+            {"w": (3, 7), "b": (3,)},
+            {"w": (8, 8), "b": (8,)},
+            {"w": (9, 9), "b": (9,)},
+        ]
+        contributions = hand_built(extents, seed=2)
+        assert_same_bytes(
+            heterofl_aggregate(global_params, contributions),
+            heterofl_canvas(global_params, contributions),
+        )
+
+    def test_single_contributor(self):
+        base = mlp_spec((5,), (9, 7), 3)
+        global_params = spread_params(base, 3)
+        spec = build_pruned_spec(base, 0.6)
+        contributions = [(spread_params(spec, 4), overlap_map(base, spec))]
+        merged = heterofl_aggregate(global_params, contributions)
+        assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
+
+    def test_coordinates_nobody_covers(self):
+        shapes = {"w": (6, 8), "b": (6,)}
+        global_params = ModelParams({k: np.random.default_rng(5).normal(size=v) for k, v in shapes.items()})
+        extents = [{"w": (4, 2), "b": (4,)}, {"w": (2, 5), "b": (2,)}, {"w": (0, 8), "b": (0,)}]
+        contributions = hand_built(extents, seed=6)
+        merged = heterofl_aggregate(global_params, contributions)
+        assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
+        np.testing.assert_array_equal(merged.tensors["w"][4:], global_params.tensors["w"][4:])
+        np.testing.assert_array_equal(merged.tensors["w"][2:, 2:], global_params.tensors["w"][2:, 2:])
+
+    def test_lone_coordinate_sums_in_sorted_order(self):
+        # Eight clients cover coordinate 3 of a 4-vector.  Summed one after
+        # the other, -1e16, six 1s and 1e16 give 0, as every other coordinate
+        # is summed; NumPy's pairwise sum of the column alone gives 4.
+        values = [-1e16] + [1.0] * 6 + [1e16]
+        assert np.sort(np.array(values)[:, None], axis=0).sum(axis=0)[0] == 4.0
+        global_params = ModelParams({"b": np.zeros(4)})
+        contributions = [(ModelParams({"b": np.full(3, 7.0)}), OverlapMap({"b": (3,)}))]
+        contributions += [(ModelParams({"b": np.full(4, v)}), OverlapMap({"b": (4,)})) for v in values]
+        merged = heterofl_aggregate(global_params, contributions)
+        assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
+        assert merged.tensors["b"][3] == 0.0
+
+    def test_negative_zeros(self):
+        # NumPy starts a sum from +0.0, so a mean of -0.0s is +0.0, whether
+        # or not every client covers the coordinate.
+        global_params = ModelParams({"b": np.ones(4)})
+        contributions = [
+            (ModelParams({"b": np.full(n, -0.0)}), OverlapMap({"b": (n,)})) for n in (2, 3, 4, 4)
+        ]
+        merged = heterofl_aggregate(global_params, contributions)
+        assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
+        assert not np.any(np.signbit(merged.tensors["b"]))
+
+    def test_peak_memory_stays_below_a_full_size_stack(self):
+        base = mlp_spec((64,), (256, 256), 10)
+        global_params = init_params(base, 0)
+        contributions = []
+        for i in range(48):
+            spec = build_pruned_spec(base, (1.0, 0.8, 0.6)[i % 3])
+            contributions.append((init_params(spec, i), overlap_map(base, spec)))
+        largest = max(t.nbytes for t in global_params.tensors.values())
+        tracemalloc.start()
+        try:
+            heterofl_aggregate(global_params, contributions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * largest
+
+
 class TestLocalUpdate:
     def setup_method(self):
         rng = np.random.default_rng(5)
@@ -258,6 +426,18 @@ class TestLocalUpdate:
         cfg = FedConfig()
         with pytest.raises(EngineError):
             local_update(self.spec, self.params, self.features[:0], self.labels[:0], cfg, seed=1)
+
+    def test_non_finite_start_raises(self):
+        cfg = FedConfig(local_epochs=1, batch_size=5, learning_rate=0.1)
+        broken = self.params.copy()
+        broken.tensors["layer0.weight"][0, 0] = np.nan
+        with pytest.raises(EngineError, match="local training diverged"):
+            local_update(self.spec, broken, self.features, self.labels, cfg, seed=1)
+
+    def test_overflowing_steps_raise(self):
+        cfg = FedConfig(local_epochs=5, batch_size=5, learning_rate=1e300)
+        with np.errstate(all="ignore"), pytest.raises(EngineError, match="diverged"):
+            local_update(self.spec, self.params, self.features * 1e10, self.labels, cfg, seed=1)
 
 
 def naive_softmax(z, temperature):
@@ -399,6 +579,13 @@ class TestStage2DML:
         cfg = FedConfig(include_self_in_consensus=False)
         with pytest.raises(EngineError):
             stage2_dml(states, [np.zeros((2, 6))], cfg)
+
+    def test_diverging_step_names_the_cluster(self):
+        states = make_states([1.0, 0.5])
+        batch = np.random.default_rng(0).normal(size=(5, 6)) * 1e10
+        cfg = FedConfig(temperature=1.0, learning_rate=1e300)
+        with np.errstate(all="ignore"), pytest.raises(EngineError, match=r"cluster \d: distillation diverged"):
+            stage2_dml(states, [batch], cfg)
 
     def test_empty_states_rejected(self):
         with pytest.raises(EngineError):

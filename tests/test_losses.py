@@ -82,7 +82,33 @@ class TestSoftmax:
             softmax_with_temperature(np.zeros(3), 1.0)
 
 
+def two_pass_cross_entropy(logits, labels):
+    """Cross entropy from a separate log-softmax and softmax, each computing
+    its own max-subtracted exponentials."""
+
+    n = logits.shape[0]
+    scaled = logits - logits.max(axis=1, keepdims=True)
+    logp = scaled - np.log(np.exp(scaled).sum(axis=1, keepdims=True))
+    loss = -float(logp[np.arange(n), labels].mean())
+    grad = softmax_with_temperature(logits, 1.0)
+    grad[np.arange(n), labels] -= 1.0
+    grad /= n
+    return loss, grad
+
+
 class TestCrossEntropy:
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 40), c=st.integers(2, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal_to_two_pass_formula(self, seed, n, c):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(n, c))
+        logits[rng.random(n) < 0.3] *= 1e3
+        labels = rng.integers(0, c, size=n)
+        loss, grad = cross_entropy(logits, labels)
+        expected_loss, expected_grad = two_pass_cross_entropy(logits, labels)
+        assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
+
     def test_matches_naive_log_probability(self):
         rng = np.random.default_rng(42)
         logits = rng.normal(size=(6, 4))
