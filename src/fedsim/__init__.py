@@ -15,11 +15,12 @@ The package is organised around a handful of small, pure modules:
   density-valley clustering with pruning-rate assignment.
 * :mod:`fedsim.engine` -- local updates, the two aggregation stages, baseline
   aggregators and the round loop.
-* :mod:`fedsim.config` / :mod:`fedsim.cli` -- strict YAML configuration and
-  the command line harness.
+* :mod:`fedsim.settings` / :mod:`fedsim.config` / :mod:`fedsim.cli` -- config
+  settings declared once each, strict YAML configuration and the command
+  line harness.
 
 Everything is seeded explicitly; runs are bit-reproducible for a fixed
-configuration regardless of worker count.
+configuration.
 """
 
 from fedsim.errors import ConfigError, DimensionError, EngineError, FedsimError

@@ -3,7 +3,7 @@
 Outputs are designed for reproducibility first: the resolved config is echoed
 next to the results (re-running it reproduces the run), per-round metrics are
 appended line by line so an interrupted run leaves a valid file, and nothing
-in ``metrics.jsonl`` depends on wall time or parallelism.
+in ``metrics.jsonl`` depends on wall time.
 
 Exit codes: 0 success, 1 configuration problem, 2 runtime failure.
 """
@@ -112,8 +112,6 @@ def _measured_profiles(cfg: ExperimentConfig):
 
 def cmd_run(args) -> int:
     cfg = _load_resolved(args)
-    if args.workers < 1:
-        raise ConfigError(f"must be >= 1, got {args.workers}", field="workers")
 
     # everything that can fail fast does so before any output file is touched
     train, test = build_datasets(cfg)
@@ -146,9 +144,7 @@ def cmd_run(args) -> int:
                 flush=True,
             )
 
-        result = run_experiment(
-            cfg.fed, base_spec, train, test, profiles, workers=args.workers, on_round=on_round
-        )
+        result = run_experiment(cfg.fed, base_spec, train, test, profiles, on_round=on_round)
     finally:
         if metrics_file is not None:
             metrics_file.close()
@@ -217,12 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help="override the master seed")
     run_p.add_argument("--out", dest="out_dir", default=None, help="override the output directory")
     run_p.add_argument("--algo", default=None, help="override the training algorithm")
-    run_p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel client updates; results are bit-identical at any value",
-    )
 
     profile_p = sub.add_parser("profile", help="measure client durations and write a durations file")
     profile_p.add_argument("--config", required=True, help="YAML experiment config")

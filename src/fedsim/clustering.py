@@ -290,12 +290,6 @@ MIN_REFINE_SIZE = 6
 REFINE_DEPTH_RATIO = 0.45
 
 
-def _assign_to_boundaries(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Interval index per value; a value exactly on a boundary goes below it."""
-
-    return np.searchsorted(boundaries, values, side="left")
-
-
 def refine_clusters(
     durations: np.ndarray, bandwidth: float | None = None
 ) -> ClusterAssignment:
@@ -334,7 +328,7 @@ def refine_clusters(
         if deep.size == 0:
             final_groups.append(idx)
             continue
-        parts = _assign_to_boundaries(vals, deep)
+        parts = np.searchsorted(deep, vals, side="left")  # a tie goes below
         occupied = np.unique(parts)
         if occupied.size == 1:
             final_groups.append(idx)

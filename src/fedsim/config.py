@@ -6,6 +6,11 @@ type- and range-checked, and unknown keys are rejected with their dotted path
 result that nobody can reproduce.  The resolved form (all defaults made
 explicit) can be written back out and re-run to reproduce a run exactly.
 
+Every setting is declared once: the settings a run needs on
+:class:`~fedsim.engine.FedConfig`, the data, fleet, model and output settings
+in ``SETTINGS`` below.  The declarations give the known keys, the defaults,
+the checks, the resolved mapping and the ``FedConfig`` a file resolves to.
+
 The data-heterogeneity Dirichlet parameter lives at ``dataset.dirichlet_alpha``
 and the distillation loss mixing weight at ``distillation.loss_alpha``; the
 two alphas are easy to conflate, so they are kept apart by name on purpose.
@@ -13,152 +18,55 @@ two alphas are easy to conflate, so they are kept apart by name on purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from fedsim.clustering import ClientProfile, apply_durations, load_durations
 from fedsim.data import LabeledDataset, load_image_directory, make_blobs
-from fedsim.engine import (
-    ALGORITHMS,
-    KL_DIRECTIONS,
-    LOSS_MODES,
-    PARTITION_MODES,
-    STAGE1_WEIGHTINGS,
-    FedConfig,
-    stream_seed,
-)
+from fedsim.engine import FedConfig, stream_seed
 from fedsim.errors import ConfigError
 from fedsim.models import ModelSpec, cnn_spec, mlp_spec
+from fedsim.settings import Setting, coerce
 
 DATASET_SOURCES = ("blobs", "directory")
-DISTILL_SOURCES = ("holdout", "directory", "noise")
 MODEL_KINDS = ("auto", "mlp", "cnn")
 OUTPUT_FORMATS = ("jsonl", "csv")
 
 _STREAM_DATASET = 6  # blobs generation, disjoint from the engine's streams
 
+# the settings FedConfig holds, by field name
+_FED_SETTINGS = {f.name: f.metadata["setting"] for f in fields(FedConfig)}
+_FED_PATHS = {s.path for s in _FED_SETTINGS.values()}
 
-def _reject_bool(value, path: str):
-    if isinstance(value, bool):
-        raise ConfigError(f"expected a number, got a boolean", field=path)
-
-
-def _as_int(value, path: str, minimum: int | None = None) -> int:
-    _reject_bool(value, path)
-    if not isinstance(value, int):
-        raise ConfigError(f"expected an integer, got {value!r}", field=path)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"must be >= {minimum}, got {value}", field=path)
-    return value
-
-
-def _as_float(
-    value,
-    path: str,
-    minimum: float | None = None,
-    maximum: float | None = None,
-    exclusive_min: bool = False,
-) -> float:
-    _reject_bool(value, path)
-    if not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}", field=path)
-    value = float(value)
-    if minimum is not None:
-        if exclusive_min and not value > minimum:
-            raise ConfigError(f"must be > {minimum}, got {value}", field=path)
-        if not exclusive_min and value < minimum:
-            raise ConfigError(f"must be >= {minimum}, got {value}", field=path)
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"must be <= {maximum}, got {value}", field=path)
-    return value
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"expected true or false, got {value!r}", field=path)
-    return value
-
-
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"expected a string, got {value!r}", field=path)
-    return value
-
-
-def _as_choice(value, path: str, choices: tuple[str, ...]) -> str:
-    value = _as_str(value, path)
-    if value not in choices:
-        raise ConfigError(f"must be one of {choices}, got {value!r}", field=path)
-    return value
-
-
-def _as_list(value, path: str):
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"expected a list, got {value!r}", field=path)
-    return list(value)
-
-
-def _section(raw: dict, name: str, keys: tuple[str, ...]) -> dict:
-    block = raw.get(name, {})
-    if block is None:
-        block = {}
-    if not isinstance(block, dict):
-        raise ConfigError(f"expected a mapping of settings", field=name)
-    for key in block:
-        if key not in keys:
-            raise ConfigError(f"unknown key (known: {', '.join(sorted(keys))})", field=f"{name}.{key}")
-    return block
-
-
-_TOP_KEYS = ("seed", "dataset", "clients", "clustering", "training", "model", "distillation", "output")
-_DATASET_KEYS = (
-    "source", "directory", "classes", "train_per_class", "test_per_class", "dim",
-    "center_spread", "noise_sd", "partition", "dirichlet_alpha",
+# every setting: FedConfig's, then the ones only the builders below read
+SETTINGS = (
+    *_FED_SETTINGS.values(),
+    Setting("dataset.source", DATASET_SOURCES, "blobs"),
+    Setting("dataset.directory", str),
+    Setting("dataset.classes", int, 3, ge=2),
+    Setting("dataset.train_per_class", int, 60, ge=1),
+    Setting("dataset.test_per_class", int, 30, ge=1),
+    Setting("dataset.dim", int, 8, ge=1),
+    Setting("dataset.center_spread", float, 3.0, gt=0.0),
+    Setting("dataset.noise_sd", float, 1.0, gt=0.0),
+    Setting("clients.count", int, ge=1),
+    Setting("clients.speed_factors", float, many=True, gt=0.0),
+    Setting("clients.durations_file", str),
+    Setting("model.kind", MODEL_KINDS, "auto"),
+    Setting("model.hidden", int, (32,), many=True, ge=1),
+    Setting("model.conv_channels", int, (8, 16), many=True, ge=1),
+    Setting("model.kernel", int, 3, ge=1),
+    Setting("model.pool", int, 2, ge=1),
+    Setting("model.dense_width", int, 64, ge=1),
+    Setting("output.directory", str),
+    Setting("output.formats", OUTPUT_FORMATS, ("jsonl", "csv"), many=True),
+    Setting("output.write_checkpoints", bool, False),
 )
-_CLIENT_KEYS = ("count", "speed_factors", "durations_file", "workload_units", "profile_noise_sd")
-_CLUSTERING_KEYS = ("bandwidth", "rate_ladder", "refine")
-_TRAINING_KEYS = (
-    "algorithm", "rounds", "local_epochs", "batch_size", "learning_rate",
-    "stage1_weighting", "fedprox_mu", "homogeneous_pruning",
-)
-_MODEL_KEYS = ("kind", "hidden", "conv_channels", "kernel", "pool", "dense_width")
-_DISTILL_KEYS = (
-    "source", "count", "prompts", "directory", "resample", "holdout_count",
-    "temperature", "global_epochs", "loss", "loss_alpha", "kl_direction",
-    "t_squared_rescale", "include_self",
-)
-_OUTPUT_KEYS = ("directory", "formats", "write_checkpoints")
-
-# config path of each FedConfig field, for error messages with full paths
-_FED_FIELD_PATH = {
-    "algorithm": "training.algorithm",
-    "rounds": "training.rounds",
-    "local_epochs": "training.local_epochs",
-    "batch_size": "training.batch_size",
-    "learning_rate": "training.learning_rate",
-    "stage1_weighting": "training.stage1_weighting",
-    "fedprox_mu": "training.fedprox_mu",
-    "homogeneous_pruning": "training.homogeneous_pruning",
-    "temperature": "distillation.temperature",
-    "global_epochs": "distillation.global_epochs",
-    "loss_mode": "distillation.loss",
-    "loss_alpha": "distillation.loss_alpha",
-    "kl_direction": "distillation.kl_direction",
-    "distill_kind": "distillation.source",
-    "distill_count": "distillation.count",
-    "distill_directory": "distillation.directory",
-    "holdout_count": "distillation.holdout_count",
-    "partition_mode": "dataset.partition",
-    "dirichlet_alpha": "dataset.dirichlet_alpha",
-    "workload_units": "clients.workload_units",
-    "profile_noise_sd": "clients.profile_noise_sd",
-    "kde_bandwidth": "clustering.bandwidth",
-    "rate_ladder": "clustering.rate_ladder",
-    "master_seed": "seed",
-}
+_PATHS = {s.path for s in SETTINGS}
+_SECTIONS = sorted({p.split(".")[0] for p in _PATHS if "." in p})
+_TOP_LEVEL = sorted({p.split(".")[0] for p in _PATHS})
 
 
 @dataclass
@@ -198,46 +106,47 @@ def load_config_dict(path) -> dict:
     return raw
 
 
-def resolve_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw mapping and make every default explicit."""
+def _blocks(raw: dict) -> dict[str, dict]:
+    """Each section's mapping (top-level settings under ``""``), unknown keys rejected."""
 
     for key in raw:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown key (known: {', '.join(_TOP_KEYS)})", field=str(key))
+        if key not in _TOP_LEVEL:
+            raise ConfigError(f"unknown key (known: {', '.join(_TOP_LEVEL)})", field=str(key))
+    blocks = {"": raw}
+    for section in _SECTIONS:
+        block = raw.get(section)
+        block = {} if block is None else block
+        if not isinstance(block, dict):
+            raise ConfigError("expected a mapping of settings", field=section)
+        for key in block:
+            if f"{section}.{key}" not in _PATHS:
+                known = sorted(p.split(".")[1] for p in _PATHS if p.startswith(f"{section}."))
+                raise ConfigError(
+                    f"unknown key (known: {', '.join(known)})", field=f"{section}.{key}"
+                )
+        blocks[section] = block
+    return blocks
 
-    seed = _as_int(raw.get("seed", 0), "seed", minimum=0)
 
-    ds = _section(raw, "dataset", _DATASET_KEYS)
-    dataset = {
-        "source": _as_choice(ds.get("source", "blobs"), "dataset.source", DATASET_SOURCES),
-        "directory": None,
-        "classes": _as_int(ds.get("classes", 3), "dataset.classes", minimum=2),
-        "train_per_class": _as_int(ds.get("train_per_class", 60), "dataset.train_per_class", minimum=1),
-        "test_per_class": _as_int(ds.get("test_per_class", 30), "dataset.test_per_class", minimum=1),
-        "dim": _as_int(ds.get("dim", 8), "dataset.dim", minimum=1),
-        "center_spread": _as_float(ds.get("center_spread", 3.0), "dataset.center_spread", minimum=0.0, exclusive_min=True),
-        "noise_sd": _as_float(ds.get("noise_sd", 1.0), "dataset.noise_sd", minimum=0.0, exclusive_min=True),
-        "partition": _as_choice(ds.get("partition", "iid"), "dataset.partition", PARTITION_MODES),
-        "dirichlet_alpha": _as_float(ds.get("dirichlet_alpha", 0.6), "dataset.dirichlet_alpha", minimum=0.0, exclusive_min=True),
-    }
-    if ds.get("directory") is not None:
-        dataset["directory"] = _as_str(ds["directory"], "dataset.directory")
-    if dataset["source"] == "directory" and dataset["directory"] is None:
+def resolve_config(raw: dict) -> ExperimentConfig:
+    """Validate a raw mapping and make every default explicit.
+
+    Errors name the dotted path.  A bad entry of a list that ``FedConfig``
+    holds is reported at the list, as :meth:`FedConfig.validate` reports it.
+    """
+
+    blocks = _blocks(raw)
+    values = {}
+    for s in SETTINGS:
+        section, _, key = s.path.rpartition(".")
+        value = blocks[section].get(key, s.default)
+        values[s.path] = coerce(s, value, s.path, entry_paths=s.path not in _FED_PATHS)
+
+    if values["dataset.source"] == "directory" and values["dataset.directory"] is None:
         raise ConfigError("required when dataset.source is 'directory'", field="dataset.directory")
-
-    cl = _section(raw, "clients", _CLIENT_KEYS)
-    speed_factors = None
-    if cl.get("speed_factors") is not None:
-        entries = _as_list(cl["speed_factors"], "clients.speed_factors")
-        speed_factors = [
-            _as_float(v, f"clients.speed_factors[{i}]", minimum=0.0, exclusive_min=True)
-            for i, v in enumerate(entries)
-        ]
-        if not speed_factors:
-            raise ConfigError("must list at least one speed factor", field="clients.speed_factors")
-    count = None
-    if cl.get("count") is not None:
-        count = _as_int(cl["count"], "clients.count", minimum=1)
+    count, speed_factors = values["clients.count"], values["clients.speed_factors"]
+    if speed_factors == []:
+        raise ConfigError("must list at least one speed factor", field="clients.speed_factors")
     if speed_factors is not None and count is not None and count != len(speed_factors):
         raise ConfigError(
             f"count ({count}) disagrees with the {len(speed_factors)} speed factors",
@@ -246,143 +155,27 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if speed_factors is None:
         if count is None:
             raise ConfigError("set clients.count or clients.speed_factors", field="clients.count")
-        speed_factors = [1.0] * count
-    clients = {
-        "count": len(speed_factors),
-        "speed_factors": speed_factors,
-        "durations_file": None,
-        "workload_units": _as_float(cl.get("workload_units", 10.0), "clients.workload_units", minimum=0.0, exclusive_min=True),
-        "profile_noise_sd": _as_float(cl.get("profile_noise_sd", 0.05), "clients.profile_noise_sd", minimum=0.0),
-    }
-    if cl.get("durations_file") is not None:
-        clients["durations_file"] = _as_str(cl["durations_file"], "clients.durations_file")
+        values["clients.speed_factors"] = [1.0] * count
+    values["clients.count"] = len(values["clients.speed_factors"])
 
-    cu = _section(raw, "clustering", _CLUSTERING_KEYS)
-    bandwidth = None
-    if cu.get("bandwidth") is not None:
-        bandwidth = _as_float(cu["bandwidth"], "clustering.bandwidth", minimum=0.0, exclusive_min=True)
-    rate_ladder = None
-    if cu.get("rate_ladder") is not None:
-        entries = _as_list(cu["rate_ladder"], "clustering.rate_ladder")
-        rate_ladder = tuple(
-            _as_float(v, f"clustering.rate_ladder[{i}]") for i, v in enumerate(entries)
-        )
-    refine = _as_bool(cu.get("refine", True), "clustering.refine")
-
-    tr = _section(raw, "training", _TRAINING_KEYS)
-    training = {
-        "algorithm": _as_choice(tr.get("algorithm", "fedtsa"), "training.algorithm", ALGORITHMS),
-        "rounds": _as_int(tr.get("rounds", 100), "training.rounds", minimum=0),
-        "local_epochs": _as_int(tr.get("local_epochs", 100), "training.local_epochs", minimum=0),
-        "batch_size": _as_int(tr.get("batch_size", 100), "training.batch_size", minimum=1),
-        "learning_rate": _as_float(tr.get("learning_rate", 0.03), "training.learning_rate", minimum=0.0, exclusive_min=True),
-        "stage1_weighting": _as_choice(tr.get("stage1_weighting", "uniform"), "training.stage1_weighting", STAGE1_WEIGHTINGS),
-        "fedprox_mu": _as_float(tr.get("fedprox_mu", 0.01), "training.fedprox_mu", minimum=0.0),
-        "homogeneous_pruning": _as_float(tr.get("homogeneous_pruning", 1.0), "training.homogeneous_pruning", minimum=0.0, exclusive_min=True, maximum=1.0),
-    }
-
-    mo = _section(raw, "model", _MODEL_KEYS)
-    hidden = _as_list(mo.get("hidden", [32]), "model.hidden")
-    conv_channels = _as_list(mo.get("conv_channels", [8, 16]), "model.conv_channels")
-    model = {
-        "kind": _as_choice(mo.get("kind", "auto"), "model.kind", MODEL_KINDS),
-        "hidden": [_as_int(v, f"model.hidden[{i}]", minimum=1) for i, v in enumerate(hidden)],
-        "conv_channels": [
-            _as_int(v, f"model.conv_channels[{i}]", minimum=1) for i, v in enumerate(conv_channels)
-        ],
-        "kernel": _as_int(mo.get("kernel", 3), "model.kernel", minimum=1),
-        "pool": _as_int(mo.get("pool", 2), "model.pool", minimum=1),
-        "dense_width": _as_int(mo.get("dense_width", 64), "model.dense_width", minimum=1),
-    }
-
-    di = _section(raw, "distillation", _DISTILL_KEYS)
-    prompts = _as_list(di.get("prompts", []), "distillation.prompts")
-    distillation = {
-        "source": _as_choice(di.get("source", "holdout"), "distillation.source", DISTILL_SOURCES),
-        "count": _as_int(di.get("count", 200), "distillation.count", minimum=1),
-        "prompts": [_as_str(p, f"distillation.prompts[{i}]") for i, p in enumerate(prompts)],
-        "directory": None,
-        "resample": _as_bool(di.get("resample", False), "distillation.resample"),
-        "holdout_count": None,
-        "temperature": _as_float(di.get("temperature", 5.0), "distillation.temperature", minimum=0.0, exclusive_min=True),
-        "global_epochs": _as_int(di.get("global_epochs", 1), "distillation.global_epochs", minimum=1),
-        "loss": _as_choice(di.get("loss", "kl_only"), "distillation.loss", LOSS_MODES),
-        "loss_alpha": _as_float(di.get("loss_alpha", 0.5), "distillation.loss_alpha", minimum=0.0, maximum=1.0),
-        "kl_direction": _as_choice(di.get("kl_direction", "forward"), "distillation.kl_direction", KL_DIRECTIONS),
-        "t_squared_rescale": _as_bool(di.get("t_squared_rescale", False), "distillation.t_squared_rescale"),
-        "include_self": _as_bool(di.get("include_self", True), "distillation.include_self"),
-    }
-    if di.get("directory") is not None:
-        distillation["directory"] = _as_str(di["directory"], "distillation.directory")
-    if di.get("holdout_count") is not None:
-        distillation["holdout_count"] = _as_int(di["holdout_count"], "distillation.holdout_count", minimum=1)
-
-    ou = _section(raw, "output", _OUTPUT_KEYS)
-    formats = _as_list(ou.get("formats", ["jsonl", "csv"]), "output.formats")
-    output = {
-        "directory": None,
-        "formats": [
-            _as_choice(f, f"output.formats[{i}]", OUTPUT_FORMATS) for i, f in enumerate(formats)
-        ],
-        "write_checkpoints": _as_bool(ou.get("write_checkpoints", False), "output.write_checkpoints"),
-    }
-    if ou.get("directory") is not None:
-        output["directory"] = _as_str(ou["directory"], "output.directory")
-
-    fed = FedConfig(
-        algorithm=training["algorithm"],
-        rounds=training["rounds"],
-        local_epochs=training["local_epochs"],
-        batch_size=training["batch_size"],
-        learning_rate=training["learning_rate"],
-        stage1_weighting=training["stage1_weighting"],
-        temperature=distillation["temperature"],
-        global_epochs=distillation["global_epochs"],
-        loss_mode=distillation["loss"],
-        loss_alpha=distillation["loss_alpha"],
-        kl_direction=distillation["kl_direction"],
-        t_squared_rescale=distillation["t_squared_rescale"],
-        include_self_in_consensus=distillation["include_self"],
-        distill_kind=distillation["source"],
-        distill_count=distillation["count"],
-        distill_prompts=tuple(distillation["prompts"]),
-        distill_directory=distillation["directory"],
-        distill_resample=distillation["resample"],
-        holdout_count=distillation["holdout_count"],
-        fedprox_mu=training["fedprox_mu"],
-        homogeneous_pruning=training["homogeneous_pruning"],
-        partition_mode=dataset["partition"],
-        dirichlet_alpha=dataset["dirichlet_alpha"],
-        workload_units=clients["workload_units"],
-        profile_noise_sd=clients["profile_noise_sd"],
-        kde_bandwidth=bandwidth,
-        rate_ladder=rate_ladder,
-        refine_kde=refine,
-        master_seed=seed,
-    )
+    held = {name: values[s.path] for name, s in _FED_SETTINGS.items()}
+    fed = FedConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in held.items()})
     try:
         fed.validate()
     except ConfigError as exc:
-        path = _FED_FIELD_PATH.get(exc.field or "", exc.field)
-        raise ConfigError(exc.message, field=path) from exc
+        raise ConfigError(exc.message, field=_FED_SETTINGS[exc.field].path) from exc
 
-    resolved = {
-        "seed": seed,
-        "dataset": dataset,
-        "clients": clients,
-        "clustering": {"bandwidth": bandwidth, "rate_ladder": list(rate_ladder) if rate_ladder else None, "refine": refine},
-        "training": training,
-        "model": model,
-        "distillation": distillation,
-        "output": output,
-    }
+    resolved: dict = {}
+    for path, value in values.items():
+        section, _, key = path.rpartition(".")
+        (resolved.setdefault(section, {}) if section else resolved)[key] = value
     return ExperimentConfig(
         resolved=resolved,
-        seed=seed,
-        dataset=dataset,
-        clients=clients,
-        model=model,
-        output=output,
+        seed=resolved["seed"],
+        dataset=resolved["dataset"],
+        clients=resolved["clients"],
+        model=resolved["model"],
+        output=resolved["output"],
         fed=fed,
     )
 

@@ -25,7 +25,7 @@ prompts naming classes; directory: prompts matching file names).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,15 +64,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return int(self.features.shape[0])
 
-    def subset(self, indices: np.ndarray, name: str | None = None) -> "LabeledDataset":
-        return LabeledDataset(
-            self.features[indices],
-            self.labels[indices],
-            self.class_count,
-            name or self.name,
-            self.class_names,
-        )
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -104,13 +95,6 @@ class DistillationSource:
             raise ConfigError(
                 f"distillation source must be one of {DISTILLATION_KINDS}, got {self.kind!r}"
             )
-
-
-@dataclass
-class DistillationBatch:
-    features: np.ndarray
-    source_kind: str
-    prompts: tuple[str, ...] = field(default_factory=tuple)
 
 
 def make_blobs(
@@ -232,21 +216,6 @@ def load_image_directory(path) -> LabeledDataset:
     )
 
 
-def stratified_split(labels: np.ndarray, holdout_fraction: float, seed):
-    """(kept_indices, holdout_indices): per-class split at the given fraction."""
-
-    if not (0.0 < holdout_fraction < 1.0):
-        raise ConfigError(f"split fraction must be in (0, 1), got {holdout_fraction}")
-    rng = np.random.default_rng(seed)
-    kept, held = [], []
-    for c in np.unique(labels):
-        idx = rng.permutation(np.flatnonzero(labels == c))
-        take = max(1, int(round(holdout_fraction * idx.size)))
-        held.append(idx[:take])
-        kept.append(idx[take:])
-    return np.sort(np.concatenate(kept)), np.sort(np.concatenate(held))
-
-
 def reserve_indices(n: int, count: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """(reserved, remaining) index split drawn uniformly without replacement."""
 
@@ -350,8 +319,8 @@ def _balanced_draw(rng, groups: list[np.ndarray], count: int) -> np.ndarray:
     return np.concatenate(picks)
 
 
-def draw_distillation_batch(source: DistillationSource, count: int, seed) -> DistillationBatch:
-    """A batch of unlabeled inputs for server-side mutual learning.
+def draw_distillation_batch(source: DistillationSource, count: int, seed) -> np.ndarray:
+    """The features of ``count`` unlabeled inputs for server-side mutual learning.
 
     * ``holdout``: samples from the reserved slice of the training pool; if
       prompts name dataset classes, the draw is balanced across those classes.
@@ -369,8 +338,7 @@ def draw_distillation_batch(source: DistillationSource, count: int, seed) -> Dis
     if source.kind == "noise":
         if not source.input_shape:
             raise ConfigError("noise distillation source needs an input shape")
-        feats = rng.standard_normal((count, *source.input_shape))
-        return DistillationBatch(feats, "noise", source.prompts)
+        return rng.standard_normal((count, *source.input_shape))
     if source.kind == "holdout":
         if source.dataset is None or source.holdout_indices is None:
             raise ConfigError("holdout distillation source needs a dataset and indices")
@@ -390,9 +358,7 @@ def draw_distillation_batch(source: DistillationSource, count: int, seed) -> Dis
                     f"holdout has {pool.size} samples, distillation needs {count}"
                 )
             chosen = rng.choice(pool, size=count, replace=False)
-        return DistillationBatch(
-            source.dataset.features[np.sort(chosen)].copy(), "holdout", source.prompts
-        )
+        return source.dataset.features[np.sort(chosen)].copy()
     # directory
     root = Path(source.directory or "")
     if not root.is_dir():
@@ -428,4 +394,4 @@ def draw_distillation_batch(source: DistillationSource, count: int, seed) -> Dis
     shapes = {f.shape for f in feats}
     if len(shapes) != 1:
         raise ConfigError(f"{root}: distillation samples disagree on shape: {sorted(shapes)}")
-    return DistillationBatch(np.stack(feats), "directory", source.prompts)
+    return np.stack(feats)

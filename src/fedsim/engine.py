@@ -15,15 +15,15 @@ are grouped and how their updates are merged:
 
 Every reduction over clients or clusters sorts its operands per coordinate
 before summing, so results are bit-identical under any permutation of the
-inputs and under any degree of update parallelism.
+inputs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from fedsim.models import (
     overlap_map,
 )
 from fedsim.nn import backward_from_cache, forward_cached, model_forward, sgd_step
+from fedsim.settings import coerce, setting
 
 ALGORITHMS = ("fedtsa", "fedavg", "fedprox", "heterofl")
 LOSS_MODES = ("kl_only", "ce_only", "combined")
@@ -100,107 +101,69 @@ class FedConfig:
     Defaults follow the full protocol (batch 100, 100 local epochs, learning
     rate 0.03, 100 rounds, temperature 5, one global distillation epoch,
     KL-only Stage 2, 200 distillation samples); desk-scale runs override the
-    counts, not the structure.
+    counts, not the structure.  Each field declares its config path, kind,
+    bounds and default once (see :mod:`fedsim.settings`).
     """
 
-    algorithm: str = "fedtsa"
-    rounds: int = 100
-    local_epochs: int = 100
-    batch_size: int = 100
-    learning_rate: float = 0.03
-    stage1_weighting: str = "uniform"
+    algorithm: str = setting("training.algorithm", ALGORITHMS, "fedtsa")
+    rounds: int = setting("training.rounds", int, 100, ge=0)
+    local_epochs: int = setting("training.local_epochs", int, 100, ge=0)
+    batch_size: int = setting("training.batch_size", int, 100, ge=1)
+    learning_rate: float = setting("training.learning_rate", float, 0.03, gt=0.0)
+    stage1_weighting: str = setting("training.stage1_weighting", STAGE1_WEIGHTINGS, "uniform")
 
     # Stage-2 mutual distillation
-    temperature: float = 5.0
-    global_epochs: int = 1
-    loss_mode: str = "kl_only"
-    loss_alpha: float = 0.5
-    kl_direction: str = "forward"
-    t_squared_rescale: bool = False
-    include_self_in_consensus: bool = True
-    distill_kind: str = "holdout"
-    distill_count: int = 200
-    distill_prompts: tuple[str, ...] = ()
-    distill_directory: str | None = None
-    distill_resample: bool = False
-    holdout_count: int | None = None
+    temperature: float = setting("distillation.temperature", float, 5.0, gt=0.0)
+    global_epochs: int = setting("distillation.global_epochs", int, 1, ge=1)
+    loss_mode: str = setting("distillation.loss", LOSS_MODES, "kl_only")
+    loss_alpha: float = setting("distillation.loss_alpha", float, 0.5, ge=0.0, le=1.0)
+    kl_direction: str = setting("distillation.kl_direction", KL_DIRECTIONS, "forward")
+    t_squared_rescale: bool = setting("distillation.t_squared_rescale", bool, False)
+    include_self_in_consensus: bool = setting("distillation.include_self", bool, True)
+    distill_kind: str = setting("distillation.source", DISTILLATION_KINDS, "holdout")
+    distill_count: int = setting("distillation.count", int, 200, ge=1)
+    distill_prompts: tuple[str, ...] = setting("distillation.prompts", str, (), many=True)
+    distill_directory: str | None = setting("distillation.directory", str)
+    distill_resample: bool = setting("distillation.resample", bool, False)
+    holdout_count: int | None = setting("distillation.holdout_count", int, ge=1)
 
     # baselines
-    fedprox_mu: float = 0.01
-    homogeneous_pruning: float = 1.0
+    fedprox_mu: float = setting("training.fedprox_mu", float, 0.01, ge=0.0)
+    homogeneous_pruning: float = setting(
+        "training.homogeneous_pruning", float, 1.0, gt=0.0, le=1.0
+    )
 
     # data partitioning
-    partition_mode: str = "iid"
-    dirichlet_alpha: float = 0.6
+    partition_mode: str = setting("dataset.partition", PARTITION_MODES, "iid")
+    dirichlet_alpha: float = setting("dataset.dirichlet_alpha", float, 0.6, gt=0.0)
 
     # profiling and clustering
-    workload_units: float = 10.0
-    profile_noise_sd: float = 0.05
-    kde_bandwidth: float | None = None
-    rate_ladder: tuple[float, ...] | None = None
-    refine_kde: bool = True
+    workload_units: float = setting("clients.workload_units", float, 10.0, gt=0.0)
+    profile_noise_sd: float = setting(
+        "clients.profile_noise_sd", float, 0.05, ge=0.0, lt=1.0 / 3.0
+    )
+    kde_bandwidth: float | None = setting("clustering.bandwidth", float, gt=0.0)
+    rate_ladder: tuple[float, ...] | None = setting(
+        "clustering.rate_ladder", float, many=True, gt=0.0, le=1.0
+    )
+    refine_kde: bool = setting("clustering.refine", bool, True)
 
-    master_seed: int = 0
+    master_seed: int = setting("seed", int, 0, ge=0)
 
     def validate(self) -> None:
-        def bad(msg: str, fieldname: str) -> None:
-            raise ConfigError(msg, field=fieldname)
+        """Check every field against its declaration, then the cross-field rules.
 
-        if self.algorithm not in ALGORITHMS:
-            bad(f"must be one of {ALGORITHMS}, got {self.algorithm!r}", "algorithm")
-        if self.rounds < 0:
-            bad(f"must be >= 0, got {self.rounds}", "rounds")
-        if self.local_epochs < 0:
-            bad(f"must be >= 0, got {self.local_epochs}", "local_epochs")
-        if self.batch_size < 1:
-            bad(f"must be >= 1, got {self.batch_size}", "batch_size")
-        if not self.learning_rate > 0:
-            bad(f"must be > 0, got {self.learning_rate}", "learning_rate")
-        if self.stage1_weighting not in STAGE1_WEIGHTINGS:
-            bad(
-                f"must be one of {STAGE1_WEIGHTINGS}, got {self.stage1_weighting!r}",
-                "stage1_weighting",
-            )
-        if not self.temperature > 0:
-            bad(f"must be > 0, got {self.temperature}", "temperature")
-        if self.global_epochs < 1:
-            bad(f"must be >= 1, got {self.global_epochs}", "global_epochs")
-        if self.loss_mode not in LOSS_MODES:
-            bad(f"must be one of {LOSS_MODES}, got {self.loss_mode!r}", "loss_mode")
-        if not 0.0 <= self.loss_alpha <= 1.0:
-            bad(f"must lie in [0, 1], got {self.loss_alpha}", "loss_alpha")
-        if self.kl_direction not in KL_DIRECTIONS:
-            bad(f"must be one of {KL_DIRECTIONS}, got {self.kl_direction!r}", "kl_direction")
-        if self.distill_kind not in DISTILLATION_KINDS:
-            bad(f"must be one of {DISTILLATION_KINDS}, got {self.distill_kind!r}", "distill_kind")
-        if self.distill_count < 1:
-            bad(f"must be >= 1, got {self.distill_count}", "distill_count")
+        Errors name the field; a bad list entry is reported at the list.
+        """
+
+        for f in fields(self):
+            coerce(f.metadata["setting"], getattr(self, f.name), f.name, entry_paths=False)
         if self.distill_kind == "directory" and not self.distill_directory:
-            bad("required when distill_kind is 'directory'", "distill_directory")
-        if self.holdout_count is not None and self.holdout_count < 1:
-            bad(f"must be >= 1 when set, got {self.holdout_count}", "holdout_count")
-        if self.fedprox_mu < 0:
-            bad(f"must be >= 0, got {self.fedprox_mu}", "fedprox_mu")
-        if not 0.0 < self.homogeneous_pruning <= 1.0:
-            bad(f"must lie in (0, 1], got {self.homogeneous_pruning}", "homogeneous_pruning")
-        if self.partition_mode not in PARTITION_MODES:
-            bad(f"must be one of {PARTITION_MODES}, got {self.partition_mode!r}", "partition_mode")
-        if not self.dirichlet_alpha > 0:
-            bad(f"must be > 0, got {self.dirichlet_alpha}", "dirichlet_alpha")
-        if not self.workload_units > 0:
-            bad(f"must be > 0, got {self.workload_units}", "workload_units")
-        if not 0.0 <= self.profile_noise_sd < 1.0 / 3.0:
-            bad(f"must lie in [0, 1/3), got {self.profile_noise_sd}", "profile_noise_sd")
-        if self.kde_bandwidth is not None and not self.kde_bandwidth > 0:
-            bad(f"must be > 0 when set, got {self.kde_bandwidth}", "kde_bandwidth")
-        if self.rate_ladder is not None:
-            if not self.rate_ladder:
-                bad("must be non-empty when set", "rate_ladder")
-            for r in self.rate_ladder:
-                if not 0.0 < r <= 1.0:
-                    bad(f"entries must lie in (0, 1], got {r}", "rate_ladder")
-        if self.master_seed < 0:
-            bad(f"must be >= 0, got {self.master_seed}", "master_seed")
+            raise ConfigError(
+                "required when distill_kind is 'directory'", field="distill_directory"
+            )
+        if self.rate_ladder is not None and not self.rate_ladder:
+            raise ConfigError("must be non-empty when set", field="rate_ladder")
 
 
 @dataclass
@@ -290,8 +253,9 @@ def local_update(
     With ``prox_reference`` set, the proximal term ``(mu/2) * ||w - ref||^2``
     is added to every batch objective.  Zero epochs (or a zero learning rate)
     return the starting parameters unchanged; the reported loss is the mean
-    over all batch losses before their steps (NaN when no batch ran).  A
-    non-finite batch loss or final parameter raises :class:`EngineError`.
+    over all batch losses before their steps (NaN when no batch ran).  The
+    first non-finite batch loss raises :class:`EngineError` before its step,
+    as does a non-finite final parameter.
     """
 
     features = np.asarray(features, dtype=np.float64)
@@ -310,6 +274,8 @@ def local_update(
             take = order[start : start + config.batch_size]
             logits, caches = forward_cached(spec, current, features[take])
             loss, logit_grad = cross_entropy(logits, labels[take])
+            if not math.isfinite(loss):
+                raise EngineError("local training diverged: non-finite loss")
             grads = backward_from_cache(spec, current, caches, logit_grad)
             if prox_reference is not None and config.fedprox_mu > 0:
                 for name in grads:
@@ -564,19 +530,15 @@ def run_experiment(
     train: LabeledDataset,
     test: LabeledDataset,
     profiles: list[ClientProfile],
-    workers: int = 1,
     on_round=None,
 ) -> RunResult:
     """Cluster once, then run the configured number of federated rounds.
 
-    ``workers`` parallelises the per-client local updates only; every number
-    in the output is bit-identical whatever its value.  ``on_round`` (if set)
-    is called with each :class:`RoundMetrics` as it is produced.
+    ``on_round`` (if set) is called with each :class:`RoundMetrics` as it is
+    produced.
     """
 
     config.validate()
-    if workers < 1:
-        raise ConfigError(f"must be >= 1, got {workers}", field="workers")
     if not profiles:
         raise ConfigError("need at least one client profile", field="profiles")
     ids = [p.client_id for p in profiles]
@@ -659,47 +621,32 @@ def run_experiment(
             drawn = draw_distillation_batch(
                 distill_source, config.distill_count, stream_seed(seed, _STREAM_DISTILL, 0)
             )
-            distill_batches = split_batches(drawn.features, config.batch_size)
+            distill_batches = split_batches(drawn, config.batch_size)
 
     prox = config.algorithm == "fedprox"
     metrics: list[RoundMetrics] = []
     for t in range(config.rounds):
         t0 = time.perf_counter()
 
-        jobs = []  # (client_id, cluster_index, start params)
-        for ci, state in enumerate(states):
-            start_params = state.params
-            for cid in state.member_ids:
-                jobs.append((cid, ci, start_params))
-
-        def one_update(job):
-            cid, ci, start_params = job
-            idx = partition.client_indices[pos_of[cid]]
-            try:
-                new_params, loss = local_update(
-                    states[ci].spec,
-                    start_params,
-                    train.features[idx],
-                    train.labels[idx],
-                    config,
-                    stream_seed(seed, _STREAM_LOCAL, cid, t),
-                    prox_reference=start_params if prox else None,
-                )
-            except FedsimError as exc:
-                raise EngineError(f"round {t}, cluster {ci}, client {cid}: {exc}") from exc
-            return cid, ci, new_params, loss
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one_update, jobs))
-        else:
-            results = [one_update(job) for job in jobs]
-
         by_cluster: dict[int, dict[int, ModelParams]] = {ci: {} for ci in range(len(states))}
         losses = []
-        for cid, ci, new_params, loss in results:
-            by_cluster[ci][cid] = new_params
-            losses.append(loss)
+        for ci, state in enumerate(states):
+            for cid in state.member_ids:
+                idx = partition.client_indices[pos_of[cid]]
+                try:
+                    new_params, loss = local_update(
+                        state.spec,
+                        state.params,
+                        train.features[idx],
+                        train.labels[idx],
+                        config,
+                        stream_seed(seed, _STREAM_LOCAL, cid, t),
+                        prox_reference=state.params if prox else None,
+                    )
+                except FedsimError as exc:
+                    raise EngineError(f"round {t}, cluster {ci}, client {cid}: {exc}") from exc
+                by_cluster[ci][cid] = new_params
+                losses.append(loss)
         mean_local_loss = float(np.mean(losses)) if losses else float("nan")
 
         if config.algorithm == "heterofl":
@@ -726,7 +673,7 @@ def run_experiment(
                 drawn = draw_distillation_batch(
                     distill_source, config.distill_count, stream_seed(seed, _STREAM_DISTILL, t)
                 )
-                distill_batches = split_batches(drawn.features, config.batch_size)
+                distill_batches = split_batches(drawn, config.batch_size)
             try:
                 states, stage2_kl = stage2_dml(states, distill_batches, config)
             except FedsimError as exc:

@@ -116,11 +116,3 @@ def kl_divergence_model_led(
     loss = float(np.sum(q * g))
     grad = q * (g - np.sum(q * g, axis=1, keepdims=True)) / float(temperature)
     return loss, grad
-
-
-def combined_loss(kl_value: float, ce_value: float, alpha: float) -> float:
-    """``alpha * kl + (1 - alpha) * ce``; ``alpha`` must lie in [0, 1]."""
-
-    if not (0.0 <= alpha <= 1.0):
-        raise DimensionError(f"loss weight alpha must lie in [0, 1], got {alpha}")
-    return float(alpha * kl_value + (1.0 - alpha) * ce_value)

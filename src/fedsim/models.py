@@ -11,7 +11,7 @@ the ``layer{i}.weight`` / ``layer{i}.bias`` convention.  Because a pruned
 model keeps the *leading* units/channels of every hidden layer, each of its
 parameter tensors corresponds to a prefix block of the matching full-width
 tensor; :func:`overlap_map` records those prefix extents and
-:func:`extract_overlap` / :func:`embed_overlap` move values in and out.
+:func:`extract_overlap` copies them out.
 """
 
 from __future__ import annotations
@@ -178,10 +178,6 @@ def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def param_count(spec: ModelSpec) -> int:
-    return sum(int(np.prod(s)) for s in param_shapes(spec).values())
-
-
 def _final_dense_index(layers: tuple[LayerSpec, ...]) -> int:
     for i in range(len(layers) - 1, -1, -1):
         if layers[i].kind == "dense":
@@ -331,41 +327,6 @@ def extract_overlap(params: ModelParams, omap: OverlapMap) -> ModelParams:
     return ModelParams(
         {name: params.tensors[name][omap.slices(name)].copy() for name in omap.extents}
     )
-
-
-def embed_overlap(large: ModelParams, small: ModelParams, omap: OverlapMap) -> ModelParams:
-    """A copy of ``large`` with the shared prefix block replaced by ``small``."""
-
-    out = large.copy()
-    for name in omap.extents:
-        out.tensors[name][omap.slices(name)] = small.tensors[name]
-    return out
-
-
-def flatten_params(spec: ModelSpec, params: ModelParams) -> np.ndarray:
-    """All tensors concatenated into one float64 vector, in layer order."""
-
-    validate_params(spec, params)
-    return np.concatenate([params.tensors[name].ravel() for name in param_shapes(spec)])
-
-
-def unflatten_params(spec: ModelSpec, vector: np.ndarray) -> ModelParams:
-    """Inverse of :func:`flatten_params`."""
-
-    vector = np.asarray(vector, dtype=np.float64).ravel()
-    shapes = param_shapes(spec)
-    total = sum(int(np.prod(s)) for s in shapes.values())
-    if vector.size != total:
-        raise DimensionError(
-            f"parameter vector has {vector.size} entries, model needs {total}"
-        )
-    tensors: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in shapes.items():
-        size = int(np.prod(shape))
-        tensors[name] = vector[offset : offset + size].reshape(shape).copy()
-        offset += size
-    return ModelParams(tensors)
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:

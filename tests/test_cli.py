@@ -97,15 +97,6 @@ def test_echoed_config_reproduces_the_run(tmp_path):
     assert first == second
 
 
-def test_worker_count_does_not_change_results(tmp_path):
-    cfg = write_config(tmp_path, tiny_config())
-    main(["run", "--config", cfg, "--out", str(tmp_path / "serial")])
-    main(["run", "--config", cfg, "--out", str(tmp_path / "parallel"), "--workers", "3"])
-    assert (tmp_path / "serial" / "metrics.jsonl").read_bytes() == (
-        tmp_path / "parallel" / "metrics.jsonl"
-    ).read_bytes()
-
-
 def test_seed_override_changes_the_run(tmp_path):
     cfg = write_config(tmp_path, tiny_config())
     main(["run", "--config", cfg, "--out", str(tmp_path / "a")])
@@ -172,12 +163,6 @@ def test_missing_durations_file_fails_before_output(tmp_path):
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
     assert not out.exists()
-
-
-def test_invalid_worker_count(tmp_path, capsys):
-    cfg = write_config(tmp_path, tiny_config())
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "0"]) == 1
-    assert "workers" in capsys.readouterr().err
 
 
 def test_runtime_failure_exits_2_and_leaves_valid_metrics(tmp_path, capsys):

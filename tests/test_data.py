@@ -15,7 +15,6 @@ from fedsim.data import (
     partition_dirichlet,
     partition_iid,
     reserve_indices,
-    stratified_split,
 )
 from fedsim.errors import ConfigError, DimensionError
 
@@ -166,14 +165,6 @@ class TestReserveAndSplit:
         with pytest.raises(ConfigError):
             reserve_indices(10, 11, seed=0)
 
-    def test_stratified_split_fraction(self):
-        labels = np.repeat(np.arange(4), 50)
-        kept, held = stratified_split(labels, 0.2, seed=3)
-        assert not set(kept.tolist()) & set(held.tolist())
-        assert kept.size + held.size == 200
-        for c in range(4):
-            assert (labels[held] == c).sum() == 10
-
 
 class TestDistillationSources:
     def test_noise_shape_and_determinism(self):
@@ -181,19 +172,18 @@ class TestDistillationSources:
         a = draw_distillation_batch(src, 7, seed=1)
         b = draw_distillation_batch(src, 7, seed=1)
         c = draw_distillation_batch(src, 7, seed=2)
-        assert a.features.shape == (7, 3, 4, 4)
-        assert a.source_kind == "noise"
-        np.testing.assert_array_equal(a.features, b.features)
-        assert not np.array_equal(a.features, c.features)
+        assert a.shape == (7, 3, 4, 4)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_holdout_draws_from_reserved_rows(self):
         train, _ = make_blobs(3, 40, 10, 5, seed=0)
         held, _ = reserve_indices(len(train), 30, seed=1)
         src = DistillationSource(kind="holdout", dataset=train, holdout_indices=held)
         batch = draw_distillation_batch(src, 12, seed=2)
-        assert batch.features.shape == (12, 5)
+        assert batch.shape == (12, 5)
         held_rows = {tuple(r) for r in train.features[held]}
-        for row in batch.features:
+        for row in batch:
             assert tuple(row) in held_rows
 
     def test_holdout_insufficient_raises(self):
@@ -216,7 +206,7 @@ class TestDistillationSources:
         batch = draw_distillation_batch(src, 20, seed=3)
         # recover labels by matching rows
         row_label = {tuple(r): l for r, l in zip(train.features, train.labels)}
-        drawn = np.array([row_label[tuple(r)] for r in batch.features])
+        drawn = np.array([row_label[tuple(r)] for r in batch])
         assert set(drawn.tolist()) == {0, 2}
         assert (drawn == 0).sum() == 10 and (drawn == 2).sum() == 10
 
@@ -226,11 +216,11 @@ class TestDistillationSources:
             np.save(tmp_path / f"{name}.npy", rng.normal(size=(2, 4, 4)))
         src = DistillationSource(kind="directory", directory=str(tmp_path), prompts=("cat",))
         batch = draw_distillation_batch(src, 3, seed=1)
-        assert batch.features.shape == (3, 2, 4, 4)
+        assert batch.shape == (3, 2, 4, 4)
         both = DistillationSource(kind="directory", directory=str(tmp_path),
                                   prompts=("cat", "dog"))
         batch2 = draw_distillation_batch(both, 6, seed=1)
-        assert batch2.features.shape == (6, 2, 4, 4)
+        assert batch2.shape == (6, 2, 4, 4)
         with pytest.raises(ConfigError):
             draw_distillation_batch(src, 4, seed=1)  # only 3 cat files
 

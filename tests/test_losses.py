@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fedsim.errors import DimensionError
 from fedsim.losses import (
-    combined_loss,
     cross_entropy,
     kl_divergence,
     kl_divergence_model_led,
@@ -224,16 +223,3 @@ class TestKLDivergence:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             kl_divergence(np.full((2, 3), 1 / 3), np.zeros((2, 4)), 1.0)
-
-
-class TestCombinedLoss:
-    def test_endpoints_and_midpoint(self):
-        assert combined_loss(2.0, 6.0, 1.0) == 2.0
-        assert combined_loss(2.0, 6.0, 0.0) == 6.0
-        np.testing.assert_allclose(combined_loss(2.0, 6.0, 0.25), 0.25 * 2 + 0.75 * 6)
-
-    def test_alpha_out_of_range_rejected(self):
-        with pytest.raises(DimensionError):
-            combined_loss(1.0, 1.0, 1.5)
-        with pytest.raises(DimensionError):
-            combined_loss(1.0, 1.0, -0.1)
