@@ -58,6 +58,7 @@ from fedsim.models import (
     extract_overlap,
     init_params,
     overlap_map,
+    validate_params,
 )
 from fedsim.nn import backward_from_cache, forward_cached, model_forward, sgd_step
 from fedsim.settings import coerce, setting
@@ -255,7 +256,8 @@ def local_update(
     return the starting parameters unchanged; the reported loss is the mean
     over all batch losses before their steps (NaN when no batch ran).  The
     first non-finite batch loss raises :class:`EngineError` before its step,
-    as does a non-finite final parameter.
+    as does a non-finite final parameter.  ``params`` is checked against
+    ``spec`` once, on entry (:class:`DimensionError` names the tensor).
     """
 
     features = np.asarray(features, dtype=np.float64)
@@ -265,6 +267,7 @@ def local_update(
         raise EngineError("client has no training data")
     if labels.shape != (n,):
         raise DimensionError(f"labels shape {labels.shape} does not match {n} samples")
+    validate_params(spec, params)
     rng = np.random.default_rng(seed)
     current = params
     batch_losses: list[float] = []
@@ -412,7 +415,8 @@ def stage2_dml(
     sequential: later batches see earlier steps.  Returns new states plus the
     mean per-step KL value (0.0 when no KL term is active).  A non-finite
     loss or parameter after any step raises :class:`EngineError` naming the
-    cluster.
+    cluster.  Each cluster's parameters are checked against its spec once, on
+    entry.
 
     With a single cluster and ``kl_only`` the consensus equals the cluster's
     own distribution, the gradient is exactly zero, and parameters come back
@@ -424,6 +428,8 @@ def stage2_dml(
     m = len(states)
     if m == 1 and not config.include_self_in_consensus:
         raise EngineError("consensus over zero peers: a single cluster must include itself")
+    for s in states:
+        validate_params(s.spec, s.params)
     kl_fn = kl_divergence if config.kl_direction == "forward" else kl_divergence_model_led
     scale = config.temperature**2 if config.t_squared_rescale else 1.0
     params = [s.params for s in states]

@@ -5,12 +5,18 @@ conv (square kernel, zero padding), relu, maxpool and flatten.  The backward
 pass is hand-derived per layer; correctness is pinned by central
 finite-difference checks in the test suite.
 
-Convolution is implemented with an im2col expansion, and the maxpool backward
-routes gradients through the argmax taken in the forward pass (first maximum
-wins on ties), so results are deterministic for fixed inputs.
+Convolution is implemented with an im2col expansion: one fancy-index gather
+of every window, with indices built once per kernel, stride and output size.
+The maxpool forward takes the argmax of each window (first maximum wins on
+ties).  Both backward passes scatter window values back with one strided
+slice add per window offset (col2im): the conv its column gradients, the
+maxpool the upstream gradient routed to each argmax.  Offsets are added in a
+fixed order, so results are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -24,14 +30,43 @@ from fedsim.models import (
 )
 
 
+@functools.lru_cache(maxsize=64)
 def _window_indices(k: int, stride: int, out_h: int, out_w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column gather indices of shape ``(k*k, out_h*out_w)``."""
+    """Row/column gather indices of shape ``(k*k, out_h*out_w)``, window
+    offsets in row-major order.  Cached, so they are read-only."""
 
     i0 = np.repeat(np.arange(k), k)
     j0 = np.tile(np.arange(k), k)
     i1 = stride * np.repeat(np.arange(out_h), out_w)
     j1 = stride * np.tile(np.arange(out_w), out_h)
-    return i0[:, None] + i1[None, :], j0[:, None] + j1[None, :]
+    i, j = i0[:, None] + i1[None, :], j0[:, None] + j1[None, :]
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
+
+
+def _col2im(parts: np.ndarray, k: int, stride: int, shape) -> np.ndarray:
+    """Sum window values back onto a zeroed ``(n, c, h, w)`` map.
+
+    ``parts[kk]`` holds the ``(n, c, out_h*out_w)`` values at window offset
+    ``kk = di*k + dj``, the inverse of the gather by :func:`_window_indices`.
+    Each offset is one strided slice add, in ascending ``kk``, so every pixel
+    sums its addends in the order ``np.add.at`` over the gather indices would.
+    """
+
+    n, c, h, wid = shape
+    out_h = (h - k) // stride + 1
+    out_w = (wid - k) // stride + 1
+    out = np.zeros(shape, dtype=np.float64)
+    for kk, part in enumerate(parts):
+        di, dj = divmod(kk, k)
+        out[
+            :,
+            :,
+            di : di + stride * (out_h - 1) + 1 : stride,
+            dj : dj + stride * (out_w - 1) + 1 : stride,
+        ] += part.reshape(n, c, out_h, out_w)
+    return out
 
 
 def _dense_forward(x, w, b):
@@ -46,28 +81,34 @@ def _dense_backward(dy, w, cache):
 def _conv_forward(x, w, b, layer: LayerSpec):
     n, c, h, wid = x.shape
     k, s, p = layer.kernel, layer.stride, layer.padding
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    if p:
+        xp = np.zeros((n, c, h + 2 * p, wid + 2 * p), dtype=np.float64)
+        xp[:, :, p : p + h, p : p + wid] = x
+    else:
+        xp = x
     out_h = (h + 2 * p - k) // s + 1
     out_w = (wid + 2 * p - k) // s + 1
     i, j = _window_indices(k, s, out_h, out_w)
+    # The fancy-index gather, not a copy of strided slices: for one input
+    # channel its reshape is a non-contiguous view, and the einsum in the
+    # backward pass rounds ``dw`` according to that layout.
     cols = xp[:, :, i, j].reshape(n, c * k * k, -1)  # (n, c*k*k, out_h*out_w)
     wm = w.reshape(w.shape[0], -1)
     y = np.matmul(wm, cols) + b[:, None]
     y = y.reshape(n, w.shape[0], out_h, out_w)
-    return y, (cols, x.shape, i, j)
+    return y, (cols, x.shape)
 
 
 def _conv_backward(dy, w, layer: LayerSpec, cache):
-    cols, x_shape, i, j = cache
+    cols, x_shape = cache
     n, c, h, wid = x_shape
-    k, p = layer.kernel, layer.padding
+    k, s, p = layer.kernel, layer.stride, layer.padding
     dyl = dy.reshape(n, dy.shape[1], -1)  # (n, out_c, L)
     dw = np.einsum("nol,nfl->of", dyl, cols).reshape(w.shape)
     db = dyl.sum(axis=(0, 2))
     wm = w.reshape(w.shape[0], -1)
     dcols = np.matmul(wm.T, dyl).reshape(n, c, k * k, -1)
-    xp_grad = np.zeros((n, c, h + 2 * p, wid + 2 * p), dtype=np.float64)
-    np.add.at(xp_grad, (slice(None), slice(None), i, j), dcols)
+    xp_grad = _col2im(dcols.transpose(2, 0, 1, 3), k, s, (n, c, h + 2 * p, wid + 2 * p))
     dx = xp_grad[:, :, p : p + h, p : p + wid] if p else xp_grad
     return dx, dw, db
 
@@ -79,25 +120,19 @@ def _maxpool_forward(x, layer: LayerSpec):
     out_w = (wid - k) // s + 1
     i, j = _window_indices(k, s, out_h, out_w)
     windows = x[:, :, i, j]  # (n, c, k*k, L)
+    # argmax and a pick, not a max: relu outputs hold -0.0, and the pick
+    # returns the first maximum itself, whichever zero it is.
     amax = windows.argmax(axis=2)  # first maximum on ties
     y = np.take_along_axis(windows, amax[:, :, None, :], axis=2)[:, :, 0, :]
-    return y.reshape(n, c, out_h, out_w), (x.shape, i, j, amax)
+    return y.reshape(n, c, out_h, out_w), (x.shape, amax)
 
 
-def _maxpool_backward(dy, cache):
-    x_shape, i, j, amax = cache
-    n, c = x_shape[0], x_shape[1]
-    length = amax.shape[-1]
-    dyl = dy.reshape(n, c, length)
-    ri = i[amax, np.arange(length)[None, None, :]]
-    cj = j[amax, np.arange(length)[None, None, :]]
-    dx = np.zeros(x_shape, dtype=np.float64)
-    np.add.at(
-        dx,
-        (np.arange(n)[:, None, None], np.arange(c)[None, :, None], ri, cj),
-        dyl,
-    )
-    return dx
+def _maxpool_backward(dy, layer: LayerSpec, cache):
+    x_shape, amax = cache
+    k = layer.kernel
+    offsets = np.arange(k * k).reshape(-1, 1, 1, 1)
+    routed = np.where(amax == offsets, dy.reshape(amax.shape), 0.0)  # (k*k, n, c, L)
+    return _col2im(routed, k, layer.stride, x_shape)
 
 
 def _check_batch(spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
@@ -114,10 +149,15 @@ def _check_batch(spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
 
 
 def forward_cached(spec: ModelSpec, params: ModelParams, batch: np.ndarray):
-    """Logits plus the per-layer caches needed for the backward pass."""
+    """Logits plus the per-layer caches needed for the backward pass.
+
+    ``params`` is not checked against ``spec``: callers validate once at
+    their entry (:func:`model_forward`, :func:`model_backward`,
+    ``engine.local_update``, ``engine.stage2_dml``), and :func:`sgd_step`
+    keeps every shape from then on.
+    """
 
     x = _check_batch(spec, batch)
-    validate_params(spec, params)
     caches: list = []
     for idx, layer in enumerate(spec.layers):
         try:
@@ -169,7 +209,7 @@ def backward_from_cache(
         elif layer.kind == "relu":
             grad = grad * cache
         elif layer.kind == "maxpool":
-            grad = _maxpool_backward(grad, cache)
+            grad = _maxpool_backward(grad, layer, cache)
         elif layer.kind == "flatten":
             grad = grad.reshape(cache)
     return grads
@@ -178,6 +218,7 @@ def backward_from_cache(
 def model_forward(spec: ModelSpec, params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Class logits, shape ``(batch, class_count)``."""
 
+    validate_params(spec, params)
     logits, _ = forward_cached(spec, params, batch)
     return logits
 
@@ -191,6 +232,7 @@ def model_backward(
     returned by the functions in :mod:`fedsim.losses`).
     """
 
+    validate_params(spec, params)
     logits, caches = forward_cached(spec, params, batch)
     logit_grad = np.asarray(logit_grad, dtype=np.float64)
     if logit_grad.shape != logits.shape:

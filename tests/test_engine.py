@@ -40,6 +40,7 @@ from fedsim.models import (
     init_params,
     mlp_spec,
     overlap_map,
+    validate_params,
 )
 from fedsim.nn import model_backward, model_forward, sgd_step
 
@@ -462,6 +463,25 @@ class TestLocalUpdate:
         assert all(math.isfinite(v) for v in losses[:-1])
         assert len(steps) == len(losses) - 1 < 40
 
+    def test_parameters_are_validated_once_per_update(self, monkeypatch):
+        calls = []
+
+        def counted(spec, params, real=validate_params):
+            calls.append(spec)
+            real(spec, params)
+
+        monkeypatch.setattr("fedsim.engine.validate_params", counted)
+        cfg = FedConfig(local_epochs=3, batch_size=4, learning_rate=0.1)  # 9 steps
+        local_update(self.spec, self.params, self.features, self.labels, cfg, seed=1)
+        assert calls == [self.spec]
+
+    def test_wrong_shaped_tensor_is_named(self):
+        cfg = FedConfig(local_epochs=2, batch_size=4)
+        bad = self.params.copy()
+        bad.tensors["layer2.weight"] = np.zeros((3, 7))
+        with pytest.raises(DimensionError, match="layer2.weight"):
+            local_update(self.spec, bad, self.features, self.labels, cfg, seed=1)
+
 
 def naive_softmax(z, temperature):
     s = z / temperature
@@ -613,6 +633,25 @@ class TestStage2DML:
     def test_empty_states_rejected(self):
         with pytest.raises(EngineError):
             stage2_dml([], [np.zeros((2, 6))], FedConfig())
+
+    def test_parameters_are_validated_once_per_cluster(self, monkeypatch):
+        calls = []
+
+        def counted(spec, params, real=validate_params):
+            calls.append(spec)
+            real(spec, params)
+
+        monkeypatch.setattr("fedsim.engine.validate_params", counted)
+        states = make_states([1.0, 0.5])
+        batches = split_batches(np.random.default_rng(3).normal(size=(12, 6)), 5)
+        stage2_dml(states, batches, FedConfig(global_epochs=2))  # 6 steps per cluster
+        assert calls == [s.spec for s in states]
+
+    def test_wrong_shaped_tensor_is_named(self):
+        states = make_states([1.0, 0.5])
+        states[1].params.tensors["layer0.bias"] = np.zeros(5)
+        with pytest.raises(DimensionError, match="layer0.bias"):
+            stage2_dml(states, [np.zeros((2, 6))], FedConfig())
 
 
 class TestEvaluate:

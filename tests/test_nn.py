@@ -1,4 +1,4 @@
-"""Finite-difference and brute-force oracles for the network kernel."""
+"""Finite-difference, brute-force and ``np.add.at`` oracles for the network kernel."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,15 @@ from fedsim.models import (
     init_params,
     mlp_spec,
 )
-from fedsim.nn import model_backward, model_forward, sgd_step
+from fedsim.nn import (
+    _conv_backward,
+    _conv_forward,
+    _maxpool_backward,
+    _maxpool_forward,
+    model_backward,
+    model_forward,
+    sgd_step,
+)
 
 
 def jitter_biases(params, rng, scale=0.3):
@@ -76,6 +84,124 @@ def brute_force_maxpool(x, k, stride):
                         ni, ci, i * stride : i * stride + k, j * stride : j * stride + k
                     ].max()
     return y
+
+
+def gather_indices(k, stride, out_h, out_w):
+    i0 = np.repeat(np.arange(k), k)
+    j0 = np.tile(np.arange(k), k)
+    i1 = stride * np.repeat(np.arange(out_h), out_w)
+    j1 = stride * np.tile(np.arange(out_w), out_h)
+    return i0[:, None] + i1[None, :], j0[:, None] + j1[None, :]
+
+
+def add_at_conv(x, w, b, k, stride, padding, dy):
+    """Conv forward and backward with an ``np.add.at`` col2im: ``y, dx, dw, db``."""
+
+    n, c, h, wid = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out_h = (h + 2 * padding - k) // stride + 1
+    out_w = (wid + 2 * padding - k) // stride + 1
+    i, j = gather_indices(k, stride, out_h, out_w)
+    cols = xp[:, :, i, j].reshape(n, c * k * k, -1)
+    wm = w.reshape(w.shape[0], -1)
+    y = (np.matmul(wm, cols) + b[:, None]).reshape(n, w.shape[0], out_h, out_w)
+    dyl = dy.reshape(n, dy.shape[1], -1)
+    dw = np.einsum("nol,nfl->of", dyl, cols).reshape(w.shape)
+    db = dyl.sum(axis=(0, 2))
+    dcols = np.matmul(wm.T, dyl).reshape(n, c, k * k, -1)
+    xp_grad = np.zeros(xp.shape)
+    np.add.at(xp_grad, (slice(None), slice(None), i, j), dcols)
+    return y, xp_grad[:, :, padding : padding + h, padding : padding + wid], dw, db
+
+
+def add_at_maxpool(x, k, stride, dy):
+    """Maxpool forward and an ``np.add.at`` backward through the argmax: ``y, dx``."""
+
+    n, c, h, wid = x.shape
+    out_h = (h - k) // stride + 1
+    out_w = (wid - k) // stride + 1
+    i, j = gather_indices(k, stride, out_h, out_w)
+    windows = x[:, :, i, j]
+    amax = windows.argmax(axis=2)
+    y = np.take_along_axis(windows, amax[:, :, None, :], axis=2)[:, :, 0, :]
+    length = amax.shape[-1]
+    ri = i[amax, np.arange(length)]
+    cj = j[amax, np.arange(length)]
+    dx = np.zeros(x.shape)
+    np.add.at(
+        dx,
+        (np.arange(n)[:, None, None], np.arange(c)[None, :, None], ri, cj),
+        dy.reshape(n, c, length),
+    )
+    return y.reshape(n, c, out_h, out_w), dx
+
+
+def with_zeros(rng, a):
+    """``a`` with about a tenth of its entries set to -0.0 and a tenth to +0.0."""
+
+    u = rng.random(a.shape)
+    a[u < 0.1] = -0.0
+    a[(u >= 0.1) & (u < 0.2)] = 0.0
+    return a
+
+
+def assert_same_bytes(got, expected):
+    for g, e in zip(got, expected, strict=True):
+        assert g.shape == e.shape
+        assert g.tobytes() == e.tobytes()
+
+
+class TestKernelsAgainstAddAt:
+    """The slice-add col2im and maxpool backward against ``np.add.at``."""
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_is_bitwise_equal(self, channels, padding, stride):
+        rng = np.random.default_rng(100 * channels + 10 * padding + stride)
+        for _ in range(5):
+            k = int(rng.integers(1, 4))
+            h, wid = (int(v) for v in rng.integers(k, 10, size=2))
+            out_c = int(rng.integers(1, 5))
+            x = with_zeros(rng, rng.normal(size=(int(rng.integers(1, 4)), channels, h, wid)))
+            w = rng.normal(size=(out_c, channels, k, k))
+            b = rng.normal(size=out_c)
+            layer = LayerSpec(kind="conv", width=out_c, base_width=out_c, kernel=k,
+                              stride=stride, padding=padding)
+            y, cache = _conv_forward(x, w, b, layer)
+            dy = with_zeros(rng, rng.normal(size=y.shape))
+            expected = add_at_conv(x, w, b, k, stride, padding, dy)
+            assert_same_bytes((y, *_conv_backward(dy, w, layer, cache)), expected)
+
+    @pytest.mark.parametrize("side, k", [(7, 2), (8, 2), (7, 3), (9, 3), (5, 1)])
+    def test_non_overlapping_pool_is_bitwise_equal(self, side, k):
+        rng = np.random.default_rng(side * k)
+        z = rng.normal(size=(3, 2, side, side))
+        x = with_zeros(rng, z * (z > 0))  # relu outputs: ties of -0.0 and +0.0
+        layer = LayerSpec(kind="maxpool", kernel=k, stride=k)
+        y, cache = _maxpool_forward(x, layer)
+        dy = with_zeros(rng, rng.normal(size=y.shape))
+        dx = _maxpool_backward(dy, layer, cache)
+        assert_same_bytes((y, dx), add_at_maxpool(x, k, k, dy))
+        covered = side // k * k
+        border = np.concatenate([dx[:, :, covered:, :].ravel(), dx[:, :, :, covered:].ravel()])
+        assert border.tobytes() == np.zeros(border.size).tobytes()
+
+    @pytest.mark.parametrize("k, stride", [(3, 1), (2, 1), (3, 2)])
+    def test_overlapping_pool_differs_at_most_in_rounding(self, k, stride):
+        # a pixel can take the gradient of several windows; the slice adds sum
+        # them in another order than np.add.at, so only the forward is bitwise
+        rng = np.random.default_rng(10 * k + stride)
+        x = with_zeros(rng, rng.normal(size=(3, 2, 8, 9)))
+        layer = LayerSpec(kind="maxpool", kernel=k, stride=stride)
+        y, cache = _maxpool_forward(x, layer)
+        dy = rng.normal(size=y.shape)
+        expected_y, expected_dx = add_at_maxpool(x, k, stride, dy)
+        assert_same_bytes((y,), (expected_y,))
+        # each order errs by at most (k*k - 1) * eps * (sum of the k*k addends)
+        bound = 2 * k**4 * np.finfo(np.float64).eps * np.abs(dy).max()
+        np.testing.assert_allclose(_maxpool_backward(dy, layer, cache), expected_dx,
+                                   rtol=0, atol=bound)
 
 
 class TestForwardAgainstBruteForce:
@@ -183,6 +309,40 @@ class TestBackwardAgainstFiniteDifferences:
 
         logits = model_forward(spec, params, x)
         _, logit_grad = cross_entropy(logits, y)
+        grads = model_backward(spec, params, x, logit_grad)
+        fd = fd_param_grads(spec, params, loss_of)
+        for name in fd:
+            np.testing.assert_allclose(grads[name], fd[name], rtol=1e-4, atol=1e-7,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            LayerSpec(kind="conv", width=3, base_width=3, kernel=3, stride=2, padding=1),
+            LayerSpec(kind="maxpool", kernel=3, stride=1),
+            LayerSpec(kind="maxpool", kernel=2, stride=1),
+        ],
+        ids=["conv-stride2-pad1", "maxpool-k3-s1", "maxpool-k2-s1"],
+    )
+    def test_gradients_through_strided_conv_and_overlapping_pools(self, second):
+        # the first conv's gradients pass through the second layer's backward
+        rng = np.random.default_rng(31)
+        conv = LayerSpec(kind="conv", width=2, base_width=2, kernel=3)
+        spec = ModelSpec(
+            input_shape=(2, 7, 7),
+            layers=(conv, LayerSpec(kind="relu"), second, LayerSpec(kind="flatten"),
+                    LayerSpec(kind="dense", width=3, base_width=3)),
+            class_count=3,
+        )
+        params = init_params(spec, 32)
+        jitter_biases(params, rng)
+        x = rng.normal(size=(3, 2, 7, 7))
+        y = rng.integers(0, 3, size=3)
+
+        def loss_of(p):
+            return cross_entropy(model_forward(spec, p, x), y)[0]
+
+        _, logit_grad = cross_entropy(model_forward(spec, params, x), y)
         grads = model_backward(spec, params, x, logit_grad)
         fd = fd_param_grads(spec, params, loss_of)
         for name in fd:
