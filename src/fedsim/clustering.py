@@ -36,13 +36,6 @@ class ClientProfile:
     data_size: int = 0
     measured_duration: float | None = None
 
-    def __post_init__(self):
-        if self.speed_factor <= 0:
-            raise ConfigError(
-                f"client {self.client_id}: speed factor must be positive, "
-                f"got {self.speed_factor}"
-            )
-
 
 @dataclass(frozen=True)
 class DensityEstimate:
@@ -78,15 +71,11 @@ def measure_durations(
 ) -> list[ClientProfile]:
     """Simulate profiling: ``speed * units * (1 + eps)``, eps ~ N(0, sd) clipped at 3 sd.
 
-    ``noise_sd`` must stay below 1/3 so durations remain positive even at the
-    clipping boundary.  Profiles that already carry a measured duration are
-    re-measured (the old value is replaced).
+    ``noise_sd`` below 1/3 (the ``clients.profile_noise_sd`` setting) keeps
+    durations positive even at the clipping boundary.  Profiles that already
+    carry a measured duration are re-measured (the old value is replaced).
     """
 
-    if workload_units <= 0:
-        raise ConfigError(f"workload units must be positive, got {workload_units}")
-    if not (0.0 <= noise_sd < 1.0 / 3.0):
-        raise ConfigError(f"profiling noise sd must lie in [0, 1/3), got {noise_sd}")
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, noise_sd, size=len(profiles)) if noise_sd > 0 else np.zeros(len(profiles))
     eps = np.clip(eps, -3.0 * noise_sd, 3.0 * noise_sd)
@@ -185,8 +174,6 @@ def kde_density(durations: np.ndarray, bandwidth: float | None = None) -> Densit
         raise DimensionError("cannot estimate a density from an empty sample")
     if bandwidth is None:
         bandwidth = silverman_bandwidth(x)
-    if bandwidth <= 0:
-        raise ConfigError(f"bandwidth must be positive, got {bandwidth}")
     h = float(bandwidth)
     grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, GRID_POINTS)
     density = gaussian_kernel((grid[:, None] - x[None, :]) / h).mean(axis=1) / h
@@ -210,16 +197,8 @@ def _valley_runs(density: np.ndarray) -> list[tuple[int, int]]:
     return runs
 
 
-def _interior_minima(density: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Positions of interior local minima; plateau minima use their midpoint."""
-
-    return np.asarray(
-        [0.5 * (grid[a] + grid[b]) for a, b in _valley_runs(density)], dtype=np.float64
-    )
-
-
 def _deep_minima(density: np.ndarray, grid: np.ndarray, depth_ratio: float) -> np.ndarray:
-    """Interior minima whose valley dips below ``depth_ratio`` of both flanks."""
+    """Interior minima (plateaus at their midpoint) dipping below ``depth_ratio`` of both flanks."""
 
     runs = _valley_runs(density)
     kept = []
@@ -244,7 +223,8 @@ def cluster_by_density(estimate: DensityEstimate, durations: np.ndarray) -> Clus
     durations = np.asarray(durations, dtype=np.float64)
     if durations.size < 1:
         raise DimensionError("cannot cluster an empty duration sample")
-    boundaries = _interior_minima(estimate.density, estimate.grid)
+    # a valley lies strictly below both neighbours, so ratio 1.0 keeps every one
+    boundaries = _deep_minima(estimate.density, estimate.grid, 1.0)
     raw = np.searchsorted(boundaries, durations, side="left")
     # renumber to occupied valley intervals only, keeping duration order
     occupied = np.unique(raw)
@@ -274,8 +254,6 @@ def assign_pruning_rates(
     rates = assignment.fastest_mean / assignment.cluster_means
     if ladder is not None:
         steps = np.sort(np.asarray(ladder, dtype=np.float64))
-        if steps.size == 0 or steps[0] <= 0 or steps[-1] > 1.0:
-            raise ConfigError(f"rate ladder values must lie in (0, 1], got {ladder}")
         snapped = []
         for r in rates:
             dist = np.abs(steps - r)

@@ -180,12 +180,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     )
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Load, validate and resolve a config file."""
-
-    return resolve_config(load_config_dict(path))
-
-
 def apply_overrides(
     raw: dict, seed: int | None = None, algorithm: str | None = None, out: str | None = None
 ) -> dict:

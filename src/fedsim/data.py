@@ -90,12 +90,6 @@ class DistillationSource:
     directory: str | None = None
     input_shape: tuple[int, ...] | None = None
 
-    def __post_init__(self):
-        if self.kind not in DISTILLATION_KINDS:
-            raise ConfigError(
-                f"distillation source must be one of {DISTILLATION_KINDS}, got {self.kind!r}"
-            )
-
 
 def make_blobs(
     class_count: int,
@@ -108,8 +102,6 @@ def make_blobs(
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Seeded Gaussian blobs; train and test share the same class centres."""
 
-    if class_count < 2 or train_per_class < 1 or test_per_class < 1 or dim < 1:
-        raise ConfigError("blobs need >= 2 classes, >= 1 sample per class, dim >= 1")
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(class_count, dim)) * center_spread
 
@@ -219,8 +211,6 @@ def load_image_directory(path) -> LabeledDataset:
 def reserve_indices(n: int, count: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """(reserved, remaining) index split drawn uniformly without replacement."""
 
-    if count < 0 or count > n:
-        raise ConfigError(f"cannot reserve {count} samples out of {n}")
     perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[:count]), np.sort(perm[count:])
 
@@ -234,8 +224,6 @@ def partition_iid(
     cursor runs on across classes so overall sizes stay balanced.
     """
 
-    if client_count < 1:
-        raise ConfigError(f"need at least one client, got {client_count}")
     labels = np.asarray(labels)
     pool = np.arange(labels.size) if indices is None else np.asarray(indices)
     if pool.size < client_count:
@@ -266,10 +254,6 @@ def partition_dirichlet(
     ends up non-empty.
     """
 
-    if client_count < 1:
-        raise ConfigError(f"need at least one client, got {client_count}")
-    if alpha <= 0:
-        raise ConfigError(f"dirichlet alpha must be positive, got {alpha}")
     labels = np.asarray(labels)
     pool = np.arange(labels.size) if indices is None else np.asarray(indices)
     if pool.size < client_count:
@@ -332,8 +316,6 @@ def draw_distillation_batch(source: DistillationSource, count: int, seed) -> np.
     ``count`` distinct samples.
     """
 
-    if count < 1:
-        raise ConfigError(f"distillation batch size must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     if source.kind == "noise":
         if not source.input_shape:

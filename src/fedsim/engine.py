@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -180,8 +179,7 @@ class ClusterState:
 
 @dataclass(frozen=True)
 class RoundMetrics:
-    """What one round produced.  ``wall_seconds`` is measurement, not result:
-    writers that promise byte-stable output must leave it out."""
+    """What one round produced; every field is a pure function of the config."""
 
     round_index: int
     cluster_accuracy: tuple[float, ...]
@@ -190,10 +188,9 @@ class RoundMetrics:
     unweighted_accuracy: float
     mean_local_loss: float
     stage2_kl: float
-    wall_seconds: float
 
-    def as_dict(self, include_wall: bool = False) -> dict:
-        d = {
+    def as_dict(self) -> dict:
+        return {
             "round": self.round_index,
             "cluster_accuracy": list(self.cluster_accuracy),
             "client_weighted_accuracy": self.client_weighted_accuracy,
@@ -202,9 +199,6 @@ class RoundMetrics:
             "mean_local_loss": self.mean_local_loss,
             "stage2_kl": self.stage2_kl,
         }
-        if include_wall:
-            d["wall_seconds"] = self.wall_seconds
-        return d
 
 
 @dataclass
@@ -256,8 +250,8 @@ def local_update(
     return the starting parameters unchanged; the reported loss is the mean
     over all batch losses before their steps (NaN when no batch ran).  The
     first non-finite batch loss raises :class:`EngineError` before its step,
-    as does a non-finite final parameter.  ``params`` is checked against
-    ``spec`` once, on entry (:class:`DimensionError` names the tensor).
+    as does a non-finite final parameter.  ``params`` and the label range
+    are checked against ``spec`` once, on entry (:class:`DimensionError`).
     """
 
     features = np.asarray(features, dtype=np.float64)
@@ -267,6 +261,8 @@ def local_update(
         raise EngineError("client has no training data")
     if labels.shape != (n,):
         raise DimensionError(f"labels shape {labels.shape} does not match {n} samples")
+    if labels.min() < 0 or labels.max() >= spec.class_count:
+        raise DimensionError(f"labels must lie in [0, {spec.class_count})")
     validate_params(spec, params)
     rng = np.random.default_rng(seed)
     current = params
@@ -307,8 +303,6 @@ def stage1_aggregate(
 
     if not params_list:
         raise EngineError("cannot aggregate an empty cluster")
-    if weighting not in STAGE1_WEIGHTINGS:
-        raise ConfigError(f"must be one of {STAGE1_WEIGHTINGS}, got {weighting!r}", field="stage1_weighting")
     names = set(params_list[0].tensors)
     for p in params_list[1:]:
         if set(p.tensors) != names:
@@ -329,11 +323,11 @@ def stage1_aggregate(
                     f"{name}: cluster members disagree on shape "
                     f"({shape} vs {p.tensors[name].shape})"
                 )
-        if weighting == "uniform":
-            out[name] = _sorted_mean(np.stack([p.tensors[name] for p in params_list]))
-        else:
+        if weighting == "data_size":
             stack = np.stack([w * p.tensors[name] for w, p in zip(weights, params_list)])
             out[name] = np.sort(stack, axis=0).sum(axis=0)
+        else:
+            out[name] = _sorted_mean(np.stack([p.tensors[name] for p in params_list]))
     return ModelParams(out)
 
 
@@ -396,8 +390,6 @@ def heterofl_aggregate(
 def split_batches(features: np.ndarray, batch_size: int) -> list[np.ndarray]:
     """Fixed-order minibatch views of a distillation pool."""
 
-    if batch_size < 1:
-        raise ConfigError(f"must be >= 1, got {batch_size}", field="batch_size")
     return [features[i : i + batch_size] for i in range(0, features.shape[0], batch_size)]
 
 
@@ -632,8 +624,6 @@ def run_experiment(
     prox = config.algorithm == "fedprox"
     metrics: list[RoundMetrics] = []
     for t in range(config.rounds):
-        t0 = time.perf_counter()
-
         by_cluster: dict[int, dict[int, ModelParams]] = {ci: {} for ci in range(len(states))}
         losses = []
         for ci, state in enumerate(states):
@@ -702,7 +692,6 @@ def run_experiment(
             unweighted_accuracy=float(acc.mean()),
             mean_local_loss=mean_local_loss,
             stage2_kl=stage2_kl,
-            wall_seconds=time.perf_counter() - t0,
         )
         metrics.append(round_metrics)
         if on_round is not None:

@@ -73,9 +73,9 @@ def _dense_forward(x, w, b):
     return x @ w.T + b, x
 
 
-def _dense_backward(dy, w, cache):
+def _dense_backward(dy, w, cache, need_dx=True):
     x = cache
-    return dy @ w, dy.T @ x, dy.sum(axis=0)
+    return (dy @ w if need_dx else None), dy.T @ x, dy.sum(axis=0)
 
 
 def _conv_forward(x, w, b, layer: LayerSpec):
@@ -99,13 +99,15 @@ def _conv_forward(x, w, b, layer: LayerSpec):
     return y, (cols, x.shape)
 
 
-def _conv_backward(dy, w, layer: LayerSpec, cache):
+def _conv_backward(dy, w, layer: LayerSpec, cache, need_dx=True):
     cols, x_shape = cache
     n, c, h, wid = x_shape
     k, s, p = layer.kernel, layer.stride, layer.padding
     dyl = dy.reshape(n, dy.shape[1], -1)  # (n, out_c, L)
     dw = np.einsum("nol,nfl->of", dyl, cols).reshape(w.shape)
     db = dyl.sum(axis=(0, 2))
+    if not need_dx:
+        return None, dw, db
     wm = w.reshape(w.shape[0], -1)
     dcols = np.matmul(wm.T, dyl).reshape(n, c, k * k, -1)
     xp_grad = _col2im(dcols.transpose(2, 0, 1, 3), k, s, (n, c, h + 2 * p, wid + 2 * p))
@@ -193,16 +195,20 @@ def backward_from_cache(
 
     grad = np.asarray(logit_grad, dtype=np.float64)
     grads: dict[str, np.ndarray] = {}
-    for idx in range(len(spec.layers) - 1, -1, -1):
+    # nothing below the first parameter layer learns, so it needs no input gradient
+    first = min(i for i, layer in enumerate(spec.layers) if layer.kind in ("dense", "conv"))
+    for idx in range(len(spec.layers) - 1, first - 1, -1):
         layer = spec.layers[idx]
         cache = caches[idx]
         if layer.kind == "dense":
-            grad, dw, db = _dense_backward(grad, params.tensors[f"layer{idx}.weight"], cache)
+            grad, dw, db = _dense_backward(
+                grad, params.tensors[f"layer{idx}.weight"], cache, idx > first
+            )
             grads[f"layer{idx}.weight"] = dw
             grads[f"layer{idx}.bias"] = db
         elif layer.kind == "conv":
             grad, dw, db = _conv_backward(
-                grad, params.tensors[f"layer{idx}.weight"], layer, cache
+                grad, params.tensors[f"layer{idx}.weight"], layer, cache, idx > first
             )
             grads[f"layer{idx}.weight"] = dw
             grads[f"layer{idx}.bias"] = db
@@ -245,8 +251,6 @@ def model_backward(
 def sgd_step(params: ModelParams, grads: dict[str, np.ndarray], learning_rate: float) -> ModelParams:
     """One plain gradient step; returns new parameters, inputs untouched."""
 
-    if learning_rate < 0:
-        raise DimensionError(f"learning rate must be non-negative, got {learning_rate}")
     if set(grads) != set(params.tensors):
         missing = set(params.tensors) ^ set(grads)
         raise DimensionError(f"gradient tensors do not match parameters: {sorted(missing)}")

@@ -20,7 +20,10 @@ from fedsim.clustering import (
     refine_clusters,
     save_durations,
     silverman_bandwidth,
+    _deep_minima,
+    _valley_runs,
 )
+from fedsim.engine import FedConfig
 from fedsim.errors import ConfigError
 
 
@@ -93,6 +96,18 @@ class TestValleyClustering:
         assignment = cluster_by_density(est, np.array([4.9, 5.0, 5.1]))
         np.testing.assert_array_equal(assignment.boundaries, [5.0])
         np.testing.assert_array_equal(assignment.cluster_of, [0, 0, 1])
+
+    def test_valleys_are_every_interior_minimum(self):
+        # oracle: every interior minimum, plateaus at their midpoint
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            size = int(rng.integers(3, 40))
+            density = rng.integers(0, 5, size=size).astype(np.float64) * rng.random()
+            grid = np.sort(rng.normal(size=size))
+            expected = np.asarray(
+                [0.5 * (grid[a] + grid[b]) for a, b in _valley_runs(density)], dtype=np.float64
+            )
+            assert _deep_minima(density, grid, 1.0).tobytes() == expected.tobytes()
 
     def test_plateau_valley_uses_midpoint(self):
         grid = np.arange(7, dtype=np.float64)
@@ -214,13 +229,11 @@ class TestRates:
         np.testing.assert_array_equal(snapped.rates, [1.0, 0.3])
 
     def test_bad_ladder_rejected(self):
-        grid = np.arange(3, dtype=np.float64)
-        est = DensityEstimate(grid, np.array([1.0, 0.5, 1.0]), 1.0)
-        assignment = cluster_by_density(est, np.array([0.5, 1.5]))
-        with pytest.raises(ConfigError):
-            assign_pruning_rates(assignment, ladder=[0.0, 1.0])
-        with pytest.raises(ConfigError):
-            assign_pruning_rates(assignment, ladder=[0.5, 1.2])
+        # the ladder's range is checked where the config enters, not per call
+        for ladder in [(0.0, 1.0), (0.5, 1.2), ()]:
+            with pytest.raises(ConfigError) as err:
+                FedConfig(rate_ladder=ladder).validate()
+            assert err.value.field == "rate_ladder"
 
 
 class TestProfiling:
@@ -243,10 +256,11 @@ class TestProfiling:
         np.testing.assert_array_equal(durations, [p.measured_duration for p in again])
 
     def test_noise_sd_bounds(self):
-        with pytest.raises(ConfigError):
-            measure_durations(self._profiles([1.0]), 1.0, 0.34, seed=0)
-        with pytest.raises(ConfigError):
-            measure_durations(self._profiles([1.0]), 0.0, 0.01, seed=0)
+        # both bounds are checked where the config enters, not per call
+        with pytest.raises(ConfigError, match="profile_noise_sd"):
+            FedConfig(profile_noise_sd=0.34).validate()
+        with pytest.raises(ConfigError, match="workload_units"):
+            FedConfig(workload_units=0.0).validate()
 
     def test_durations_file_round_trip(self, tmp_path):
         measured = measure_durations(self._profiles([1.0, 3.0, 9.0]), 2.0, 0.05, seed=7)

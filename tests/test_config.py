@@ -11,7 +11,6 @@ from fedsim.config import (
     build_model_spec,
     build_profiles,
     load_config_dict,
-    parse_config,
     resolve_config,
 )
 from fedsim.errors import ConfigError
@@ -232,7 +231,7 @@ def test_echo_round_trips_byte_for_byte(tmp_path):
     )
     first = resolve_config(raw)
     echoed = write_config(tmp_path, yaml.safe_load(first.echo_text()), "echo.yaml")
-    second = parse_config(echoed)
+    second = resolve_config(load_config_dict(echoed))
     assert second.echo_text() == first.echo_text()
     assert second.fed == first.fed
 

