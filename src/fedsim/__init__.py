@@ -4,13 +4,14 @@ federated learning.
 The package is organised around a handful of small, pure modules:
 
 * :mod:`fedsim.models` -- layer/model descriptions, width pruning, parameter
-  initialisation and the overlap maps used by width-sliced aggregation.
+  initialisation and the leading-block extraction used by width-sliced
+  aggregation.
 * :mod:`fedsim.nn` -- a minimal double-precision forward/backward kernel
   (dense, conv, relu, maxpool, flatten) plus plain SGD.
 * :mod:`fedsim.losses` -- temperature softmax, cross entropy and the KL
   divergences used for server-side mutual distillation.
 * :mod:`fedsim.data` -- synthetic blob datasets, directory loading, IID and
-  Dirichlet partitioning, and distillation-batch sources.
+  Dirichlet partitioning, and distillation draws from a holdout or a directory.
 * :mod:`fedsim.clustering` -- simulated duration profiling, Gaussian KDE and
   density-valley clustering with pruning-rate assignment.
 * :mod:`fedsim.engine` -- local updates, the two aggregation stages, baseline

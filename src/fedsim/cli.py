@@ -18,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from fedsim.clustering import cluster_profiles, format_cluster_report, measure_durations, save_durations
+from fedsim.clustering import format_cluster_report, save_durations
 from fedsim.config import (
     ExperimentConfig,
     apply_overrides,
@@ -28,7 +28,7 @@ from fedsim.config import (
     load_config_dict,
     resolve_config,
 )
-from fedsim.engine import RunResult, profiling_seed, run_experiment
+from fedsim.engine import RunResult, cluster_clients, profile_clients, run_experiment
 from fedsim.errors import ConfigError, FedsimError
 from fedsim.models import save_checkpoint
 
@@ -66,11 +66,10 @@ def metrics_line(metrics_dict: dict) -> str:
 
 def write_summary(path: Path, cfg: ExperimentConfig, result: RunResult, wall_seconds: float) -> None:
     final = result.metrics[-1] if result.metrics else None
-    rates = result.assignment.rates if result.assignment is not None else []
     row = {
         "algorithm": cfg.fed.algorithm,
         "clusters": len(result.states),
-        "rates": ";".join(repr(float(r)) for r in rates),
+        "rates": ";".join(repr(float(r)) for r in result.assignment.rates),
         "rounds": len(result.metrics),
         "final_client_weighted_accuracy": repr(final.client_weighted_accuracy) if final else "",
         "final_data_weighted_accuracy": repr(final.data_weighted_accuracy) if final else "",
@@ -100,15 +99,6 @@ def _load_resolved(args) -> ExperimentConfig:
         out=getattr(args, "out_dir", None),
     )
     return resolve_config(raw)
-
-
-def _measured_profiles(cfg: ExperimentConfig):
-    profiles = build_profiles(cfg)
-    if any(p.measured_duration is None for p in profiles):
-        profiles = measure_durations(
-            profiles, cfg.fed.workload_units, cfg.fed.profile_noise_sd, profiling_seed(cfg.fed)
-        )
-    return profiles
 
 
 def cmd_run(args) -> int:
@@ -152,10 +142,9 @@ def cmd_run(args) -> int:
         if metrics_file is not None:
             metrics_file.close()
 
-    if result.assignment is not None:
-        report = format_cluster_report(result.assignment, result.profiles)
-        (out_dir / "cluster_report.txt").write_text(report + "\n")
-        print(report)
+    report = format_cluster_report(result.assignment, result.profiles)
+    (out_dir / "cluster_report.txt").write_text(report + "\n")
+    print(report)
     if "csv" in formats:
         write_summary(out_dir / "summary.csv", cfg, result, wall_seconds)
     if cfg.output["write_checkpoints"]:
@@ -180,7 +169,7 @@ def cmd_run(args) -> int:
 
 def cmd_profile(args) -> int:
     cfg = _load_resolved(args)
-    profiles = _measured_profiles(cfg)
+    profiles = profile_clients(cfg.fed, build_profiles(cfg))
     out_path = Path(args.out)
     save_durations(out_path, profiles)
     print(f"wrote {len(profiles)} durations to {out_path}")
@@ -189,14 +178,8 @@ def cmd_profile(args) -> int:
 
 def cmd_cluster(args) -> int:
     cfg = _load_resolved(args)
-    profiles = _measured_profiles(cfg)
-    assignment = cluster_profiles(
-        profiles,
-        bandwidth=cfg.fed.kde_bandwidth,
-        ladder=list(cfg.fed.rate_ladder) if cfg.fed.rate_ladder is not None else None,
-        refine=cfg.fed.refine_kde,
-    )
-    report = format_cluster_report(assignment, profiles)
+    profiles = profile_clients(cfg.fed, build_profiles(cfg))
+    report = format_cluster_report(cluster_clients(cfg.fed, profiles), profiles)
     print(report)
     if args.out:
         Path(args.out).write_text(report + "\n")

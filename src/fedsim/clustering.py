@@ -29,11 +29,10 @@ GRID_POINTS = 512
 
 @dataclass(frozen=True)
 class ClientProfile:
-    """One simulated device: identity, relative speed and local data size."""
+    """One simulated device: identity, relative speed and measured duration."""
 
     client_id: int
     speed_factor: float  # seconds per workload unit, > 0
-    data_size: int = 0
     measured_duration: float | None = None
 
 
@@ -48,8 +47,7 @@ class DensityEstimate:
 class ClusterAssignment:
     """Clusters over the profiled clients, ordered fastest (0) to slowest."""
 
-    durations: np.ndarray  # aligned with the profile order used for clustering
-    cluster_of: np.ndarray  # cluster index per client
+    cluster_of: np.ndarray  # cluster index per client, in the profile order clustered
     boundaries: np.ndarray  # interior valley positions, ascending
     cluster_means: np.ndarray  # mean duration per cluster, ascending
     rates: np.ndarray | None = None
@@ -239,11 +237,11 @@ def cluster_by_density(estimate: DensityEstimate, durations: np.ndarray) -> Clus
     means = np.array(
         [durations[cluster_of == c].mean() for c in range(occupied.size)], dtype=np.float64
     )
-    return ClusterAssignment(durations, cluster_of, kept_boundaries, means)
+    return ClusterAssignment(cluster_of, kept_boundaries, means)
 
 
 def assign_pruning_rates(
-    assignment: ClusterAssignment, ladder: list[float] | None = None
+    assignment: ClusterAssignment, ladder: tuple[float, ...] | None = None
 ) -> ClusterAssignment:
     """Rate per cluster: ``fastest_mean / cluster_mean``, optionally snapped.
 
@@ -319,15 +317,13 @@ def refine_clusters(
     for cid, group in enumerate(final_groups):
         cluster_of[group] = cid
     means = np.array([durations[g].mean() for g in final_groups])
-    return ClusterAssignment(
-        durations, cluster_of, np.sort(np.asarray(boundaries)), means
-    )
+    return ClusterAssignment(cluster_of, np.sort(np.asarray(boundaries)), means)
 
 
 def cluster_profiles(
     profiles: list[ClientProfile],
     bandwidth: float | None = None,
-    ladder: list[float] | None = None,
+    ladder: tuple[float, ...] | None = None,
     refine: bool = True,
 ) -> ClusterAssignment:
     """Measured profiles -> density clusters -> pruning rates, in one call.

@@ -183,20 +183,21 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 def apply_overrides(
     raw: dict, seed: int | None = None, algorithm: str | None = None, out: str | None = None
 ) -> dict:
-    """Fold command-line overrides into a raw config mapping."""
+    """Fold command-line overrides into a raw config mapping.
+
+    A section that is present but not a mapping is left as it is, for
+    :func:`resolve_config` to reject as it rejects it without an override.
+    """
 
     if seed is not None:
         raw["seed"] = seed
-    if algorithm is not None:
-        raw.setdefault("training", {})
-        if raw["training"] is None:
-            raw["training"] = {}
-        raw["training"]["algorithm"] = algorithm
-    if out is not None:
-        raw.setdefault("output", {})
-        if raw["output"] is None:
-            raw["output"] = {}
-        raw["output"]["directory"] = out
+    for section, key, value in (("training", "algorithm", algorithm), ("output", "directory", out)):
+        if value is None:
+            continue
+        if raw.get(section) is None:
+            raw[section] = {}
+        if isinstance(raw[section], dict):
+            raw[section][key] = value
     return raw
 
 

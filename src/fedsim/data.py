@@ -16,10 +16,11 @@ differ by at most one) and the standard per-class Dirichlet split whose
 ``alpha`` controls label skew.  Both are pure functions of their seed.
 
 Distillation batches -- the unlabeled inputs the server uses for mutual
-learning -- can come from a held-out slice of the training pool, from a
-directory of pre-generated images, or from synthetic standard-normal noise.
-A prompt list steers class balance where the source supports it (holdout:
-prompts naming classes; directory: prompts matching file names).
+learning -- are drawn here from a held-out slice of the training pool or from
+a directory of pre-generated images (the third source, standard-normal noise,
+needs no data and is drawn by the engine).  A prompt list steers class
+balance (holdout: prompts naming classes; directory: prompts matching file
+names).
 """
 
 from __future__ import annotations
@@ -77,18 +78,6 @@ class Partition:
 
     def sizes(self) -> np.ndarray:
         return np.array([len(ix) for ix in self.client_indices])
-
-
-@dataclass(frozen=True)
-class DistillationSource:
-    """Where server-side distillation inputs come from."""
-
-    kind: str
-    prompts: tuple[str, ...] = ()
-    dataset: LabeledDataset | None = None
-    holdout_indices: np.ndarray | None = None
-    directory: str | None = None
-    input_shape: tuple[int, ...] | None = None
 
 
 def make_blobs(
@@ -303,72 +292,60 @@ def _balanced_draw(rng, groups: list[np.ndarray], count: int) -> np.ndarray:
     return np.concatenate(picks)
 
 
-def draw_distillation_batch(source: DistillationSource, count: int, seed) -> np.ndarray:
-    """The features of ``count`` unlabeled inputs for server-side mutual learning.
+def draw_from_holdout(
+    dataset: LabeledDataset, pool: np.ndarray, prompts: tuple[str, ...], count: int, seed
+) -> np.ndarray:
+    """The features of ``count`` rows of ``dataset`` drawn from the reserved ``pool``.
 
-    * ``holdout``: samples from the reserved slice of the training pool; if
-      prompts name dataset classes, the draw is balanced across those classes.
-    * ``directory``: loads files from a directory (recursively); if prompts
-      match file names, the draw is balanced across matching prompts.
-    * ``noise``: standard-normal noise of the model's input shape.
-
-    Raises :class:`~fedsim.errors.ConfigError` when the source cannot supply
-    ``count`` distinct samples.
+    If prompts name dataset classes, the draw is balanced across those
+    classes.  Raises :class:`~fedsim.errors.ConfigError` when the pool cannot
+    supply ``count`` distinct samples.
     """
 
     rng = np.random.default_rng(seed)
-    if source.kind == "noise":
-        if not source.input_shape:
-            raise ConfigError("noise distillation source needs an input shape")
-        return rng.standard_normal((count, *source.input_shape))
-    if source.kind == "holdout":
-        if source.dataset is None or source.holdout_indices is None:
-            raise ConfigError("holdout distillation source needs a dataset and indices")
-        pool = np.asarray(source.holdout_indices)
-        wanted = classes_named_in_prompts(source.prompts, source.dataset.class_names)
-        if wanted:
-            groups = [
-                pool[source.dataset.labels[pool] == c] for c in wanted
-            ]
-            groups = [g for g in groups if g.size]
-            if not groups:
-                raise ConfigError("no holdout samples match the prompt classes")
-            chosen = _balanced_draw(rng, groups, count)
-        else:
-            if count > pool.size:
-                raise ConfigError(
-                    f"holdout has {pool.size} samples, distillation needs {count}"
-                )
-            chosen = rng.choice(pool, size=count, replace=False)
-        return source.dataset.features[np.sort(chosen)].copy()
-    # directory
-    root = Path(source.directory or "")
+    pool = np.asarray(pool)
+    wanted = classes_named_in_prompts(prompts, dataset.class_names)
+    if wanted:
+        groups = [pool[dataset.labels[pool] == c] for c in wanted]
+        groups = [g for g in groups if g.size]
+        if not groups:
+            raise ConfigError("no holdout samples match the prompt classes")
+        chosen = _balanced_draw(rng, groups, count)
+    else:
+        if count > pool.size:
+            raise ConfigError(f"holdout has {pool.size} samples, distillation needs {count}")
+        chosen = rng.choice(pool, size=count, replace=False)
+    return dataset.features[np.sort(chosen)].copy()
+
+
+def draw_from_directory(directory, prompts: tuple[str, ...], count: int, seed) -> np.ndarray:
+    """``count`` samples loaded from the files under ``directory`` (recursively).
+
+    If prompts match file names, the draw is balanced across the matching
+    prompts.  Raises :class:`~fedsim.errors.ConfigError` when the directory
+    cannot supply ``count`` distinct samples of one shape.
+    """
+
+    rng = np.random.default_rng(seed)
+    root = Path(directory)
     if not root.is_dir():
         raise ConfigError(f"distillation directory {root} does not exist")
     files = _gather_files(root)
     if not files:
         raise ConfigError(f"{root}: no usable files for distillation")
-    if source.prompts:
-        groups_files: list[list[Path]] = []
-        for prompt in source.prompts:
-            matches = [f for f in files if prompt.lower() in f.name.lower()]
-            if matches:
-                groups_files.append(matches)
-        if groups_files:
-            idx_groups = []
-            offset = 0
-            flat: list[Path] = []
-            for g in groups_files:
-                idx_groups.append(np.arange(offset, offset + len(g)))
-                flat.extend(g)
-                offset += len(g)
-            chosen_idx = _balanced_draw(rng, idx_groups, count)
-            chosen_files = [flat[i] for i in np.sort(chosen_idx)]
-        else:
-            chosen_files = None
+    groups_files = [[f for f in files if p.lower() in f.name.lower()] for p in prompts]
+    groups_files = [g for g in groups_files if g]
+    if groups_files:
+        idx_groups = []
+        offset = 0
+        flat: list[Path] = []
+        for g in groups_files:
+            idx_groups.append(np.arange(offset, offset + len(g)))
+            flat.extend(g)
+            offset += len(g)
+        chosen_idx = _balanced_draw(rng, idx_groups, count)
+        chosen_files = [flat[i] for i in np.sort(chosen_idx)]
     else:
-        chosen_files = None
-    if chosen_files is None:
         if count > len(files):
             raise ConfigError(f"{root}: has {len(files)} files, distillation needs {count}")
         chosen_files = [files[i] for i in np.sort(rng.choice(len(files), count, replace=False))]

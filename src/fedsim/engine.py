@@ -34,10 +34,10 @@ from fedsim.clustering import (
 )
 from fedsim.data import (
     DISTILLATION_KINDS,
-    DistillationSource,
     LabeledDataset,
     Partition,
-    draw_distillation_batch,
+    draw_from_directory,
+    draw_from_holdout,
     partition_dirichlet,
     partition_iid,
     reserve_indices,
@@ -52,7 +52,6 @@ from fedsim.losses import (
 from fedsim.models import (
     ModelParams,
     ModelSpec,
-    OverlapMap,
     build_pruned_spec,
     extract_overlap,
     init_params,
@@ -85,13 +84,6 @@ def stream_seed(master_seed: int, *key: int) -> np.random.SeedSequence:
     """A named, independent random stream derived from the master seed."""
 
     return np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
-
-
-def profiling_seed(config: "FedConfig") -> np.random.SeedSequence:
-    """The stream used to measure durations, shared by the run loop and the
-    standalone profiling command so both produce the same measurements."""
-
-    return stream_seed(config.master_seed, _STREAM_PROFILE)
 
 
 @dataclass(frozen=True)
@@ -171,9 +163,8 @@ class ClusterState:
     """One cluster's model between rounds."""
 
     cluster_id: int
-    spec: ModelSpec
+    spec: ModelSpec  # its pruning_rate is the cluster's rate
     params: ModelParams
-    rate: float
     member_ids: tuple[int, ...]
 
 
@@ -209,7 +200,7 @@ class RunResult:
     states: list[ClusterState]
     profiles: list[ClientProfile]
     partition: Partition
-    assignment: ClusterAssignment | None = None
+    assignment: ClusterAssignment
     global_params: ModelParams | None = None  # heterofl's full-width model
 
 
@@ -331,14 +322,12 @@ def stage1_aggregate(
     return ModelParams(out)
 
 
-def heterofl_aggregate(
-    global_params: ModelParams,
-    contributions: list[tuple[ModelParams, OverlapMap]],
-) -> ModelParams:
+def heterofl_aggregate(global_params: ModelParams, contributions: list[ModelParams]) -> ModelParams:
     """Per-coordinate covering mean over heterogeneous submodels.
 
-    Each client contributes to exactly the leading block its submodel covers;
-    every global coordinate becomes the mean of the clients covering it, and
+    Each client contributes to exactly the leading block its submodel covers,
+    so a tensor's shape is its extent in the global tensor; every global
+    coordinate becomes the mean of the clients covering it, and
     coordinates nobody covers keep their previous value.  The merge works
     cell by cell: on each axis the block stops of all clients cut a tensor
     into a grid of cells, every coordinate of a cell is covered by the same
@@ -352,16 +341,13 @@ def heterofl_aggregate(
     out: dict[str, np.ndarray] = {}
     for name, base in global_params.tensors.items():
         blocks = []
-        for params, omap in contributions:
-            if name not in omap.extents:
-                raise DimensionError(f"{name}: contribution has no overlap extent")
+        for params in contributions:
             block = params.tensors.get(name)
             if block is None:
                 raise DimensionError(f"{name}: contribution is missing the tensor")
-            if block.shape != base[omap.slices(name)].shape:
+            if block.ndim != base.ndim or any(b > g for b, g in zip(block.shape, base.shape)):
                 raise DimensionError(
-                    f"{name}: contribution shape {block.shape} does not fit extent "
-                    f"{omap.extents[name]}"
+                    f"{name}: contribution shape {block.shape} does not fit {base.shape}"
                 )
             blocks.append(block)
         merged = base.copy()
@@ -492,29 +478,51 @@ def evaluate(spec: ModelSpec, params: ModelParams, features: np.ndarray, labels:
     return hits / n
 
 
-def _build_distillation_source(
-    config: FedConfig, train: LabeledDataset, holdout: np.ndarray | None
-) -> DistillationSource:
+def distillation_batches(
+    config: FedConfig, train: LabeledDataset, holdout: np.ndarray | None, seed
+) -> list[np.ndarray]:
+    """``distill_count`` server-side inputs from ``config.distill_kind``, in batches.
+
+    ``holdout`` draws from the reserved rows of ``train``, ``directory`` from
+    the files of ``distill_directory``, and ``noise`` is standard-normal noise
+    of the model's input shape.
+    """
+
+    count = config.distill_count
     if config.distill_kind == "holdout":
-        return DistillationSource(
-            "holdout",
-            prompts=config.distill_prompts,
-            dataset=train,
-            holdout_indices=holdout,
-        )
-    if config.distill_kind == "directory":
-        return DistillationSource(
-            "directory", prompts=config.distill_prompts, directory=config.distill_directory
-        )
-    return DistillationSource(
-        "noise", prompts=config.distill_prompts, input_shape=train.input_shape
+        drawn = draw_from_holdout(train, holdout, config.distill_prompts, count, seed)
+    elif config.distill_kind == "directory":
+        drawn = draw_from_directory(config.distill_directory, config.distill_prompts, count, seed)
+    else:
+        drawn = np.random.default_rng(seed).standard_normal((count, *train.input_shape))
+    return split_batches(drawn, config.batch_size)
+
+
+def profile_clients(config: FedConfig, profiles: list[ClientProfile]) -> list[ClientProfile]:
+    """The profiles with durations: as given when every profile carries one,
+    otherwise all measured on the profiling stream of the master seed."""
+
+    if all(p.measured_duration is not None for p in profiles):
+        return profiles
+    return measure_durations(
+        profiles,
+        config.workload_units,
+        config.profile_noise_sd,
+        stream_seed(config.master_seed, _STREAM_PROFILE),
+    )
+
+
+def cluster_clients(config: FedConfig, profiles: list[ClientProfile]) -> ClusterAssignment:
+    """Density clusters and pruning rates of measured profiles, as configured."""
+
+    return cluster_profiles(
+        profiles, bandwidth=config.kde_bandwidth, ladder=config.rate_ladder, refine=config.refine_kde
     )
 
 
 def _single_cluster_assignment(profiles: list[ClientProfile], rate: float) -> ClusterAssignment:
     durations = np.array([p.measured_duration for p in profiles], dtype=np.float64)
     return ClusterAssignment(
-        durations=durations,
         cluster_of=np.zeros(len(profiles), dtype=np.int64),
         boundaries=np.array([]),
         cluster_means=np.array([float(durations.mean())]),
@@ -575,101 +583,91 @@ def run_experiment(
             indices=pool_indices,
         )
     sizes = partition.sizes()
-    profiles = [replace(p, data_size=int(s)) for p, s in zip(profiles, sizes)]
 
-    if any(p.measured_duration is None for p in profiles):
-        profiles = measure_durations(
-            profiles, config.workload_units, config.profile_noise_sd, profiling_seed(config)
-        )
-
+    profiles = profile_clients(config, profiles)
     if config.algorithm in ("fedtsa", "heterofl"):
-        assignment = cluster_profiles(
-            profiles,
-            bandwidth=config.kde_bandwidth,
-            ladder=list(config.rate_ladder) if config.rate_ladder is not None else None,
-            refine=config.refine_kde,
-        )
+        assignment = cluster_clients(config, profiles)
     else:
         assignment = _single_cluster_assignment(profiles, config.homogeneous_pruning)
-    rates = assignment.rates
 
     states: list[ClusterState] = []
-    for c in range(assignment.cluster_count):
-        spec_c = build_pruned_spec(base_spec, float(rates[c]))
+    for c, rate in enumerate(assignment.rates):
+        spec_c = build_pruned_spec(base_spec, float(rate))
         params_c = init_params(spec_c, stream_seed(seed, _STREAM_INIT, c))
         members = tuple(int(ids[pos]) for pos in assignment.members(c))
-        states.append(ClusterState(c, spec_c, params_c, float(rates[c]), members))
+        states.append(ClusterState(c, spec_c, params_c, members))
 
     # position of each client in the profile/partition order, keyed by id
     pos_of = {cid: pos for pos, cid in enumerate(ids)}
+    member_sizes = [[int(sizes[pos_of[cid]]) for cid in s.member_ids] for s in states]
+    member_counts = np.array([len(s.member_ids) for s in states], dtype=np.float64)
+    member_data = np.array([sum(m) for m in member_sizes], dtype=np.float64)
 
     global_params = None
-    omaps: list[OverlapMap] = []
     if config.algorithm == "heterofl":
         global_params = init_params(base_spec, stream_seed(seed, _STREAM_INIT, 0))
-        omaps = [overlap_map(base_spec, s.spec) for s in states]
-        for state, omap in zip(states, omaps):
-            state.params = extract_overlap(global_params, omap)
+        shapes = [overlap_map(base_spec, s.spec) for s in states]
+        for state, shapes_c in zip(states, shapes):
+            state.params = extract_overlap(global_params, shapes_c)
 
     distill_batches: list[np.ndarray] = []
-    distill_source = None
-    if config.algorithm == "fedtsa":
-        distill_source = _build_distillation_source(config, train, holdout)
-        if not config.distill_resample:
-            drawn = draw_distillation_batch(
-                distill_source, config.distill_count, stream_seed(seed, _STREAM_DISTILL, 0)
-            )
-            distill_batches = split_batches(drawn, config.batch_size)
+    if config.algorithm == "fedtsa" and not config.distill_resample:
+        distill_batches = distillation_batches(
+            config, train, holdout, stream_seed(seed, _STREAM_DISTILL, 0)
+        )
 
     prox = config.algorithm == "fedprox"
+
+    def train_members(state: ClusterState, t: int, losses: list[float]) -> list[ModelParams]:
+        """The local updates of a cluster's members in round ``t``, in member order.
+
+        The trained models are held only by the returned list, so none of
+        them outlives the aggregation it is passed to.
+        """
+
+        trained = []
+        for cid in state.member_ids:
+            idx = partition.client_indices[pos_of[cid]]
+            try:
+                params, loss = local_update(
+                    state.spec,
+                    state.params,
+                    train.features[idx],
+                    train.labels[idx],
+                    config,
+                    stream_seed(seed, _STREAM_LOCAL, cid, t),
+                    prox_reference=state.params if prox else None,
+                )
+            except FedsimError as exc:
+                raise EngineError(f"round {t}, cluster {state.cluster_id}, client {cid}: {exc}") from exc
+            trained.append(params)
+            losses.append(loss)
+        return trained
+
     metrics: list[RoundMetrics] = []
     for t in range(config.rounds):
-        by_cluster: dict[int, dict[int, ModelParams]] = {ci: {} for ci in range(len(states))}
-        losses = []
-        for ci, state in enumerate(states):
-            for cid in state.member_ids:
-                idx = partition.client_indices[pos_of[cid]]
-                try:
-                    new_params, loss = local_update(
-                        state.spec,
-                        state.params,
-                        train.features[idx],
-                        train.labels[idx],
-                        config,
-                        stream_seed(seed, _STREAM_LOCAL, cid, t),
-                        prox_reference=state.params if prox else None,
-                    )
-                except FedsimError as exc:
-                    raise EngineError(f"round {t}, cluster {ci}, client {cid}: {exc}") from exc
-                by_cluster[ci][cid] = new_params
-                losses.append(loss)
-        mean_local_loss = float(np.mean(losses)) if losses else float("nan")
-
+        losses: list[float] = []
         if config.algorithm == "heterofl":
-            contributions = []
-            for ci, state in enumerate(states):
-                for cid in state.member_ids:
-                    contributions.append((by_cluster[ci][cid], omaps[ci]))
-            global_params = heterofl_aggregate(global_params, contributions)
-            for state, omap in zip(states, omaps):
-                state.params = extract_overlap(global_params, omap)
+            global_params = heterofl_aggregate(
+                global_params, [p for s in states for p in train_members(s, t, losses)]
+            )
+            for state, shapes_c in zip(states, shapes):
+                state.params = extract_overlap(global_params, shapes_c)
         else:
-            for ci, state in enumerate(states):
-                members = sorted(by_cluster[ci])
-                member_sizes = [int(sizes[pos_of[cid]]) for cid in members]
+            for state, sizes_c in zip(states, member_sizes):
                 state.params = stage1_aggregate(
-                    [by_cluster[ci][cid] for cid in members],
-                    data_sizes=member_sizes,
+                    train_members(state, t, losses),
+                    data_sizes=sizes_c,
                     weighting=config.stage1_weighting,
                 )
+        mean_local_loss = float(np.mean(losses)) if losses else float("nan")
 
         stage2_kl = 0.0
         if config.algorithm == "fedtsa":
             if config.distill_resample:
-                drawn = draw_distillation_batch(
-                    distill_source, config.distill_count, stream_seed(seed, _STREAM_DISTILL, t)
+                distill_batches = distillation_batches(
+                    config, train, holdout, stream_seed(seed, _STREAM_DISTILL, t)
                 )
-                distill_batches = split_batches(drawn, config.batch_size)
             try:
                 states, stage2_kl = stage2_dml(states, distill_batches, config)
             except FedsimError as exc:
@@ -677,11 +675,6 @@ def run_experiment(
 
         accuracies = tuple(
             evaluate(s.spec, s.params, test.features, test.labels) for s in states
-        )
-        member_counts = np.array([len(s.member_ids) for s in states], dtype=np.float64)
-        member_data = np.array(
-            [sum(int(sizes[pos_of[cid]]) for cid in s.member_ids) for s in states],
-            dtype=np.float64,
         )
         acc = np.asarray(accuracies)
         round_metrics = RoundMetrics(

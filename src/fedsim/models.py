@@ -1,4 +1,4 @@
-"""Model descriptions, width pruning, initialisation and overlap maps.
+"""Model descriptions, width pruning, initialisation and submodel extraction.
 
 A model is a flat sequence of layer descriptions (:class:`LayerSpec`) plus an
 input shape and a class count.  Widths (dense units / conv channels) are the
@@ -10,8 +10,9 @@ Parameters are stored as a name -> float64 array mapping, where names follow
 the ``layer{i}.weight`` / ``layer{i}.bias`` convention.  Because a pruned
 model keeps the *leading* units/channels of every hidden layer, each of its
 parameter tensors corresponds to a prefix block of the matching full-width
-tensor; :func:`overlap_map` records those prefix extents and
-:func:`extract_overlap` copies them out.
+tensor, and its shape is the extent of that block: :func:`overlap_map`
+checks that a small model fits inside a large one and returns its shapes,
+and :func:`extract_overlap` copies those blocks out.
 """
 
 from __future__ import annotations
@@ -67,20 +68,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams({k: v.copy() for k, v in self.tensors.items()})
-
-
-@dataclass(frozen=True)
-class OverlapMap:
-    """Prefix extents of a small model's tensors inside a larger one.
-
-    ``extents[name]`` gives, per axis, the exclusive stop index of the shared
-    block; the start is always 0 (pruned models keep leading units).
-    """
-
-    extents: dict[str, tuple[int, ...]]
-
-    def slices(self, name: str) -> tuple[slice, ...]:
-        return tuple(slice(0, stop) for stop in self.extents[name])
 
 
 def layer_name(index: int, layer: LayerSpec) -> str:
@@ -293,8 +280,8 @@ def validate_params(spec: ModelSpec, params: ModelParams) -> None:
         raise DimensionError(f"unexpected parameter tensors: {sorted(extra)}")
 
 
-def overlap_map(large: ModelSpec, small: ModelSpec) -> OverlapMap:
-    """Prefix extents of ``small``'s tensors inside ``large``'s tensors.
+def overlap_map(large: ModelSpec, small: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """``small``'s tensor shapes, each the extent of a prefix block of ``large``'s.
 
     Both specs must describe the same architecture (same layer kinds in the
     same order, same input shape and class count); ``small`` may not be wider
@@ -309,23 +296,23 @@ def overlap_map(large: ModelSpec, small: ModelSpec) -> OverlapMap:
         raise DimensionError("models do not share a layer layout")
     large_shapes = param_shapes(large)
     small_shapes = param_shapes(small)
-    extents: dict[str, tuple[int, ...]] = {}
     for name, small_shape in small_shapes.items():
-        large_shape = large_shapes[name]
-        for axis, (s, l) in enumerate(zip(small_shape, large_shape)):
+        for axis, (s, l) in enumerate(zip(small_shape, large_shapes[name])):
             if s > l:
                 raise DimensionError(
                     f"{name}: axis {axis} of the small model ({s}) exceeds the large model ({l})"
                 )
-        extents[name] = tuple(int(d) for d in small_shape)
-    return OverlapMap(extents)
+    return small_shapes
 
 
-def extract_overlap(params: ModelParams, omap: OverlapMap) -> ModelParams:
-    """The prefix block of every tensor, copied into a small model's params."""
+def extract_overlap(params: ModelParams, shapes: dict[str, tuple[int, ...]]) -> ModelParams:
+    """The leading block of each named tensor, ``shapes[name]`` in size, copied out."""
 
     return ModelParams(
-        {name: params.tensors[name][omap.slices(name)].copy() for name in omap.extents}
+        {
+            name: params.tensors[name][tuple(slice(0, n) for n in shape)].copy()
+            for name, shape in shapes.items()
+        }
     )
 
 

@@ -157,6 +157,22 @@ def test_unknown_config_key_fails_before_output(tmp_path, capsys):
     assert "training.lerning_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section,value,flag",
+    [("training", [1, 2], ["--algo", "fedavg"]), ("output", 7, ["--out", "D"])],
+)
+def test_override_on_a_section_that_is_not_a_mapping_is_a_config_error(
+    section, value, flag, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    raw = tiny_config()
+    raw[section] = value
+    cfg = write_config(tmp_path, raw)
+    assert main(["run", "--config", cfg, *flag]) == 1
+    assert f"config error: {section}: expected a mapping of settings" in capsys.readouterr().err
+    assert not (tmp_path / "D").exists() and not (tmp_path / "runs").exists()
+
+
 def test_missing_durations_file_fails_before_output(tmp_path):
     raw = tiny_config(clients={"speed_factors": [1.0, 2.0], "durations_file": "nowhere.csv"})
     cfg = write_config(tmp_path, raw)

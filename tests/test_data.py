@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.data import (
-    DistillationSource,
     LabeledDataset,
     classes_named_in_prompts,
-    draw_distillation_batch,
+    draw_from_directory,
+    draw_from_holdout,
     load_image_directory,
     make_blobs,
     partition_dirichlet,
     partition_iid,
     reserve_indices,
 )
-from fedsim.engine import FedConfig
+from fedsim.engine import FedConfig, distillation_batches
 from fedsim.errors import ConfigError, DimensionError
 
 
@@ -149,11 +149,6 @@ class TestDirichletPartition:
         for x, y in zip(part.client_indices, again.client_indices):
             np.testing.assert_array_equal(x, y)
 
-    def test_bad_alpha_rejected(self):
-        # alpha is checked where the config enters, not per partition
-        with pytest.raises(ConfigError, match="dirichlet_alpha"):
-            FedConfig(partition_mode="dirichlet", dirichlet_alpha=0.0).validate()
-
 
 class TestReserveAndSplit:
     def test_reserve_is_disjoint_exact_and_deterministic(self):
@@ -166,10 +161,11 @@ class TestReserveAndSplit:
 
 class TestDistillationSources:
     def test_noise_shape_and_determinism(self):
-        src = DistillationSource(kind="noise", input_shape=(3, 4, 4))
-        a = draw_distillation_batch(src, 7, seed=1)
-        b = draw_distillation_batch(src, 7, seed=1)
-        c = draw_distillation_batch(src, 7, seed=2)
+        cfg = FedConfig(distill_kind="noise", distill_count=7, batch_size=10)
+        images = LabeledDataset(np.zeros((2, 3, 4, 4)), np.array([0, 1]), 2)
+        (a,) = distillation_batches(cfg, images, None, seed=1)
+        (b,) = distillation_batches(cfg, images, None, seed=1)
+        (c,) = distillation_batches(cfg, images, None, seed=2)
         assert a.shape == (7, 3, 4, 4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
@@ -177,8 +173,7 @@ class TestDistillationSources:
     def test_holdout_draws_from_reserved_rows(self):
         train, _ = make_blobs(3, 40, 10, 5, seed=0)
         held, _ = reserve_indices(len(train), 30, seed=1)
-        src = DistillationSource(kind="holdout", dataset=train, holdout_indices=held)
-        batch = draw_distillation_batch(src, 12, seed=2)
+        batch = draw_from_holdout(train, held, (), 12, seed=2)
         assert batch.shape == (12, 5)
         held_rows = {tuple(r) for r in train.features[held]}
         for row in batch:
@@ -187,21 +182,15 @@ class TestDistillationSources:
     def test_holdout_insufficient_raises(self):
         train, _ = make_blobs(3, 10, 5, 4, seed=0)
         held, _ = reserve_indices(len(train), 5, seed=1)
-        src = DistillationSource(kind="holdout", dataset=train, holdout_indices=held)
         with pytest.raises(ConfigError):
-            draw_distillation_batch(src, 6, seed=0)
+            draw_from_holdout(train, held, (), 6, seed=0)
 
     def test_prompts_balance_named_classes(self):
         train, _ = make_blobs(4, 50, 10, 3, seed=5)
         held = np.arange(len(train))
-        src = DistillationSource(
-            kind="holdout",
-            dataset=train,
-            holdout_indices=held,
-            prompts=("an example of class 0", "an example of class 2"),
-        )
-        assert classes_named_in_prompts(src.prompts, train.class_names) == [0, 2]
-        batch = draw_distillation_batch(src, 20, seed=3)
+        prompts = ("an example of class 0", "an example of class 2")
+        assert classes_named_in_prompts(prompts, train.class_names) == [0, 2]
+        batch = draw_from_holdout(train, held, prompts, 20, seed=3)
         # recover labels by matching rows
         row_label = {tuple(r): l for r, l in zip(train.features, train.labels)}
         drawn = np.array([row_label[tuple(r)] for r in batch])
@@ -212,20 +201,16 @@ class TestDistillationSources:
         rng = np.random.default_rng(0)
         for name in ["cat_1", "cat_2", "cat_3", "dog_1", "dog_2", "dog_3"]:
             np.save(tmp_path / f"{name}.npy", rng.normal(size=(2, 4, 4)))
-        src = DistillationSource(kind="directory", directory=str(tmp_path), prompts=("cat",))
-        batch = draw_distillation_batch(src, 3, seed=1)
+        batch = draw_from_directory(tmp_path, ("cat",), 3, seed=1)
         assert batch.shape == (3, 2, 4, 4)
-        both = DistillationSource(kind="directory", directory=str(tmp_path),
-                                  prompts=("cat", "dog"))
-        batch2 = draw_distillation_batch(both, 6, seed=1)
+        batch2 = draw_from_directory(tmp_path, ("cat", "dog"), 6, seed=1)
         assert batch2.shape == (6, 2, 4, 4)
         with pytest.raises(ConfigError):
-            draw_distillation_batch(src, 4, seed=1)  # only 3 cat files
+            draw_from_directory(tmp_path, ("cat",), 4, seed=1)  # only 3 cat files
 
     def test_missing_directory_raises(self):
-        src = DistillationSource(kind="directory", directory="/nonexistent/path")
         with pytest.raises(ConfigError):
-            draw_distillation_batch(src, 2, seed=0)
+            draw_from_directory("/nonexistent/path", (), 2, seed=0)
 
 
 class TestImageDirectory:

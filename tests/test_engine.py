@@ -6,14 +6,17 @@ the snapshot/consensus/step recipe; permutation invariances are asserted
 bitwise.
 """
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedsim.engine
 from fedsim.clustering import ClientProfile
 from fedsim.data import make_blobs
 from fedsim.engine import (
@@ -33,7 +36,6 @@ from fedsim.errors import ConfigError, DimensionError, EngineError
 from fedsim.losses import cross_entropy
 from fedsim.models import (
     ModelParams,
-    OverlapMap,
     build_pruned_spec,
     cnn_spec,
     extract_overlap,
@@ -129,8 +131,8 @@ def heterofl_oracle(global_params, contributions):
     for name, base in global_params.tensors.items():
         total = np.zeros_like(base)
         count = np.zeros(base.shape)
-        for params, omap in contributions:
-            sl = omap.slices(name)
+        for params in contributions:
+            sl = tuple(slice(0, n) for n in params.tensors[name].shape)
             total[sl] += params.tensors[name]
             count[sl] += 1
         out[name] = np.where(count > 0, total / np.maximum(count, 1), base)
@@ -144,8 +146,7 @@ class TestHeteroflAggregate:
         contributions = []
         for i, rate in enumerate(rates):
             spec = build_pruned_spec(base, rate)
-            omap = overlap_map(base, spec)
-            contributions.append((init_params(spec, seed0 + i), omap))
+            contributions.append(init_params(spec, seed0 + i))
         return base, global_params, contributions
 
     def test_matches_counting_oracle(self):
@@ -159,8 +160,7 @@ class TestHeteroflAggregate:
         base = mlp_spec((4,), (10,), 3)
         global_params = init_params(base, 7)
         spec = build_pruned_spec(base, 0.3)  # hidden width 3 of 10
-        omap = overlap_map(base, spec)
-        merged = heterofl_aggregate(global_params, [(init_params(spec, 8), omap)])
+        merged = heterofl_aggregate(global_params, [init_params(spec, 8)])
         w = merged.tensors["layer0.weight"]
         np.testing.assert_array_equal(w[3:], global_params.tensors["layer0.weight"][3:])
         assert not np.array_equal(w[:3], global_params.tensors["layer0.weight"][:3])
@@ -168,7 +168,7 @@ class TestHeteroflAggregate:
     def test_reduces_exactly_to_stage1_uniform_without_pruning(self):
         _, global_params, contributions = self.build([1.0, 1.0, 1.0])
         merged = heterofl_aggregate(global_params, contributions)
-        plain = stage1_aggregate([p for p, _ in contributions])
+        plain = stage1_aggregate(contributions)
         assert params_equal(merged, plain)
 
     def test_permutation_is_bit_identical(self):
@@ -182,6 +182,23 @@ class TestHeteroflAggregate:
         with pytest.raises(EngineError):
             heterofl_aggregate(global_params, [])
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({}, "missing the tensor"),
+            ({"layer0.weight": np.zeros((11, 6))}, "does not fit"),
+            ({"layer0.weight": np.zeros((10,))}, "does not fit"),
+        ],
+        ids=["missing", "axis-too-long", "axis-count"],
+    )
+    def test_rejects_a_block_that_is_not_a_prefix(self, bad, message):
+        _, global_params, contributions = self.build([1.0, 0.6])
+        tensors = dict(contributions[1].tensors)
+        del tensors["layer0.weight"]
+        contributions[1] = ModelParams({**tensors, **bad})
+        with pytest.raises(DimensionError, match=rf"layer0\.weight: .*{message}"):
+            heterofl_aggregate(global_params, contributions)
+
 
 def heterofl_canvas(global_params, contributions):
     """The merge as a mean over every client: each block is padded to the
@@ -191,9 +208,10 @@ def heterofl_canvas(global_params, contributions):
     out = {}
     for name, base in global_params.tensors.items():
         padded = []
-        for params, omap in contributions:
+        for params in contributions:
+            block = params.tensors[name]
             canvas = np.full(base.shape, np.nan)
-            canvas[omap.slices(name)] = params.tensors[name]
+            canvas[tuple(slice(0, n) for n in block.shape)] = block
             padded.append(canvas)
         stack = np.sort(np.stack(padded), axis=0)
         count = np.sum(~np.isnan(stack), axis=0)
@@ -226,7 +244,7 @@ def random_contributions(base, rng, count):
     out = []
     for rate in rates:
         spec = build_pruned_spec(base, float(rate))
-        out.append((spread_params(spec, int(rng.integers(2**31))), overlap_map(base, spec)))
+        out.append(spread_params(spec, int(rng.integers(2**31))))
     return out
 
 
@@ -235,7 +253,7 @@ def hand_built(extent_maps, seed):
 
     rng = np.random.default_rng(seed)
     return [
-        (ModelParams({name: rng.normal(size=ext) for name, ext in extents.items()}), OverlapMap(extents))
+        ModelParams({name: rng.normal(size=ext) for name, ext in extents.items()})
         for extents in extent_maps
     ]
 
@@ -290,7 +308,7 @@ class TestCellMergeMatchesCanvas:
         base = mlp_spec((5,), (9, 7), 3)
         global_params = spread_params(base, 3)
         spec = build_pruned_spec(base, 0.6)
-        contributions = [(spread_params(spec, 4), overlap_map(base, spec))]
+        contributions = [spread_params(spec, 4)]
         merged = heterofl_aggregate(global_params, contributions)
         assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
 
@@ -311,8 +329,8 @@ class TestCellMergeMatchesCanvas:
         values = [-1e16] + [1.0] * 6 + [1e16]
         assert np.sort(np.array(values)[:, None], axis=0).sum(axis=0)[0] == 4.0
         global_params = ModelParams({"b": np.zeros(4)})
-        contributions = [(ModelParams({"b": np.full(3, 7.0)}), OverlapMap({"b": (3,)}))]
-        contributions += [(ModelParams({"b": np.full(4, v)}), OverlapMap({"b": (4,)})) for v in values]
+        contributions = [ModelParams({"b": np.full(3, 7.0)})]
+        contributions += [ModelParams({"b": np.full(4, v)}) for v in values]
         merged = heterofl_aggregate(global_params, contributions)
         assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
         assert merged.tensors["b"][3] == 0.0
@@ -321,9 +339,7 @@ class TestCellMergeMatchesCanvas:
         # NumPy starts a sum from +0.0, so a mean of -0.0s is +0.0, whether
         # or not every client covers the coordinate.
         global_params = ModelParams({"b": np.ones(4)})
-        contributions = [
-            (ModelParams({"b": np.full(n, -0.0)}), OverlapMap({"b": (n,)})) for n in (2, 3, 4, 4)
-        ]
+        contributions = [ModelParams({"b": np.full(n, -0.0)}) for n in (2, 3, 4, 4)]
         merged = heterofl_aggregate(global_params, contributions)
         assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
         assert not np.any(np.signbit(merged.tensors["b"]))
@@ -334,7 +350,7 @@ class TestCellMergeMatchesCanvas:
         contributions = []
         for i in range(48):
             spec = build_pruned_spec(base, (1.0, 0.8, 0.6)[i % 3])
-            contributions.append((init_params(spec, i), overlap_map(base, spec)))
+            contributions.append(init_params(spec, i))
         largest = max(t.nbytes for t in global_params.tensors.values())
         tracemalloc.start()
         try:
@@ -530,7 +546,7 @@ def make_states(rates, seed0=40, input_dim=6, classes=3):
     states = []
     for i, rate in enumerate(rates):
         spec = build_pruned_spec(base, rate)
-        states.append(ClusterState(i, spec, init_params(spec, seed0 + i), rate, (i,)))
+        states.append(ClusterState(i, spec, init_params(spec, seed0 + i), (i,)))
     return states
 
 
@@ -557,7 +573,7 @@ class TestStage2DML:
         batches = split_batches(np.random.default_rng(3).normal(size=(10, 6)), 4)
         cfg = FedConfig(temperature=4.0, learning_rate=0.07, global_epochs=2)
         reference = straight_line_dml(
-            [ClusterState(s.cluster_id, s.spec, s.params.copy(), s.rate, s.member_ids) for s in states],
+            [ClusterState(s.cluster_id, s.spec, s.params.copy(), s.member_ids) for s in states],
             batches,
             4.0,
             0.07,
@@ -572,8 +588,8 @@ class TestStage2DML:
         base = small_spec()
         shared = init_params(base, 21)
         states = [
-            ClusterState(0, base, shared.copy(), 1.0, (0,)),
-            ClusterState(1, base, shared.copy(), 1.0, (1,)),
+            ClusterState(0, base, shared.copy(), (0,)),
+            ClusterState(1, base, shared.copy(), (1,)),
         ]
         batches = split_batches(np.random.default_rng(4).normal(size=(9, 6)), 3)
         after, _ = stage2_dml(states, batches, FedConfig())
@@ -766,7 +782,7 @@ class TestRunExperiment:
         cfg = desk_config(algorithm="fedavg", homogeneous_pruning=0.5, rounds=1)
         result = run_experiment(cfg, self.base, self.train, self.test, self.profiles)
         assert len(result.states) == 1
-        assert result.states[0].rate == 0.5
+        assert result.states[0].spec.pruning_rate == 0.5
         hidden = result.states[0].spec.layers[0].width
         assert hidden == 8  # half of 16
         assert len(result.states[0].member_ids) == len(self.profiles)
@@ -798,12 +814,37 @@ class TestRunExperiment:
         cfg = desk_config(algorithm="heterofl", rounds=3)
         result = run_experiment(cfg, self.base, self.train, self.test, self.profiles)
         assert result.global_params is not None
-        assert result.states[0].rate == 1.0
+        assert result.states[0].spec.pruning_rate == 1.0
         # every cluster's model is a leading slice of the global model
         for state in result.states:
             omap = overlap_map(self.base, state.spec)
             assert params_equal(state.params, extract_overlap(result.global_params, omap))
         assert result.metrics[-1].client_weighted_accuracy > 0.8
+
+    @pytest.mark.parametrize("algorithm", ["fedtsa", "fedavg", "fedprox", "heterofl"])
+    def test_trained_models_do_not_outlive_their_round(self, algorithm, monkeypatch):
+        # weak references to every model local_update returns; at the first
+        # update of each later round, none from the round before is alive
+        this_round, last_round, alive_at_next_round = [], [], []
+        original = fedsim.engine.local_update
+
+        def tracked(*args, **kwargs):
+            if last_round:
+                gc.collect()
+                alive_at_next_round.append(sum(ref() is not None for ref in last_round))
+                last_round.clear()
+            result = original(*args, **kwargs)
+            this_round.append(weakref.ref(result[0]))
+            return result
+
+        def round_ended(_metrics):
+            last_round.extend(this_round)
+            this_round.clear()
+
+        monkeypatch.setattr(fedsim.engine, "local_update", tracked)
+        cfg = desk_config(algorithm=algorithm, rounds=3)
+        run_experiment(cfg, self.base, self.train, self.test, self.profiles, on_round=round_ended)
+        assert alive_at_next_round == [0, 0]
 
     def test_on_round_callback_sees_every_round(self):
         seen = []

@@ -136,23 +136,22 @@ class TestOverlap:
     def test_extents_are_prefix_blocks(self):
         base = mlp_spec((5,), (6,), 2)
         small = build_pruned_spec(base, 0.5)  # hidden width 3
-        omap = overlap_map(base, small)
-        assert omap.extents["layer0.weight"] == (3, 5)
-        assert omap.slices("layer0.weight") == (slice(0, 3), slice(0, 5))
-        assert omap.extents["layer2.weight"] == (2, 3)
+        shapes = overlap_map(base, small)
+        assert shapes["layer0.weight"] == (3, 5)
+        assert shapes["layer2.weight"] == (2, 3)
 
     def test_extract_then_embed_roundtrip(self):
         base = cnn_spec((2, 6, 6), (4,), 3, dense_width=8)
         small_spec = build_pruned_spec(base, 0.5)
-        omap = overlap_map(base, small_spec)
+        shapes = overlap_map(base, small_spec)
         large = init_params(base, 1)
-        small = extract_overlap(large, omap)
-        for name, extent in omap.extents.items():
+        small = extract_overlap(large, shapes)
+        for name, extent in shapes.items():
             assert small.tensors[name].shape == extent
         # writing the extracted blocks back at their slices is a no-op
         back = large.copy()
-        for name in omap.extents:
-            back.tensors[name][omap.slices(name)] = small.tensors[name]
+        for name, extent in shapes.items():
+            back.tensors[name][tuple(slice(0, n) for n in extent)] = small.tensors[name]
         for name in large.tensors:
             np.testing.assert_array_equal(back.tensors[name], large.tensors[name])
 
