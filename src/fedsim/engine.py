@@ -214,13 +214,51 @@ def _sorted_mean(stack: np.ndarray) -> np.ndarray:
     return np.sort(stack, axis=0).sum(axis=0) / stack.shape[0]
 
 
-def _check_finite(params: ModelParams, losses: list[float], stage: str) -> None:
-    """Raise :class:`EngineError` when a loss or a parameter is not finite."""
+class _Learner:
+    """One model trained in place: the step that local SGD and Stage 2 share.
 
-    if not np.all(np.isfinite(losses)):
-        raise EngineError(f"{stage} diverged: non-finite loss")
-    for name, tensor in params.tensors.items():
-        if not np.all(np.isfinite(tensor)):
+    On entry ``params`` is checked against ``spec`` and copied into a private
+    flat vector; ``params`` then views that vector, and every step writes the
+    gradients into a second vector of the same layout and updates the first
+    in place.  The caller's parameters are never written.  With a proximal
+    reference and ``mu > 0``, ``(mu/2) * ||w - ref||^2`` joins each step's
+    objective.
+    """
+
+    def __init__(
+        self,
+        spec: ModelSpec,
+        params: ModelParams,
+        prox_reference: ModelParams | None = None,
+        mu: float = 0.0,
+    ):
+        validate_params(spec, params)
+        self.spec = spec
+        self.flat = spec.layout.flatten(params)
+        self.params = spec.layout.views(self.flat)
+        self.grad = np.empty_like(self.flat)
+        self.grad_params = spec.layout.views(self.grad)
+        self.prox = None
+        if prox_reference is not None and mu > 0:
+            validate_params(spec, prox_reference)
+            self.prox = (mu, spec.layout.flatten(prox_reference))
+
+    def step(self, caches: list, logit_grad: np.ndarray, learning_rate: float) -> None:
+        """Back-propagate ``logit_grad`` through ``caches`` and take one SGD step."""
+
+        backward_from_cache(self.spec, self.params, caches, logit_grad, self.grad_params)
+        if self.prox is not None:
+            mu, reference = self.prox
+            self.grad += mu * (self.flat - reference)
+        sgd_step(self.flat, self.grad, learning_rate)
+
+    def check_finite(self, losses: list[float], stage: str) -> None:
+        """Raise :class:`EngineError` when a loss or a parameter is not finite."""
+
+        if not all(map(math.isfinite, losses)):
+            raise EngineError(f"{stage} diverged: non-finite loss")
+        if not np.isfinite(self.flat).all():
+            name = next(n for n, t in self.params.tensors.items() if not np.isfinite(t).all())
             raise EngineError(f"{stage} diverged: non-finite values in {name}")
 
 
@@ -238,11 +276,12 @@ def local_update(
     Each epoch reshuffles; a final short batch is processed, not dropped.
     With ``prox_reference`` set, the proximal term ``(mu/2) * ||w - ref||^2``
     is added to every batch objective.  Zero epochs (or a zero learning rate)
-    return the starting parameters unchanged; the reported loss is the mean
-    over all batch losses before their steps (NaN when no batch ran).  The
-    first non-finite batch loss raises :class:`EngineError` before its step,
-    as does a non-finite final parameter.  ``params`` and the label range
-    are checked against ``spec`` once, on entry (:class:`DimensionError`).
+    return the starting values; the reported loss is the mean over all batch
+    losses before their steps (NaN when no batch ran).  The first non-finite
+    batch loss raises :class:`EngineError` before its step, as does a
+    non-finite final parameter.  ``params`` (and the proximal reference) and
+    the label range are checked against ``spec`` once, on entry
+    (:class:`DimensionError`); neither input is written.
     """
 
     features = np.asarray(features, dtype=np.float64)
@@ -254,29 +293,22 @@ def local_update(
         raise DimensionError(f"labels shape {labels.shape} does not match {n} samples")
     if labels.min() < 0 or labels.max() >= spec.class_count:
         raise DimensionError(f"labels must lie in [0, {spec.class_count})")
-    validate_params(spec, params)
+    model = _Learner(spec, params, prox_reference, config.fedprox_mu)
     rng = np.random.default_rng(seed)
-    current = params
     batch_losses: list[float] = []
     for _ in range(config.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             take = order[start : start + config.batch_size]
-            logits, caches = forward_cached(spec, current, features[take])
-            loss, logit_grad = cross_entropy(logits, labels[take])
+            logits, caches = forward_cached(spec, model.params, features.take(take, axis=0))
+            loss, logit_grad = cross_entropy(logits, labels.take(take))
             if not math.isfinite(loss):
                 raise EngineError("local training diverged: non-finite loss")
-            grads = backward_from_cache(spec, current, caches, logit_grad)
-            if prox_reference is not None and config.fedprox_mu > 0:
-                for name in grads:
-                    grads[name] += config.fedprox_mu * (
-                        current.tensors[name] - prox_reference.tensors[name]
-                    )
-            current = sgd_step(current, grads, config.learning_rate)
+            model.step(caches, logit_grad, config.learning_rate)
             batch_losses.append(loss)
-    _check_finite(current, batch_losses, "local training")
+    model.check_finite(batch_losses, "local training")
     mean_loss = float(np.mean(batch_losses)) if batch_losses else float("nan")
-    return current, mean_loss
+    return model.params, mean_loss
 
 
 def stage1_aggregate(
@@ -394,7 +426,8 @@ def stage2_dml(
     mean per-step KL value (0.0 when no KL term is active).  A non-finite
     loss or parameter after any step raises :class:`EngineError` naming the
     cluster.  Each cluster's parameters are checked against its spec once, on
-    entry.
+    entry, and trained in place on a private copy; the input states are not
+    written.
 
     With a single cluster and ``kl_only`` the consensus equals the cluster's
     own distribution, the gradient is exactly zero, and parameters come back
@@ -406,31 +439,24 @@ def stage2_dml(
     m = len(states)
     if m == 1 and not config.include_self_in_consensus:
         raise EngineError("consensus over zero peers: a single cluster must include itself")
-    for s in states:
-        validate_params(s.spec, s.params)
+    models = [_Learner(s.spec, s.params) for s in states]
     kl_fn = kl_divergence if config.kl_direction == "forward" else kl_divergence_model_led
     scale = config.temperature**2 if config.t_squared_rescale else 1.0
-    params = [s.params for s in states]
     kl_sum = 0.0
     kl_steps = 0
     for _ in range(config.global_epochs):
         for batch in batches:
-            snapshots = []
-            caches_by_cluster = []
-            for s, p in zip(states, params):
-                logits, caches = forward_cached(s.spec, p, batch)
-                snapshots.append(logits)
-                caches_by_cluster.append(caches)
-            stack = np.stack(snapshots)
+            # every cluster's forward pass runs before any cluster steps
+            forwards = [forward_cached(model.spec, model.params, batch) for model in models]
+            stack = np.stack([logits for logits, _ in forwards])
             shared = _sorted_mean(stack) if config.include_self_in_consensus else None
-            new_params = []
-            for r, state in enumerate(states):
+            for r, (state, model) in enumerate(zip(states, models)):
                 consensus = (
                     shared
                     if shared is not None
                     else _sorted_mean(np.delete(stack, r, axis=0))
                 )
-                own = snapshots[r]
+                own, caches = forwards[r]
                 logit_grad = None
                 step_losses = []
                 if config.loss_mode in ("kl_only", "combined"):
@@ -451,12 +477,9 @@ def stage2_dml(
                         logit_grad = ce_grad
                     else:
                         logit_grad = config.loss_alpha * logit_grad + (1.0 - config.loss_alpha) * ce_grad
-                grads = backward_from_cache(state.spec, params[r], caches_by_cluster[r], logit_grad)
-                stepped = sgd_step(params[r], grads, config.learning_rate)
-                _check_finite(stepped, step_losses, f"cluster {state.cluster_id}: distillation")
-                new_params.append(stepped)
-            params = new_params
-    new_states = [replace(s, params=p) for s, p in zip(states, params)]
+                model.step(caches, logit_grad, config.learning_rate)
+                model.check_finite(step_losses, f"cluster {state.cluster_id}: distillation")
+    new_states = [replace(s, params=model.params) for s, model in zip(states, models)]
     mean_kl = kl_sum / kl_steps if kl_steps else 0.0
     return new_states, mean_kl
 
@@ -513,20 +536,23 @@ def profile_clients(config: FedConfig, profiles: list[ClientProfile]) -> list[Cl
 
 
 def cluster_clients(config: FedConfig, profiles: list[ClientProfile]) -> ClusterAssignment:
-    """Density clusters and pruning rates of measured profiles, as configured."""
+    """The clusters an algorithm trains, from measured profiles.
 
-    return cluster_profiles(
-        profiles, bandwidth=config.kde_bandwidth, ladder=config.rate_ladder, refine=config.refine_kde
-    )
+    ``fedtsa`` and ``heterofl`` take the density clusters and pruning rates,
+    as configured; ``fedavg`` and ``fedprox`` put every client in one cluster
+    at ``homogeneous_pruning``.
+    """
 
-
-def _single_cluster_assignment(profiles: list[ClientProfile], rate: float) -> ClusterAssignment:
+    if config.algorithm in ("fedtsa", "heterofl"):
+        return cluster_profiles(
+            profiles, bandwidth=config.kde_bandwidth, ladder=config.rate_ladder, refine=config.refine_kde
+        )
     durations = np.array([p.measured_duration for p in profiles], dtype=np.float64)
     return ClusterAssignment(
         cluster_of=np.zeros(len(profiles), dtype=np.int64),
         boundaries=np.array([]),
         cluster_means=np.array([float(durations.mean())]),
-        rates=np.array([rate]),
+        rates=np.array([config.homogeneous_pruning]),
     )
 
 
@@ -585,10 +611,7 @@ def run_experiment(
     sizes = partition.sizes()
 
     profiles = profile_clients(config, profiles)
-    if config.algorithm in ("fedtsa", "heterofl"):
-        assignment = cluster_clients(config, profiles)
-    else:
-        assignment = _single_cluster_assignment(profiles, config.homogeneous_pruning)
+    assignment = cluster_clients(config, profiles)
 
     states: list[ClusterState] = []
     for c, rate in enumerate(assignment.rates):

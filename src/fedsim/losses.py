@@ -15,6 +15,8 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from fedsim.errors import DimensionError
@@ -42,8 +44,22 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float = 1.0) -> np
     return e / e.sum(axis=1, keepdims=True)
 
 
+@functools.lru_cache(maxsize=256)
+def _row_starts(n: int, classes: int) -> np.ndarray:
+    """Flat offset of each row of a C-ordered ``(n, classes)`` matrix, read-only."""
+
+    starts = np.arange(0, n * classes, classes)
+    starts.flags.writeable = False
+    return starts
+
+
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross entropy against labels in ``[0, classes)`` (the caller checks), with gradient."""
+    """Mean cross entropy against labels in ``[0, classes)`` (the caller checks), with gradient.
+
+    The label entries are read and corrected through their flat offsets, and
+    the mean is ``add.reduce / n``, which is how ``np.mean`` computes it.
+    The gradient is a new array.
+    """
 
     logits = _check_logits(logits)
     labels = np.asarray(labels)
@@ -51,14 +67,15 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
         raise DimensionError(
             f"labels must be 1-d of length {logits.shape[0]}, got shape {labels.shape}"
         )
-    n = logits.shape[0]
-    rows = np.arange(n)
-    scaled = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(scaled)
-    s = e.sum(axis=1, keepdims=True)
-    loss = -float((scaled[rows, labels] - np.log(s[:, 0])).mean())
-    grad = e / s
-    grad[rows, labels] -= 1.0
+    n, classes = logits.shape
+    picks = _row_starts(n, classes) + labels
+    scaled = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    picked = scaled.take(picks)
+    grad = np.exp(scaled, out=scaled)
+    s = np.add.reduce(grad, axis=1, keepdims=True)
+    loss = -float(np.add.reduce(picked - np.log(s[:, 0])) / n)
+    grad /= s
+    grad.put(picks, grad.take(picks) - 1.0)
     grad /= n
     return loss, grad
 

@@ -13,10 +13,16 @@ parameter tensors corresponds to a prefix block of the matching full-width
 tensor, and its shape is the extent of that block: :func:`overlap_map`
 checks that a small model fits inside a large one and returns its shapes,
 and :func:`extract_overlap` copies those blocks out.
+
+Training keeps a model in one contiguous float64 vector instead:
+:class:`ParamLayout` (``spec.layout``, built once per spec) places every
+tensor in it as a C-ordered run, so a :class:`ModelParams` of views sees each
+in-place update of the vector.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -59,6 +65,12 @@ class ModelSpec:
     class_count: int
     pruning_rate: float = 1.0
 
+    @functools.cached_property
+    def layout(self) -> "ParamLayout":
+        """Where this spec's parameters sit in a flat vector; built on first use."""
+
+        return ParamLayout(self)
+
 
 @dataclass
 class ModelParams:
@@ -68,6 +80,44 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams({k: v.copy() for k, v in self.tensors.items()})
+
+
+class ParamLayout:
+    """The tensors of one spec as consecutive runs of a flat float64 vector.
+
+    ``spans`` maps each tensor name, in :func:`param_shapes` order, to its
+    ``(start, stop, shape)`` in the vector of length ``size``.  ``slots[i]``
+    holds the weight and bias names of layer ``i`` (``None`` for a layer
+    without parameters) and ``first`` is the first layer that has them.
+    """
+
+    def __init__(self, spec: "ModelSpec"):
+        self.input_shape = tuple(int(d) for d in spec.input_shape)
+        self.spans: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+        stop = 0
+        for name, shape in param_shapes(spec).items():
+            start, stop = stop, stop + math.prod(shape)
+            self.spans[name] = (start, stop, shape)
+        self.size = stop
+        self.slots = tuple(
+            (f"layer{i}.weight", f"layer{i}.bias") if f"layer{i}.weight" in self.spans else None
+            for i in range(len(spec.layers))
+        )
+        self.first = next(i for i, slot in enumerate(self.slots) if slot is not None)
+
+    def flatten(self, params: ModelParams) -> np.ndarray:
+        """A new flat vector holding a copy of ``params`` (checked by the caller)."""
+
+        return np.concatenate(
+            [params.tensors[name].ravel() for name in self.spans], dtype=np.float64
+        )
+
+    def views(self, flat: np.ndarray) -> ModelParams:
+        """Parameters whose tensors are views of ``flat``."""
+
+        return ModelParams(
+            {name: flat[start:stop].reshape(shape) for name, (start, stop, shape) in self.spans.items()}
+        )
 
 
 def layer_name(index: int, layer: LayerSpec) -> str:
@@ -266,8 +316,8 @@ def init_params(spec: ModelSpec, seed) -> ModelParams:
 def validate_params(spec: ModelSpec, params: ModelParams) -> None:
     """Check that ``params`` has exactly the tensors ``spec`` calls for."""
 
-    expected = param_shapes(spec)
-    for name, shape in expected.items():
+    expected = spec.layout.spans
+    for name, (_, _, shape) in expected.items():
         if name not in params.tensors:
             raise DimensionError(f"missing parameter tensor {name!r}")
         got = params.tensors[name].shape

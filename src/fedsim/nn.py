@@ -12,6 +12,15 @@ ties).  Both backward passes scatter window values back with one strided
 slice add per window offset (col2im): the conv its column gradients, the
 maxpool the upstream gradient routed to each argmax.  Offsets are added in a
 fixed order, so results are deterministic for fixed inputs.
+
+Training runs on flat vectors: a model's parameters are one contiguous
+float64 vector laid out by ``spec.layout`` (:class:`fedsim.models.ParamLayout`),
+with a :class:`ModelParams` of views for the layers to read.
+:func:`backward_from_cache` writes every parameter gradient, with ``out=``,
+into views of a second vector of the same layout, and :func:`sgd_step`
+updates the parameter vector in place from it.  The layout also holds what
+every step needs of the spec: each layer's tensor names, the first layer
+with parameters and the input shape.
 """
 
 from __future__ import annotations
@@ -70,12 +79,16 @@ def _col2im(parts: np.ndarray, k: int, stride: int, shape) -> np.ndarray:
 
 
 def _dense_forward(x, w, b):
-    return x @ w.T + b, x
+    y = x @ w.T
+    y += b
+    return y, x
 
 
-def _dense_backward(dy, w, cache, need_dx=True):
+def _dense_backward(dy, w, cache, dw, db, need_dx=True):
     x = cache
-    return (dy @ w if need_dx else None), dy.T @ x, dy.sum(axis=0)
+    np.matmul(dy.T, x, out=dw)
+    np.add.reduce(dy, axis=0, out=db)
+    return dy @ w if need_dx else None
 
 
 def _conv_forward(x, w, b, layer: LayerSpec):
@@ -99,20 +112,21 @@ def _conv_forward(x, w, b, layer: LayerSpec):
     return y, (cols, x.shape)
 
 
-def _conv_backward(dy, w, layer: LayerSpec, cache, need_dx=True):
+def _conv_backward(dy, w, layer: LayerSpec, cache, dw, db, need_dx=True):
+    """The input gradient; ``dw`` and ``db`` (contiguous) receive the parameter gradients."""
+
     cols, x_shape = cache
     n, c, h, wid = x_shape
     k, s, p = layer.kernel, layer.stride, layer.padding
     dyl = dy.reshape(n, dy.shape[1], -1)  # (n, out_c, L)
-    dw = np.einsum("nol,nfl->of", dyl, cols).reshape(w.shape)
-    db = dyl.sum(axis=(0, 2))
+    np.einsum("nol,nfl->of", dyl, cols, out=dw.reshape(w.shape[0], -1))
+    np.add.reduce(dyl, axis=(0, 2), out=db)
     if not need_dx:
-        return None, dw, db
+        return None
     wm = w.reshape(w.shape[0], -1)
     dcols = np.matmul(wm.T, dyl).reshape(n, c, k * k, -1)
     xp_grad = _col2im(dcols.transpose(2, 0, 1, 3), k, s, (n, c, h + 2 * p, wid + 2 * p))
-    dx = xp_grad[:, :, p : p + h, p : p + wid] if p else xp_grad
-    return dx, dw, db
+    return xp_grad[:, :, p : p + h, p : p + wid] if p else xp_grad
 
 
 def _maxpool_forward(x, layer: LayerSpec):
@@ -137,9 +151,8 @@ def _maxpool_backward(dy, layer: LayerSpec, cache):
     return _col2im(routed, k, layer.stride, x_shape)
 
 
-def _check_batch(spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
+def _check_batch(expected: tuple[int, ...], batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
-    expected = tuple(spec.input_shape)
     if batch.ndim != len(expected) + 1 or tuple(batch.shape[1:]) != expected:
         raise DimensionError(
             f"batch shape {batch.shape} does not match model input "
@@ -155,25 +168,20 @@ def forward_cached(spec: ModelSpec, params: ModelParams, batch: np.ndarray):
 
     ``params`` is not checked against ``spec``: callers validate once at
     their entry (:func:`model_forward`, :func:`model_backward`,
-    ``engine.local_update``, ``engine.stage2_dml``), and :func:`sgd_step`
-    keeps every shape from then on.
+    ``engine.local_update``, ``engine.stage2_dml``), and training updates
+    the values in place, never the shapes.
     """
 
-    x = _check_batch(spec, batch)
+    layout = spec.layout
+    x = _check_batch(layout.input_shape, batch)
+    tensors = params.tensors
     caches: list = []
-    for idx, layer in enumerate(spec.layers):
+    for idx, (layer, slot) in enumerate(zip(spec.layers, layout.slots)):
         try:
             if layer.kind == "dense":
-                x, cache = _dense_forward(
-                    x, params.tensors[f"layer{idx}.weight"], params.tensors[f"layer{idx}.bias"]
-                )
+                x, cache = _dense_forward(x, tensors[slot[0]], tensors[slot[1]])
             elif layer.kind == "conv":
-                x, cache = _conv_forward(
-                    x,
-                    params.tensors[f"layer{idx}.weight"],
-                    params.tensors[f"layer{idx}.bias"],
-                    layer,
-                )
+                x, cache = _conv_forward(x, tensors[slot[0]], tensors[slot[1]], layer)
             elif layer.kind == "relu":
                 cache = x > 0
                 x = x * cache
@@ -189,36 +197,38 @@ def forward_cached(spec: ModelSpec, params: ModelParams, batch: np.ndarray):
 
 
 def backward_from_cache(
-    spec: ModelSpec, params: ModelParams, caches: list, logit_grad: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Parameter gradients given caches from :func:`forward_cached`."""
+    spec: ModelSpec, params: ModelParams, caches: list, logit_grad: np.ndarray, out: ModelParams
+) -> None:
+    """Parameter gradients given caches from :func:`forward_cached`.
 
+    Each gradient is written into the same-named tensor of ``out``, which
+    must be C-contiguous and shaped like the parameter (in training, views
+    of a flat gradient vector of ``spec.layout``).  Nothing below the first
+    parameter layer learns, so no input gradient is computed there.
+    """
+
+    layout = spec.layout
+    grads = out.tensors
     grad = np.asarray(logit_grad, dtype=np.float64)
-    grads: dict[str, np.ndarray] = {}
-    # nothing below the first parameter layer learns, so it needs no input gradient
-    first = min(i for i, layer in enumerate(spec.layers) if layer.kind in ("dense", "conv"))
-    for idx in range(len(spec.layers) - 1, first - 1, -1):
+    for idx in range(len(spec.layers) - 1, layout.first - 1, -1):
         layer = spec.layers[idx]
         cache = caches[idx]
         if layer.kind == "dense":
-            grad, dw, db = _dense_backward(
-                grad, params.tensors[f"layer{idx}.weight"], cache, idx > first
+            w, b = layout.slots[idx]
+            grad = _dense_backward(
+                grad, params.tensors[w], cache, grads[w], grads[b], idx > layout.first
             )
-            grads[f"layer{idx}.weight"] = dw
-            grads[f"layer{idx}.bias"] = db
         elif layer.kind == "conv":
-            grad, dw, db = _conv_backward(
-                grad, params.tensors[f"layer{idx}.weight"], layer, cache, idx > first
+            w, b = layout.slots[idx]
+            grad = _conv_backward(
+                grad, params.tensors[w], layer, cache, grads[w], grads[b], idx > layout.first
             )
-            grads[f"layer{idx}.weight"] = dw
-            grads[f"layer{idx}.bias"] = db
         elif layer.kind == "relu":
             grad = grad * cache
         elif layer.kind == "maxpool":
             grad = _maxpool_backward(grad, layer, cache)
         elif layer.kind == "flatten":
             grad = grad.reshape(cache)
-    return grads
 
 
 def model_forward(spec: ModelSpec, params: ModelParams, batch: np.ndarray) -> np.ndarray:
@@ -235,7 +245,8 @@ def model_backward(
     """Gradient of a scalar loss wrt every parameter tensor.
 
     ``logit_grad`` is the loss gradient with respect to the logits (as
-    returned by the functions in :mod:`fedsim.losses`).
+    returned by the functions in :mod:`fedsim.losses`).  The gradients are
+    views of one new flat vector.
     """
 
     validate_params(spec, params)
@@ -245,21 +256,22 @@ def model_backward(
         raise DimensionError(
             f"logit gradient shape {logit_grad.shape} does not match logits {logits.shape}"
         )
-    return backward_from_cache(spec, params, caches, logit_grad)
+    grads = spec.layout.views(np.empty(spec.layout.size))
+    backward_from_cache(spec, params, caches, logit_grad, grads)
+    return grads.tensors
 
 
-def sgd_step(params: ModelParams, grads: dict[str, np.ndarray], learning_rate: float) -> ModelParams:
-    """One plain gradient step; returns new parameters, inputs untouched."""
+def sgd_step(flat: np.ndarray, grad: np.ndarray, learning_rate: float) -> None:
+    """One plain gradient step in place: ``flat -= learning_rate * grad``.
 
-    if set(grads) != set(params.tensors):
-        missing = set(params.tensors) ^ set(grads)
-        raise DimensionError(f"gradient tensors do not match parameters: {sorted(missing)}")
-    out: dict[str, np.ndarray] = {}
-    for name, value in params.tensors.items():
-        g = grads[name]
-        if g.shape != value.shape:
-            raise DimensionError(
-                f"{name}: gradient shape {g.shape} does not match parameter {value.shape}"
-            )
-        out[name] = value - learning_rate * g
-    return ModelParams(out)
+    Both are flat vectors of one layout.  The step is two NumPy calls: the
+    scaled step overwrites ``grad``, then is subtracted from ``flat``.  Each
+    entry is rounded as in ``flat - learning_rate * grad``.
+    """
+
+    if grad.shape != flat.shape:
+        raise DimensionError(
+            f"gradient vector of shape {grad.shape} does not match parameters {flat.shape}"
+        )
+    np.multiply(grad, learning_rate, out=grad)
+    np.subtract(flat, grad, out=flat)

@@ -238,11 +238,12 @@ def test_cluster_reports_without_training(tmp_path, capsys):
     assert report_path.read_text().strip() in stdout
 
 
-def test_cluster_and_run_agree_on_the_report(tmp_path):
-    cfg = write_config(tmp_path, tiny_config())
+@pytest.mark.parametrize("algorithm", ["fedtsa", "fedavg", "fedprox", "heterofl"])
+def test_cluster_and_run_agree_on_the_report(tmp_path, algorithm):
+    cfg = write_config(tmp_path, tiny_config(training={"algorithm": algorithm}))
     report_path = tmp_path / "report.txt"
-    main(["cluster", "--config", cfg, "--out", str(report_path)])
-    main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert main(["cluster", "--config", cfg, "--out", str(report_path)]) == 0
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert report_path.read_text() == (tmp_path / "o" / "cluster_report.txt").read_text()
 
 

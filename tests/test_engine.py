@@ -13,13 +13,14 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fedsim.engine
 from fedsim.clustering import ClientProfile
 from fedsim.data import make_blobs
 from fedsim.engine import (
+    LOSS_MODES,
     ClusterState,
     FedConfig,
     RoundMetrics,
@@ -33,7 +34,12 @@ from fedsim.engine import (
     stream_seed,
 )
 from fedsim.errors import ConfigError, DimensionError, EngineError
-from fedsim.losses import cross_entropy
+from fedsim.losses import (
+    cross_entropy,
+    kl_divergence,
+    kl_divergence_model_led,
+    softmax_with_temperature,
+)
 from fedsim.models import (
     ModelParams,
     build_pruned_spec,
@@ -463,9 +469,9 @@ class TestLocalUpdate:
             losses.append(out[0])
             return out
 
-        def counted_step(params, grads, lr, real=sgd_step):
+        def counted_step(flat, grad, lr, real=sgd_step):
             steps.append(lr)
-            return real(params, grads, lr)
+            return real(flat, grad, lr)
 
         monkeypatch.setattr("fedsim.engine.cross_entropy", counted_loss)
         monkeypatch.setattr("fedsim.engine.sgd_step", counted_step)
@@ -682,6 +688,246 @@ class TestStage2DML:
         states[1].params.tensors["layer0.bias"] = np.zeros(5)
         with pytest.raises(DimensionError, match="layer0.bias"):
             stage2_dml(states, [np.zeros((2, 6))], FedConfig())
+
+
+# ------------------------------------------------------------------
+# The per-tensor training loops that local_update and stage2_dml ran before
+# they trained one flat vector per model in place, kept as references: fresh
+# gradient arrays for every tensor, a new ModelParams after every step.
+
+
+def reference_backward(spec, params, caches, logit_grad):
+    """Every parameter gradient as a fresh array, computed by the layer kernels'
+    formulas before they wrote into ``out=`` views."""
+
+    grad = np.asarray(logit_grad, dtype=np.float64)
+    grads = {}
+    first = min(i for i, layer in enumerate(spec.layers) if layer.kind in ("dense", "conv"))
+    for idx in range(len(spec.layers) - 1, first - 1, -1):
+        layer, cache = spec.layers[idx], caches[idx]
+        if layer.kind == "dense":
+            w = params.tensors[f"layer{idx}.weight"]
+            grads[f"layer{idx}.weight"] = grad.T @ cache
+            grads[f"layer{idx}.bias"] = grad.sum(axis=0)
+            grad = grad @ w
+        elif layer.kind == "conv":
+            w = params.tensors[f"layer{idx}.weight"]
+            cols, (n, c, h, wid) = cache
+            k, s, p = layer.kernel, layer.stride, layer.padding
+            dyl = grad.reshape(n, grad.shape[1], -1)
+            grads[f"layer{idx}.weight"] = np.einsum("nol,nfl->of", dyl, cols).reshape(w.shape)
+            grads[f"layer{idx}.bias"] = dyl.sum(axis=(0, 2))
+            dcols = np.matmul(w.reshape(w.shape[0], -1).T, dyl).reshape(n, c, k * k, -1)
+            shape = (n, c, h + 2 * p, wid + 2 * p)
+            padded = fedsim.nn._col2im(dcols.transpose(2, 0, 1, 3), k, s, shape)
+            grad = padded[:, :, p : p + h, p : p + wid] if p else padded
+        elif layer.kind == "relu":
+            grad = grad * cache
+        elif layer.kind == "maxpool":
+            grad = fedsim.nn._maxpool_backward(grad, layer, cache)
+        elif layer.kind == "flatten":
+            grad = grad.reshape(cache)
+    return grads
+
+
+def reference_sgd_step(params, grads, learning_rate):
+    return ModelParams({k: v - learning_rate * grads[k] for k, v in params.tensors.items()})
+
+
+def reference_local_update(spec, params, features, labels, config, seed, prox_reference=None):
+    n = features.shape[0]
+    rng = np.random.default_rng(seed)
+    current = params
+    batch_losses = []
+    for _ in range(config.local_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            take = order[start : start + config.batch_size]
+            logits, caches = forward_cached(spec, current, features[take])
+            loss, logit_grad = cross_entropy(logits, labels[take])
+            grads = reference_backward(spec, current, caches, logit_grad)
+            if prox_reference is not None and config.fedprox_mu > 0:
+                for name in grads:
+                    grads[name] += config.fedprox_mu * (
+                        current.tensors[name] - prox_reference.tensors[name]
+                    )
+            current = reference_sgd_step(current, grads, config.learning_rate)
+            batch_losses.append(loss)
+    mean_loss = float(np.mean(batch_losses)) if batch_losses else float("nan")
+    return current, mean_loss
+
+
+def reference_stage2_dml(states, batches, config):
+    kl_fn = kl_divergence if config.kl_direction == "forward" else kl_divergence_model_led
+    scale = config.temperature**2 if config.t_squared_rescale else 1.0
+    params = [s.params for s in states]
+    kl_sum, kl_steps = 0.0, 0
+    for _ in range(config.global_epochs):
+        for batch in batches:
+            forwards = [forward_cached(s.spec, p, batch) for s, p in zip(states, params)]
+            stack = np.stack([logits for logits, _ in forwards])
+            new_params = []
+            for r, state in enumerate(states):
+                if config.include_self_in_consensus:
+                    consensus = fedsim.engine._sorted_mean(stack)
+                else:
+                    consensus = fedsim.engine._sorted_mean(np.delete(stack, r, axis=0))
+                own, caches = forwards[r]
+                logit_grad = None
+                if config.loss_mode in ("kl_only", "combined"):
+                    kl_value, kl_grad = kl_fn(
+                        softmax_with_temperature(consensus, config.temperature),
+                        own,
+                        config.temperature,
+                    )
+                    kl_sum += kl_value
+                    kl_steps += 1
+                    logit_grad = scale * kl_grad
+                if config.loss_mode in ("ce_only", "combined"):
+                    _, ce_grad = cross_entropy(own, np.argmax(consensus, axis=1))
+                    if config.loss_mode == "ce_only":
+                        logit_grad = ce_grad
+                    else:
+                        logit_grad = config.loss_alpha * logit_grad + (1.0 - config.loss_alpha) * ce_grad
+                grads = reference_backward(state.spec, params[r], caches, logit_grad)
+                new_params.append(reference_sgd_step(params[r], grads, config.learning_rate))
+            params = new_params
+    return params, (kl_sum / kl_steps if kl_steps else 0.0)
+
+
+@st.composite
+def model_specs(draw):
+    """A small random MLP or CNN, pruned to a random rate."""
+
+    classes = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        hidden = tuple(draw(st.lists(st.integers(1, 6), max_size=2)))
+        base = mlp_spec((draw(st.integers(1, 5)),), hidden, classes)
+    else:
+        side = draw(st.integers(4, 7))
+        channels = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+        in_channels = draw(st.integers(1, 2))
+        base = cnn_spec((in_channels, side, side), channels, classes, dense_width=draw(st.integers(1, 4)))
+    return build_pruned_spec(base, draw(st.sampled_from([1.0, 0.7, 0.4])))
+
+
+def all_finite(params: ModelParams, losses) -> bool:
+    return all(map(math.isfinite, losses)) and all(np.isfinite(t).all() for t in params.tensors.values())
+
+
+def snapshot(params: ModelParams) -> dict[str, bytes]:
+    return {name: t.tobytes() for name, t in params.tensors.items()}
+
+
+class TestFlatTrainingMatchesPerTensorLoops:
+    @given(
+        spec=model_specs(),
+        n=st.integers(1, 13),
+        batch_size=st.integers(1, 6),
+        epochs=st.integers(0, 3),
+        mu=st.sampled_from([None, 0.0, 0.3]),
+        learning_rate=st.sampled_from([0.05, 0.5]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_local_update_is_bitwise_equal(self, spec, n, batch_size, epochs, mu, learning_rate, seed):
+        rng = np.random.default_rng(seed)
+        params = spread_params(spec, seed)
+        reference = spread_params(spec, seed + 1) if mu is not None else None
+        features = rng.normal(size=(n, *spec.input_shape))
+        labels = rng.integers(0, spec.class_count, size=n)
+        cfg = FedConfig(
+            local_epochs=epochs,
+            batch_size=batch_size,
+            learning_rate=learning_rate,
+            fedprox_mu=mu or 0.0,
+        )
+        with np.errstate(all="ignore"):
+            want, want_loss = reference_local_update(
+                spec, params, features, labels, cfg, seed, prox_reference=reference
+            )
+            if not all_finite(want, [want_loss] if epochs else []):
+                with pytest.raises(EngineError, match="diverged"):
+                    local_update(spec, params, features, labels, cfg, seed, prox_reference=reference)
+                return
+        got, loss = local_update(spec, params, features, labels, cfg, seed, prox_reference=reference)
+        assert_same_bytes(got, want)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+
+    @given(
+        spec=model_specs(),
+        rates=st.lists(st.sampled_from([1.0, 0.8, 0.5]), min_size=1, max_size=3),
+        n=st.integers(1, 9),
+        batch_size=st.integers(1, 4),
+        loss_mode=st.sampled_from(LOSS_MODES),
+        include_self=st.booleans(),
+        kl_direction=st.sampled_from(["forward", "reverse"]),
+        t_squared=st.booleans(),
+        global_epochs=st.integers(1, 2),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stage2_is_bitwise_equal(
+        self, spec, rates, n, batch_size, loss_mode, include_self, kl_direction, t_squared,
+        global_epochs, seed,
+    ):
+        assume(include_self or len(rates) > 1)
+        specs = [build_pruned_spec(spec, rate) for rate in rates]
+        states = [ClusterState(c, s, spread_params(s, seed + c), (c,)) for c, s in enumerate(specs)]
+        inputs = np.random.default_rng(seed).normal(size=(n, *spec.input_shape))
+        cfg = FedConfig(
+            temperature=2.0,
+            learning_rate=0.1,
+            loss_mode=loss_mode,
+            loss_alpha=0.3,
+            include_self_in_consensus=include_self,
+            kl_direction=kl_direction,
+            t_squared_rescale=t_squared,
+            global_epochs=global_epochs,
+        )
+        batches = split_batches(inputs, batch_size)
+        with np.errstate(all="ignore"):
+            want, want_kl = reference_stage2_dml(states, batches, cfg)
+            if not all(all_finite(p, [want_kl]) for p in want):
+                with pytest.raises(EngineError, match="diverged"):
+                    stage2_dml(states, batches, cfg)
+                return
+        after, kl = stage2_dml(states, batches, cfg)
+        for state, params in zip(after, want):
+            assert_same_bytes(state.params, params)
+        assert np.float64(kl).tobytes() == np.float64(want_kl).tobytes()
+
+    def test_local_update_leaves_its_inputs_unchanged(self):
+        spec = cnn_spec((1, 6, 6), (2,), 3, dense_width=4)
+        params, reference = spread_params(spec, 1), spread_params(spec, 2)
+        before, before_ref = snapshot(params), snapshot(reference)
+        rng = np.random.default_rng(3)
+        features, labels = rng.normal(size=(7, 1, 6, 6)), rng.integers(0, 3, size=7)
+        cfg = FedConfig(local_epochs=2, batch_size=3, learning_rate=0.1, fedprox_mu=0.5)
+        trained, _ = local_update(spec, params, features, labels, cfg, 4, prox_reference=reference)
+        assert snapshot(params) == before and snapshot(reference) == before_ref
+        assert snapshot(trained) != before
+
+    def test_zero_epochs_return_the_starting_values_in_new_arrays(self):
+        spec = small_spec()
+        params = spread_params(spec, 5)
+        features = np.random.default_rng(5).normal(size=(4, 6))
+        out, _ = local_update(spec, params, features, np.arange(4) % 3, FedConfig(local_epochs=0), 1)
+        assert_same_bytes(out, params)
+        for name, tensor in out.tensors.items():
+            assert not np.shares_memory(tensor, params.tensors[name])
+
+    def test_stage2_leaves_the_input_states_unchanged(self):
+        states = make_states([1.0, 0.6, 0.3])
+        before = [snapshot(s.params) for s in states]
+        batches = split_batches(np.random.default_rng(9).normal(size=(7, 6)), 3)
+        cfg = FedConfig(loss_mode="combined", learning_rate=0.2, global_epochs=2)
+        after, _ = stage2_dml(states, batches, cfg)
+        assert [snapshot(s.params) for s in states] == before
+        assert all(snapshot(a.params) != b for a, b in zip(after, before))
+        for old, new in zip(states, after):
+            for name, tensor in new.params.tensors.items():
+                assert not np.shares_memory(tensor, old.params.tensors[name])
 
 
 class TestEvaluate:

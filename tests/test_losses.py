@@ -93,7 +93,51 @@ def two_pass_cross_entropy(logits, labels):
     return loss, grad
 
 
+def fancy_index_cross_entropy(logits, labels):
+    """Cross entropy that picks and corrects the label entries by fancy
+    indexing and averages with ``np.mean``."""
+
+    n = logits.shape[0]
+    rows = np.arange(n)
+    scaled = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(scaled)
+    s = e.sum(axis=1, keepdims=True)
+    loss = -float((scaled[rows, labels] - np.log(s[:, 0])).mean())
+    grad = e / s
+    grad[rows, labels] -= 1.0
+    grad /= n
+    return loss, grad
+
+
 class TestCrossEntropy:
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 30),
+        c=st.integers(2, 9),
+        kind=st.sampled_from(["one-row", "tied", "huge", "tiny"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bitwise_equal_to_fancy_index_reference(self, seed, n, c, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "one-row":
+            n = 1
+            logits = rng.normal(size=(n, c))
+        elif kind == "tied":
+            # few distinct values, signed zeros among them
+            logits = rng.choice(np.array([-1.5, -0.0, 0.0, 2.0]), size=(n, c))
+        elif kind == "huge":
+            logits = rng.normal(size=(n, c)) * 10.0 ** rng.integers(100, 300, size=(n, 1))
+        else:
+            logits = rng.normal(size=(n, c)) * 1e-300
+        labels = rng.integers(0, c, size=n)
+        before = logits.copy()
+        loss, grad = cross_entropy(logits, labels)
+        expected_loss, expected_grad = fancy_index_cross_entropy(logits, labels)
+        assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
+        assert not np.shares_memory(grad, logits)
+        assert logits.tobytes() == before.tobytes()
+
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 40), c=st.integers(2, 12))
     @settings(max_examples=40, deadline=None)
     def test_bitwise_equal_to_two_pass_formula(self, seed, n, c):

@@ -172,7 +172,9 @@ class TestKernelsAgainstAddAt:
             y, cache = _conv_forward(x, w, b, layer)
             dy = with_zeros(rng, rng.normal(size=y.shape))
             expected = add_at_conv(x, w, b, k, stride, padding, dy)
-            assert_same_bytes((y, *_conv_backward(dy, w, layer, cache)), expected)
+            dw, db = np.empty(w.shape), np.empty(b.shape)
+            dx = _conv_backward(dy, w, layer, cache, dw, db)
+            assert_same_bytes((y, dx, dw, db), expected)
 
     @pytest.mark.parametrize("side, k", [(7, 2), (8, 2), (7, 3), (9, 3), (5, 1)])
     def test_non_overlapping_pool_is_bitwise_equal(self, side, k):
@@ -415,34 +417,66 @@ class TestBackwardAgainstFiniteDifferences:
 
 
 class TestSgdStep:
-    def test_exact_update_and_purity(self):
-        spec = mlp_spec((3,), (4,), 2)
-        params = init_params(spec, 5)
-        before = params.copy()
-        grads = {k: np.ones_like(v) for k, v in params.tensors.items()}
-        stepped = sgd_step(params, grads, 0.1)
-        for name in params.tensors:
-            np.testing.assert_allclose(
-                stepped.tensors[name], params.tensors[name] - 0.1, rtol=1e-15
-            )
-            np.testing.assert_array_equal(params.tensors[name], before.tensors[name])
+    def test_exact_update_in_place(self):
+        rng = np.random.default_rng(5)
+        flat = rng.normal(size=30)
+        grad = rng.normal(size=30)
+        expected = flat - 0.1 * grad
+        views = flat[10:20].reshape(2, 5)
+        sgd_step(flat, grad, 0.1)
+        assert flat.tobytes() == expected.tobytes()
+        # a view of the vector, as ModelParams hold in training, sees the step
+        assert views.tobytes() == expected[10:20].tobytes()
 
     def test_rejects_mismatched_gradients(self):
-        spec = mlp_spec((3,), (4,), 2)
-        params = init_params(spec, 5)
+        flat = np.zeros(5)
         with pytest.raises(DimensionError):
-            sgd_step(params, {}, 0.1)
-        bad = {k: np.zeros(3) for k in params.tensors}
+            sgd_step(flat, np.zeros(4), 0.1)
         with pytest.raises(DimensionError):
-            sgd_step(params, bad, 0.1)
+            sgd_step(flat, np.zeros((5, 1)), 0.1)
+        assert flat.tobytes() == np.zeros(5).tobytes()
 
     def test_zero_learning_rate_is_identity(self):
         spec = mlp_spec((4,), (3,), 2)
-        params = init_params(spec, seed=3)
-        grads = {k: np.ones_like(v) for k, v in params.tensors.items()}
-        stepped = sgd_step(params, grads, 0.0)
+        flat = spec.layout.flatten(init_params(spec, seed=3))
+        before = flat.copy()
+        sgd_step(flat, np.ones_like(flat), 0.0)
+        assert flat.tobytes() == before.tobytes()
+
+
+class TestFlatLayout:
+    def test_views_cover_the_vector_in_parameter_order(self):
+        spec = cnn_spec((2, 6, 6), (3, 4), 3, dense_width=5)
+        params = init_params(spec, 1)
+        layout = spec.layout
+        flat = layout.flatten(params)
+        assert flat.shape == (layout.size,) == (sum(t.size for t in params.tensors.values()),)
+        views = layout.views(flat)
+        assert list(views.tensors) == list(params.tensors)
         for name, tensor in params.tensors.items():
-            np.testing.assert_array_equal(stepped.tensors[name], tensor)
+            assert views.tensors[name].tobytes() == tensor.tobytes()
+            assert np.shares_memory(views.tensors[name], flat)
+        assert [slot is not None for slot in layout.slots] == [
+            layer.kind in ("dense", "conv") for layer in spec.layers
+        ]
+        assert layout.first == 0 and spec.layout is layout
+
+    def test_backward_writes_into_the_given_tensors(self):
+        spec = mlp_spec((4,), (6, 5), 3)
+        params = init_params(spec, 2)
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(7, 4))
+        logits, caches = fedsim.nn.forward_cached(spec, params, x)
+        grad = np.full(spec.layout.size, np.nan)
+        out = spec.layout.views(grad)
+        logit_grad = rng.normal(size=logits.shape)
+        before = logit_grad.copy()
+        assert fedsim.nn.backward_from_cache(spec, params, caches, logit_grad, out) is None
+        expected = model_backward(spec, params, x, logit_grad)
+        for name, tensor in out.tensors.items():
+            assert tensor.tobytes() == expected[name].tobytes()
+        assert not np.isnan(grad).any()
+        assert logit_grad.tobytes() == before.tobytes()
 
 
 class TestShapeErrors:
