@@ -217,12 +217,12 @@ def _sorted_mean(stack: np.ndarray) -> np.ndarray:
 class _Learner:
     """One model trained in place: the step that local SGD and Stage 2 share.
 
-    On entry ``params`` is checked against ``spec`` and copied into a private
-    flat vector; ``params`` then views that vector, and every step writes the
-    gradients into a second vector of the same layout and updates the first
-    in place.  The caller's parameters are never written.  With a proximal
-    reference and ``mu > 0``, ``(mu/2) * ||w - ref||^2`` joins each step's
-    objective.
+    On entry ``params`` is checked against ``spec`` and copied; the copy's
+    flat vector is trained in place, each step writing the gradients into a
+    second :class:`ModelParams` of the same layout.  The caller's parameters
+    are never written.  With a proximal reference and ``mu > 0``,
+    ``(mu/2) * ||w - ref||^2`` joins each step's objective; the reference's
+    flat vector is read, not copied.
     """
 
     def __init__(
@@ -234,30 +234,29 @@ class _Learner:
     ):
         validate_params(spec, params)
         self.spec = spec
-        self.flat = spec.layout.flatten(params)
-        self.params = spec.layout.views(self.flat)
-        self.grad = np.empty_like(self.flat)
-        self.grad_params = spec.layout.views(self.grad)
+        self.params = params.copy()
+        self.grad = ModelParams(params.layout)
         self.prox = None
         if prox_reference is not None and mu > 0:
             validate_params(spec, prox_reference)
-            self.prox = (mu, spec.layout.flatten(prox_reference))
+            self.prox = (mu, prox_reference.flat)
 
     def step(self, caches: list, logit_grad: np.ndarray, learning_rate: float) -> None:
         """Back-propagate ``logit_grad`` through ``caches`` and take one SGD step."""
 
-        backward_from_cache(self.spec, self.params, caches, logit_grad, self.grad_params)
+        backward_from_cache(self.spec, self.params, caches, logit_grad, self.grad)
+        flat, grad = self.params.flat, self.grad.flat
         if self.prox is not None:
             mu, reference = self.prox
-            self.grad += mu * (self.flat - reference)
-        sgd_step(self.flat, self.grad, learning_rate)
+            grad += mu * (flat - reference)
+        sgd_step(flat, grad, learning_rate)
 
     def check_finite(self, losses: list[float], stage: str) -> None:
         """Raise :class:`EngineError` when a loss or a parameter is not finite."""
 
         if not all(map(math.isfinite, losses)):
             raise EngineError(f"{stage} diverged: non-finite loss")
-        if not np.isfinite(self.flat).all():
+        if not np.isfinite(self.params.flat).all():
             name = next(n for n, t in self.params.tensors.items() if not np.isfinite(t).all())
             raise EngineError(f"{stage} diverged: non-finite values in {name}")
 
@@ -316,42 +315,30 @@ def stage1_aggregate(
     data_sizes: list[int] | None = None,
     weighting: str = "uniform",
 ) -> ModelParams:
-    """Average client parameters inside one cluster (all same shapes).
+    """Average client parameters inside one cluster (all of one layout).
 
-    ``uniform`` sums per-coordinate in sorted order and divides by the count;
-    ``data_size`` weights each client by its share of the cluster's samples
-    (weighted values are sorted before summing).  Either way the result is
+    The members' flat vectors are stacked and reduced per coordinate.
+    ``uniform`` sums in sorted order and divides by the count; ``data_size``
+    weights each client by its share of the cluster's samples (weighted
+    values are sorted before summing).  Either way the result is
     bit-identical under permutation of the clients.
     """
 
     if not params_list:
         raise EngineError("cannot aggregate an empty cluster")
-    names = set(params_list[0].tensors)
+    layout = params_list[0].layout
     for p in params_list[1:]:
-        if set(p.tensors) != names:
-            raise DimensionError("cluster members disagree on parameter tensor names")
+        layout.check(p.layout)
+    stack = np.stack([p.flat for p in params_list])
     if weighting == "data_size":
         if data_sizes is None or len(data_sizes) != len(params_list):
             raise EngineError("data_size weighting needs one sample count per client")
         sizes = np.asarray(data_sizes, dtype=np.float64)
         if np.any(sizes <= 0):
             raise EngineError("data_size weighting needs positive sample counts")
-        weights = sizes / sizes.sum()
-    out: dict[str, np.ndarray] = {}
-    for name in params_list[0].tensors:
-        shape = params_list[0].tensors[name].shape
-        for p in params_list[1:]:
-            if p.tensors[name].shape != shape:
-                raise DimensionError(
-                    f"{name}: cluster members disagree on shape "
-                    f"({shape} vs {p.tensors[name].shape})"
-                )
-        if weighting == "data_size":
-            stack = np.stack([w * p.tensors[name] for w, p in zip(weights, params_list)])
-            out[name] = np.sort(stack, axis=0).sum(axis=0)
-        else:
-            out[name] = _sorted_mean(np.stack([p.tensors[name] for p in params_list]))
-    return ModelParams(out)
+        stack *= (sizes / sizes.sum())[:, None]
+        return ModelParams(layout, np.sort(stack, axis=0).sum(axis=0))
+    return ModelParams(layout, _sorted_mean(stack))
 
 
 def heterofl_aggregate(global_params: ModelParams, contributions: list[ModelParams]) -> ModelParams:
@@ -360,32 +347,33 @@ def heterofl_aggregate(global_params: ModelParams, contributions: list[ModelPara
     Each client contributes to exactly the leading block its submodel covers,
     so a tensor's shape is its extent in the global tensor; every global
     coordinate becomes the mean of the clients covering it, and
-    coordinates nobody covers keep their previous value.  The merge works
-    cell by cell: on each axis the block stops of all clients cut a tensor
-    into a grid of cells, every coordinate of a cell is covered by the same
-    clients, and a cell's mean sorts and sums the values of those clients
-    only.  When every client covers everything this is
-    arithmetic-for-arithmetic the uniform Stage-1 average.
+    coordinates nobody covers keep their previous value.  The merge writes
+    into a copy of the global vector cell by cell: on each axis the block
+    stops of all clients cut a tensor into a grid of cells, every coordinate
+    of a cell is covered by the same clients, and a cell's mean sorts and
+    sums the values of those clients only.  When every client covers
+    everything, each tensor of more than one coordinate is
+    arithmetic-for-arithmetic the uniform Stage-1 average; a one-coordinate
+    tensor is summed pairwise here but one operand after another there.
     """
 
     if not contributions:
         raise EngineError("cannot aggregate an empty client set")
-    out: dict[str, np.ndarray] = {}
-    for name, base in global_params.tensors.items():
+    merged = global_params.copy()
+    for name, out in merged.tensors.items():
         blocks = []
         for params in contributions:
             block = params.tensors.get(name)
             if block is None:
                 raise DimensionError(f"{name}: contribution is missing the tensor")
-            if block.ndim != base.ndim or any(b > g for b, g in zip(block.shape, base.shape)):
+            if block.ndim != out.ndim or any(b > g for b, g in zip(block.shape, out.shape)):
                 raise DimensionError(
-                    f"{name}: contribution shape {block.shape} does not fit {base.shape}"
+                    f"{name}: contribution shape {block.shape} does not fit {out.shape}"
                 )
             blocks.append(block)
-        merged = base.copy()
         cuts = [
             sorted({0, size, *(b.shape[axis] for b in blocks)})
-            for axis, size in enumerate(base.shape)
+            for axis, size in enumerate(out.shape)
         ]
         for bounds in itertools.product(*(zip(c[:-1], c[1:]) for c in cuts)):
             covering = [b for b in blocks if all(hi <= stop for (_, hi), stop in zip(bounds, b.shape))]
@@ -393,16 +381,15 @@ def heterofl_aggregate(global_params: ModelParams, contributions: list[ModelPara
                 continue
             cell = tuple(slice(lo, hi) for lo, hi in bounds)
             stack = np.stack([b[cell] for b in covering])
-            if stack[0].size == 1 < base.size:
+            if stack[0].size == 1 < out.size:
                 # NumPy sums a column of scalars pairwise, but each coordinate
                 # of a wider stack one operand after the other.  A lone
                 # coordinate of a larger tensor is widened to two columns so
                 # it is summed in the same order as the rest of the tensor.
-                merged[cell] = _sorted_mean(np.repeat(stack, 2, axis=-1))[..., :1]
+                out[cell] = _sorted_mean(np.repeat(stack, 2, axis=-1))[..., :1]
             else:
-                merged[cell] = _sorted_mean(stack)
-        out[name] = merged
-    return ModelParams(out)
+                out[cell] = _sorted_mean(stack)
+    return merged
 
 
 def split_batches(features: np.ndarray, batch_size: int) -> list[np.ndarray]:
@@ -629,9 +616,9 @@ def run_experiment(
     global_params = None
     if config.algorithm == "heterofl":
         global_params = init_params(base_spec, stream_seed(seed, _STREAM_INIT, 0))
-        shapes = [overlap_map(base_spec, s.spec) for s in states]
-        for state, shapes_c in zip(states, shapes):
-            state.params = extract_overlap(global_params, shapes_c)
+        for state in states:
+            overlap_map(base_spec, state.spec)
+            state.params = extract_overlap(global_params, state.spec)
 
     distill_batches: list[np.ndarray] = []
     if config.algorithm == "fedtsa" and not config.distill_resample:
@@ -674,8 +661,8 @@ def run_experiment(
             global_params = heterofl_aggregate(
                 global_params, [p for s in states for p in train_members(s, t, losses)]
             )
-            for state, shapes_c in zip(states, shapes):
-                state.params = extract_overlap(global_params, shapes_c)
+            for state in states:
+                state.params = extract_overlap(global_params, state.spec)
         else:
             for state, sizes_c in zip(states, member_sizes):
                 state.params = stage1_aggregate(

@@ -6,18 +6,17 @@ only thing that varies between the differently-sized models handed to slow
 clients: ``build_pruned_spec`` rescales every hidden width by a pruning rate
 while the output layer always keeps ``class_count`` units.
 
-Parameters are stored as a name -> float64 array mapping, where names follow
-the ``layer{i}.weight`` / ``layer{i}.bias`` convention.  Because a pruned
-model keeps the *leading* units/channels of every hidden layer, each of its
-parameter tensors corresponds to a prefix block of the matching full-width
-tensor, and its shape is the extent of that block: :func:`overlap_map`
-checks that a small model fits inside a large one and returns its shapes,
-and :func:`extract_overlap` copies those blocks out.
-
-Training keeps a model in one contiguous float64 vector instead:
-:class:`ParamLayout` (``spec.layout``, built once per spec) places every
-tensor in it as a C-ordered run, so a :class:`ModelParams` of views sees each
-in-place update of the vector.
+A model's parameters (:class:`ModelParams`) are one contiguous float64 vector
+plus its :class:`ParamLayout`, which places every named tensor in the vector
+as a C-ordered run.  ``tensors`` is a read-only mapping of views: a tensor can
+be written in place, and the vector sees it, but cannot be rebound.  A spec's
+layout (``spec.layout``, built once per spec) names the tensors
+``layer{i}.weight`` / ``layer{i}.bias`` and is the only record of their
+shapes.  Because a pruned model keeps the *leading* units/channels of every
+hidden layer, each of its tensors is a prefix block of the matching
+full-width tensor: :func:`overlap_map` checks that a small model fits inside
+a large one, and :func:`extract_overlap` copies those blocks into the small
+spec's layout.
 """
 
 from __future__ import annotations
@@ -25,7 +24,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -69,55 +70,90 @@ class ModelSpec:
     def layout(self) -> "ParamLayout":
         """Where this spec's parameters sit in a flat vector; built on first use."""
 
-        return ParamLayout(self)
-
-
-@dataclass
-class ModelParams:
-    """Parameter tensors keyed by ``layer{the layer index}.weight|bias``."""
-
-    tensors: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def copy(self) -> "ModelParams":
-        return ModelParams({k: v.copy() for k, v in self.tensors.items()})
+        shapes: dict[str, tuple[int, ...]] = {}
+        slots: list[tuple[str, str] | None] = []
+        inputs = [self.input_shape, *infer_layer_shapes(self)]
+        for i, (layer, (in_size, *_)) in enumerate(zip(self.layers, inputs)):
+            if layer.kind in ("dense", "conv"):
+                weight, bias = f"layer{i}.weight", f"layer{i}.bias"
+                kernel = (layer.kernel, layer.kernel) if layer.kind == "conv" else ()
+                shapes[weight] = (layer.width, int(in_size), *kernel)
+                shapes[bias] = (layer.width,)
+                slots.append((weight, bias))
+            else:
+                slots.append(None)
+        return ParamLayout(shapes, tuple(slots), self.input_shape)
 
 
 class ParamLayout:
-    """The tensors of one spec as consecutive runs of a flat float64 vector.
+    """Named tensors as consecutive C-ordered runs of one flat float64 vector.
 
-    ``spans`` maps each tensor name, in :func:`param_shapes` order, to its
-    ``(start, stop, shape)`` in the vector of length ``size``.  ``slots[i]``
-    holds the weight and bias names of layer ``i`` (``None`` for a layer
-    without parameters) and ``first`` is the first layer that has them.
+    ``spans`` maps each tensor name, in order, to its ``(start, stop, shape)``
+    in a vector of length ``size``.  A spec's layout also holds what every
+    training step needs of the spec: ``slots[i]``, the weight and bias names
+    of layer ``i`` (``None`` for a layer without parameters), ``first``, the
+    first layer that has them, and the ``input_shape``.  A layout built from
+    shapes alone has no slots.
     """
 
-    def __init__(self, spec: "ModelSpec"):
-        self.input_shape = tuple(int(d) for d in spec.input_shape)
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]], slots: tuple = (), input_shape: tuple = ()):
         self.spans: dict[str, tuple[int, int, tuple[int, ...]]] = {}
         stop = 0
-        for name, shape in param_shapes(spec).items():
+        for name, shape in shapes.items():
             start, stop = stop, stop + math.prod(shape)
             self.spans[name] = (start, stop, shape)
         self.size = stop
-        self.slots = tuple(
-            (f"layer{i}.weight", f"layer{i}.bias") if f"layer{i}.weight" in self.spans else None
-            for i in range(len(spec.layers))
+        self.slots = slots
+        self.first = next((i for i, slot in enumerate(slots) if slot is not None), 0)
+        self.input_shape = tuple(int(d) for d in input_shape)
+
+    def check(self, other: "ParamLayout") -> None:
+        """Raise :class:`DimensionError` unless ``other`` holds the same tensors,
+        of the same shapes, in the same order; it names the first that differs."""
+
+        if other is self or other.spans == self.spans:
+            return
+        for name, (_, _, shape) in self.spans.items():
+            if name not in other.spans:
+                raise DimensionError(f"missing parameter tensor {name!r}")
+            got = other.spans[name][2]
+            if got != shape:
+                raise DimensionError(f"{name}: expected shape {shape}, got {got}")
+        extra = set(other.spans) - set(self.spans)
+        if extra:
+            raise DimensionError(f"unexpected parameter tensors: {sorted(extra)}")
+        raise DimensionError(f"parameter tensors are not in the order {list(self.spans)}")
+
+
+class ModelParams:
+    """One model's parameters: a flat float64 vector and named views of it.
+
+    ``flat`` is laid out by ``layout``.  ``tensors`` maps each name, in layout
+    order, to a view of its run; the mapping is read-only, so a tensor is
+    written in place and never rebound away from the vector.
+    """
+
+    def __init__(self, layout: ParamLayout, flat: np.ndarray | None = None):
+        """Views of ``flat``, a float64 vector of ``layout.size`` entries (zeros when omitted)."""
+
+        self.layout = layout
+        self.flat = flat = np.zeros(layout.size) if flat is None else flat
+        self.tensors = MappingProxyType(
+            {name: flat[start:stop].reshape(shape) for name, (start, stop, shape) in layout.spans.items()}
         )
-        self.first = next(i for i, slot in enumerate(self.slots) if slot is not None)
 
-    def flatten(self, params: ModelParams) -> np.ndarray:
-        """A new flat vector holding a copy of ``params`` (checked by the caller)."""
+    @classmethod
+    def from_tensors(cls, tensors: Mapping[str, np.ndarray]) -> "ModelParams":
+        """A new vector holding a float64 copy of each named array, in mapping order."""
 
-        return np.concatenate(
-            [params.tensors[name].ravel() for name in self.spans], dtype=np.float64
-        )
+        arrays = {name: np.asarray(t, dtype=np.float64) for name, t in tensors.items()}
+        params = cls(ParamLayout({name: a.shape for name, a in arrays.items()}))
+        for name, a in arrays.items():
+            params.tensors[name][...] = a
+        return params
 
-    def views(self, flat: np.ndarray) -> ModelParams:
-        """Parameters whose tensors are views of ``flat``."""
-
-        return ModelParams(
-            {name: flat[start:stop].reshape(shape) for name, (start, stop, shape) in self.spans.items()}
-        )
+    def copy(self) -> "ModelParams":
+        return ModelParams(self.layout, self.flat.copy())
 
 
 def layer_name(index: int, layer: LayerSpec) -> str:
@@ -195,23 +231,6 @@ def infer_layer_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
             f"model must end in a dense layer with {spec.class_count} units, "
             f"got output shape {cur}"
         )
-    return shapes
-
-
-def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-    """Shapes of every learnable tensor, in layer order."""
-
-    shapes: dict[str, tuple[int, ...]] = {}
-    cur = tuple(int(d) for d in spec.input_shape)
-    out_shapes = infer_layer_shapes(spec)
-    for i, layer in enumerate(spec.layers):
-        if layer.kind == "dense":
-            shapes[f"layer{i}.weight"] = (layer.width, cur[0])
-            shapes[f"layer{i}.bias"] = (layer.width,)
-        elif layer.kind == "conv":
-            shapes[f"layer{i}.weight"] = (layer.width, cur[0], layer.kernel, layer.kernel)
-            shapes[f"layer{i}.bias"] = (layer.width,)
-        cur = out_shapes[i]
     return shapes
 
 
@@ -302,36 +321,22 @@ def init_params(spec: ModelSpec, seed) -> ModelParams:
     """
 
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(spec).items():
-        if name.endswith(".bias"):
-            tensors[name] = np.zeros(shape, dtype=np.float64)
-        else:
-            fan_in = int(np.prod(shape[1:]))
-            bound = math.sqrt(6.0 / fan_in)
-            tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float64)
-    return ModelParams(tensors)
+    params = ModelParams(spec.layout)
+    for name, tensor in params.tensors.items():
+        if name.endswith(".weight"):
+            bound = math.sqrt(6.0 / math.prod(tensor.shape[1:]))
+            tensor[...] = rng.uniform(-bound, bound, size=tensor.shape)
+    return params
 
 
 def validate_params(spec: ModelSpec, params: ModelParams) -> None:
-    """Check that ``params`` has exactly the tensors ``spec`` calls for."""
+    """Check that ``params`` is laid out as ``spec`` calls for (see :meth:`ParamLayout.check`)."""
 
-    expected = spec.layout.spans
-    for name, (_, _, shape) in expected.items():
-        if name not in params.tensors:
-            raise DimensionError(f"missing parameter tensor {name!r}")
-        got = params.tensors[name].shape
-        if tuple(got) != shape:
-            raise DimensionError(
-                f"{name}: expected shape {shape}, got {tuple(got)}"
-            )
-    extra = set(params.tensors) - set(expected)
-    if extra:
-        raise DimensionError(f"unexpected parameter tensors: {sorted(extra)}")
+    spec.layout.check(params.layout)
 
 
-def overlap_map(large: ModelSpec, small: ModelSpec) -> dict[str, tuple[int, ...]]:
-    """``small``'s tensor shapes, each the extent of a prefix block of ``large``'s.
+def overlap_map(large: ModelSpec, small: ModelSpec) -> None:
+    """Check that each of ``small``'s tensors is a leading block of ``large``'s.
 
     Both specs must describe the same architecture (same layer kinds in the
     same order, same input shape and class count); ``small`` may not be wider
@@ -344,26 +349,22 @@ def overlap_map(large: ModelSpec, small: ModelSpec) -> dict[str, tuple[int, ...]
         a.kind != b.kind for a, b in zip(large.layers, small.layers)
     ):
         raise DimensionError("models do not share a layer layout")
-    large_shapes = param_shapes(large)
-    small_shapes = param_shapes(small)
-    for name, small_shape in small_shapes.items():
-        for axis, (s, l) in enumerate(zip(small_shape, large_shapes[name])):
+    large_spans = large.layout.spans
+    for name, (_, _, small_shape) in small.layout.spans.items():
+        for axis, (s, l) in enumerate(zip(small_shape, large_spans[name][2])):
             if s > l:
                 raise DimensionError(
                     f"{name}: axis {axis} of the small model ({s}) exceeds the large model ({l})"
                 )
-    return small_shapes
 
 
-def extract_overlap(params: ModelParams, shapes: dict[str, tuple[int, ...]]) -> ModelParams:
-    """The leading block of each named tensor, ``shapes[name]`` in size, copied out."""
+def extract_overlap(params: ModelParams, small: ModelSpec) -> ModelParams:
+    """The leading block of each tensor, copied into ``small``'s layout."""
 
-    return ModelParams(
-        {
-            name: params.tensors[name][tuple(slice(0, n) for n in shape)].copy()
-            for name, shape in shapes.items()
-        }
-    )
+    out = ModelParams(small.layout)
+    for name, block in out.tensors.items():
+        block[...] = params.tensors[name][tuple(map(slice, block.shape))]
+    return out
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
@@ -414,18 +415,21 @@ def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, ModelParams]:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    The tensors are loaded as float64, in the spec's order whatever their
+    order in the file, and checked against the spec in the header; a
+    missing, extra or wrongly shaped tensor raises :class:`DimensionError`
+    naming it.
+    """
 
     with np.load(path, allow_pickle=False) as archive:
         header = json.loads(str(archive["__header__"]))
         if header.get("format") != "fedsim-checkpoint-v1":
             raise DimensionError(f"{path}: not a recognised checkpoint file")
         spec = spec_from_dict(header["spec"])
-        tensors = {
-            name: np.asarray(archive[name], dtype=np.float64)
-            for name in archive.files
-            if name != "__header__"
-        }
-    params = ModelParams(tensors)
+        rank = {name: i for i, name in enumerate(spec.layout.spans)}
+        names = sorted((n for n in archive.files if n != "__header__"), key=lambda n: rank.get(n, len(rank)))
+        params = ModelParams.from_tensors({name: archive[name] for name in names})
     validate_params(spec, params)
     return spec, params

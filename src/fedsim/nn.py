@@ -13,14 +13,14 @@ slice add per window offset (col2im): the conv its column gradients, the
 maxpool the upstream gradient routed to each argmax.  Offsets are added in a
 fixed order, so results are deterministic for fixed inputs.
 
-Training runs on flat vectors: a model's parameters are one contiguous
-float64 vector laid out by ``spec.layout`` (:class:`fedsim.models.ParamLayout`),
-with a :class:`ModelParams` of views for the layers to read.
-:func:`backward_from_cache` writes every parameter gradient, with ``out=``,
-into views of a second vector of the same layout, and :func:`sgd_step`
-updates the parameter vector in place from it.  The layout also holds what
-every step needs of the spec: each layer's tensor names, the first layer
-with parameters and the input shape.
+Training runs on flat vectors: a :class:`fedsim.models.ModelParams` is one
+contiguous float64 vector laid out by ``spec.layout``, with a read-only
+mapping of views for the layers to read.  :func:`backward_from_cache` writes
+every parameter gradient, with ``out=``, into the views of a second
+``ModelParams`` of the same layout, and :func:`sgd_step` updates the
+parameter vector in place from the gradient vector.  The layout also holds what every
+step needs of the spec: each layer's tensor names, the first layer with
+parameters and the input shape.
 """
 
 from __future__ import annotations
@@ -201,9 +201,8 @@ def backward_from_cache(
 ) -> None:
     """Parameter gradients given caches from :func:`forward_cached`.
 
-    Each gradient is written into the same-named tensor of ``out``, which
-    must be C-contiguous and shaped like the parameter (in training, views
-    of a flat gradient vector of ``spec.layout``).  Nothing below the first
+    Each gradient is written into the same-named tensor of ``out``, a
+    :class:`ModelParams` of ``spec.layout``.  Nothing below the first
     parameter layer learns, so no input gradient is computed there.
     """
 
@@ -241,12 +240,12 @@ def model_forward(spec: ModelSpec, params: ModelParams, batch: np.ndarray) -> np
 
 def model_backward(
     spec: ModelSpec, params: ModelParams, batch: np.ndarray, logit_grad: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Gradient of a scalar loss wrt every parameter tensor.
+) -> ModelParams:
+    """Gradient of a scalar loss wrt every parameter tensor, in a new
+    :class:`ModelParams` of ``spec.layout``.
 
     ``logit_grad`` is the loss gradient with respect to the logits (as
-    returned by the functions in :mod:`fedsim.losses`).  The gradients are
-    views of one new flat vector.
+    returned by the functions in :mod:`fedsim.losses`).
     """
 
     validate_params(spec, params)
@@ -256,9 +255,9 @@ def model_backward(
         raise DimensionError(
             f"logit gradient shape {logit_grad.shape} does not match logits {logits.shape}"
         )
-    grads = spec.layout.views(np.empty(spec.layout.size))
+    grads = ModelParams(spec.layout)
     backward_from_cache(spec, params, caches, logit_grad, grads)
-    return grads.tensors
+    return grads
 
 
 def sgd_step(flat: np.ndarray, grad: np.ndarray, learning_rate: float) -> None:

@@ -127,13 +127,14 @@ def test_criterion_2_invariant_battery_under_a_minute():
     contributions = []
     for i, rate in enumerate((1.0, 0.5)):
         sub = build_pruned_spec(wide, rate)
-        contributions.append((init_params(sub, np.random.SeedSequence(100 + i)), overlap_map(wide, sub)))
-    merged = heterofl_aggregate(global_params, [p for p, _ in contributions])
+        overlap_map(wide, sub)
+        contributions.append(init_params(sub, np.random.SeedSequence(100 + i)))
+    merged = heterofl_aggregate(global_params, contributions)
     for name, tensor in global_params.tensors.items():
         canvas_sum = np.zeros_like(tensor)
         canvas_count = np.zeros_like(tensor)
-        for sub_params, shapes in contributions:
-            sl = tuple(slice(0, n) for n in shapes[name])
+        for sub_params in contributions:
+            sl = tuple(slice(0, n) for n in sub_params.tensors[name].shape)
             canvas_sum[sl] += sub_params.tensors[name]
             canvas_count[sl] += 1
         expected = np.where(canvas_count > 0, canvas_sum / np.maximum(canvas_count, 1), tensor)

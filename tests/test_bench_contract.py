@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 
 import fedsim.engine
+from fedsim.clustering import ClientProfile
+from fedsim.data import make_blobs
 from fedsim.engine import ClusterState, FedConfig, split_batches
 from fedsim.models import build_pruned_spec, init_params, mlp_spec
 
@@ -80,3 +82,25 @@ def test_stage2_calls_each_step_function_once_per_cluster_per_batch(monkeypatch)
     assert tracer.calls["losses.kl"] == steps
     assert tracer.counts["engine.distill_steps"] == steps
     assert tracer.counts["engine.local_steps"] == 0
+
+
+def test_a_heterofl_run_extracts_each_cluster_model_once_per_round(monkeypatch):
+    # the traced models.init and models.extract_overlap spans time these
+    # calls: one overlap check per cluster, one extraction per cluster at
+    # the start and after every round's merge
+    calls = {"overlap_map": 0, "extract_overlap": 0}
+    for name in calls:
+        def counted(*args, real=getattr(fedsim.engine, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(fedsim.engine, name, counted)
+    train, test = make_blobs(3, 40, 10, 5, seed=1)
+    profiles = [ClientProfile(i, s) for i, s in enumerate([1.0, 1.0, 1.0, 2.5, 2.5])]
+    rounds = 3
+    cfg = FedConfig(algorithm="heterofl", rounds=rounds, local_epochs=1, batch_size=20,
+                    profile_noise_sd=0.0, master_seed=2)
+    result = fedsim.engine.run_experiment(cfg, mlp_spec((5,), (8,), 3), train, test, profiles)
+    clusters = len(result.states)
+    assert clusters == 2
+    assert calls == {"overlap_map": clusters, "extract_overlap": clusters * (rounds + 1)}

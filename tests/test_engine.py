@@ -21,6 +21,7 @@ from fedsim.clustering import ClientProfile
 from fedsim.data import make_blobs
 from fedsim.engine import (
     LOSS_MODES,
+    STAGE1_WEIGHTINGS,
     ClusterState,
     FedConfig,
     RoundMetrics,
@@ -201,7 +202,7 @@ class TestHeteroflAggregate:
         _, global_params, contributions = self.build([1.0, 0.6])
         tensors = dict(contributions[1].tensors)
         del tensors["layer0.weight"]
-        contributions[1] = ModelParams({**tensors, **bad})
+        contributions[1] = ModelParams.from_tensors({**tensors, **bad})
         with pytest.raises(DimensionError, match=rf"layer0\.weight: .*{message}"):
             heterofl_aggregate(global_params, contributions)
 
@@ -223,7 +224,7 @@ def heterofl_canvas(global_params, contributions):
         count = np.sum(~np.isnan(stack), axis=0)
         total = np.nansum(stack, axis=0)
         out[name] = np.where(count > 0, total / np.maximum(count, 1), base)
-    return ModelParams(out)
+    return ModelParams.from_tensors(out)
 
 
 def assert_same_bytes(a: ModelParams, b: ModelParams):
@@ -240,7 +241,7 @@ def spread_params(spec, seed):
     shows in the low bits."""
 
     rng = np.random.default_rng(seed)
-    return ModelParams(
+    return ModelParams.from_tensors(
         {k: v * 10.0 ** rng.integers(-6, 7, size=v.shape) for k, v in init_params(spec, seed).tensors.items()}
     )
 
@@ -259,7 +260,7 @@ def hand_built(extent_maps, seed):
 
     rng = np.random.default_rng(seed)
     return [
-        ModelParams({name: rng.normal(size=ext) for name, ext in extents.items()})
+        ModelParams.from_tensors({name: rng.normal(size=ext) for name, ext in extents.items()})
         for extents in extent_maps
     ]
 
@@ -295,7 +296,7 @@ class TestCellMergeMatchesCanvas:
 
     def test_extents_that_are_not_nested(self):
         shapes = {"w": (10, 10), "b": (10,)}
-        global_params = ModelParams({k: np.random.default_rng(1).normal(size=v) for k, v in shapes.items()})
+        global_params = ModelParams.from_tensors({k: np.random.default_rng(1).normal(size=v) for k, v in shapes.items()})
         extents = [
             {"w": (5, 10), "b": (5,)},
             {"w": (10, 5), "b": (10,)},
@@ -320,7 +321,7 @@ class TestCellMergeMatchesCanvas:
 
     def test_coordinates_nobody_covers(self):
         shapes = {"w": (6, 8), "b": (6,)}
-        global_params = ModelParams({k: np.random.default_rng(5).normal(size=v) for k, v in shapes.items()})
+        global_params = ModelParams.from_tensors({k: np.random.default_rng(5).normal(size=v) for k, v in shapes.items()})
         extents = [{"w": (4, 2), "b": (4,)}, {"w": (2, 5), "b": (2,)}, {"w": (0, 8), "b": (0,)}]
         contributions = hand_built(extents, seed=6)
         merged = heterofl_aggregate(global_params, contributions)
@@ -334,9 +335,9 @@ class TestCellMergeMatchesCanvas:
         # is summed; NumPy's pairwise sum of the column alone gives 4.
         values = [-1e16] + [1.0] * 6 + [1e16]
         assert np.sort(np.array(values)[:, None], axis=0).sum(axis=0)[0] == 4.0
-        global_params = ModelParams({"b": np.zeros(4)})
-        contributions = [ModelParams({"b": np.full(3, 7.0)})]
-        contributions += [ModelParams({"b": np.full(4, v)}) for v in values]
+        global_params = ModelParams.from_tensors({"b": np.zeros(4)})
+        contributions = [ModelParams.from_tensors({"b": np.full(3, 7.0)})]
+        contributions += [ModelParams.from_tensors({"b": np.full(4, v)}) for v in values]
         merged = heterofl_aggregate(global_params, contributions)
         assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
         assert merged.tensors["b"][3] == 0.0
@@ -344,8 +345,8 @@ class TestCellMergeMatchesCanvas:
     def test_negative_zeros(self):
         # NumPy starts a sum from +0.0, so a mean of -0.0s is +0.0, whether
         # or not every client covers the coordinate.
-        global_params = ModelParams({"b": np.ones(4)})
-        contributions = [ModelParams({"b": np.full(n, -0.0)}) for n in (2, 3, 4, 4)]
+        global_params = ModelParams.from_tensors({"b": np.ones(4)})
+        contributions = [ModelParams.from_tensors({"b": np.full(n, -0.0)}) for n in (2, 3, 4, 4)]
         merged = heterofl_aggregate(global_params, contributions)
         assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
         assert not np.any(np.signbit(merged.tensors["b"]))
@@ -403,8 +404,8 @@ class TestLocalUpdate:
                 logits = model_forward(self.spec, current, self.features[take])
                 val, lg = cross_entropy(logits, self.labels[take])
                 grads = model_backward(self.spec, current, self.features[take], lg)
-                current = ModelParams(
-                    {k: current.tensors[k] - 0.05 * grads[k] for k in current.tensors}
+                current = ModelParams.from_tensors(
+                    {k: current.tensors[k] - 0.05 * grads.tensors[k] for k in current.tensors}
                 )
                 losses.append(val)
         assert params_equal(out, current)
@@ -497,8 +498,7 @@ class TestLocalUpdate:
 
     def test_wrong_shaped_tensor_is_named(self):
         cfg = FedConfig(local_epochs=2, batch_size=4)
-        bad = self.params.copy()
-        bad.tensors["layer2.weight"] = np.zeros((3, 7))
+        bad = ModelParams.from_tensors({**self.params.tensors, "layer2.weight": np.zeros((3, 7))})
         with pytest.raises(DimensionError, match="layer2.weight"):
             local_update(self.spec, bad, self.features, self.labels, cfg, seed=1)
 
@@ -541,7 +541,7 @@ def straight_line_dml(states, batches, temperature, lr, global_epochs):
                 logit_grad = (q - target) / temperature
                 grads = model_backward(s.spec, params[r], batch, logit_grad)
                 new.append(
-                    ModelParams({k: params[r].tensors[k] - lr * grads[k] for k in grads})
+                    ModelParams.from_tensors({k: params[r].tensors[k] - lr * g for k, g in grads.tensors.items()})
                 )
             params = new
     return params
@@ -647,7 +647,7 @@ class TestStage2DML:
             q = naive_softmax(snaps[r], 2.0)
             grads = model_backward(s.spec, s.params, batch, (q - target) / 2.0)
             reference.append(
-                ModelParams({k: s.params.tensors[k] - 0.05 * grads[k] for k in grads})
+                ModelParams.from_tensors({k: s.params.tensors[k] - 0.05 * g for k, g in grads.tensors.items()})
             )
         after, _ = stage2_dml(states, [batch], cfg)
         for got, want in zip(after, reference):
@@ -685,7 +685,7 @@ class TestStage2DML:
 
     def test_wrong_shaped_tensor_is_named(self):
         states = make_states([1.0, 0.5])
-        states[1].params.tensors["layer0.bias"] = np.zeros(5)
+        states[1].params = ModelParams.from_tensors({**states[1].params.tensors, "layer0.bias": np.zeros(5)})
         with pytest.raises(DimensionError, match="layer0.bias"):
             stage2_dml(states, [np.zeros((2, 6))], FedConfig())
 
@@ -730,8 +730,25 @@ def reference_backward(spec, params, caches, logit_grad):
     return grads
 
 
+def reference_stage1_aggregate(params_list, data_sizes=None, weighting="uniform"):
+    """Stage 1 as it ran tensor by tensor, before the members' flat vectors
+    were stacked whole."""
+
+    if weighting == "data_size":
+        sizes = np.asarray(data_sizes, dtype=np.float64)
+        weights = sizes / sizes.sum()
+    out = {}
+    for name in params_list[0].tensors:
+        if weighting == "data_size":
+            stack = np.stack([w * p.tensors[name] for w, p in zip(weights, params_list)])
+            out[name] = np.sort(stack, axis=0).sum(axis=0)
+        else:
+            out[name] = fedsim.engine._sorted_mean(np.stack([p.tensors[name] for p in params_list]))
+    return ModelParams.from_tensors(out)
+
+
 def reference_sgd_step(params, grads, learning_rate):
-    return ModelParams({k: v - learning_rate * grads[k] for k, v in params.tensors.items()})
+    return ModelParams.from_tensors({k: v - learning_rate * grads[k] for k, v in params.tensors.items()})
 
 
 def reference_local_update(spec, params, features, labels, config, seed, prox_reference=None):
@@ -907,6 +924,8 @@ class TestFlatTrainingMatchesPerTensorLoops:
         trained, _ = local_update(spec, params, features, labels, cfg, 4, prox_reference=reference)
         assert snapshot(params) == before and snapshot(reference) == before_ref
         assert snapshot(trained) != before
+        assert not np.shares_memory(trained.flat, params.flat)
+        assert not np.shares_memory(trained.flat, reference.flat)
 
     def test_zero_epochs_return_the_starting_values_in_new_arrays(self):
         spec = small_spec()
@@ -928,6 +947,45 @@ class TestFlatTrainingMatchesPerTensorLoops:
         for old, new in zip(states, after):
             for name, tensor in new.params.tensors.items():
                 assert not np.shares_memory(tensor, old.params.tensors[name])
+
+
+class TestFlatStage1MatchesPerTensorLoop:
+    @given(
+        spec=model_specs(),
+        members=st.integers(1, 13),
+        weighting=st.sampled_from(STAGE1_WEIGHTINGS),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal_on_every_tensor_of_more_than_one_element(self, spec, members, weighting, seed):
+        params = [spread_params(spec, seed + i) for i in range(members)]
+        sizes = [int(n) for n in np.random.default_rng(seed).integers(1, 200, size=members)]
+        got = stage1_aggregate(params, data_sizes=sizes, weighting=weighting)
+        want = reference_stage1_aggregate(params, data_sizes=sizes, weighting=weighting)
+        assert got.layout.spans == want.layout.spans
+        for name, tensor in want.tensors.items():
+            if tensor.size != 1:
+                assert got.tensors[name].tobytes() == tensor.tobytes(), name
+
+    def test_one_element_tensor_sums_in_sorted_order(self):
+        # Nine members of a width-1 hidden layer.  Summed one after the
+        # other, as the flat stack sums every coordinate, -1e16, seven 1s and
+        # 1e16 give 0; the per-tensor stack summed this (9, 1) column
+        # pairwise and gave 6.
+        values = [-1e16] + [1.0] * 7 + [1e16]
+        assert np.sort(np.array(values)[:, None], axis=0).sum(axis=0)[0] == 6.0
+        spec = mlp_spec((2,), (1,), 2)
+        assert spec.layout.spans["layer0.bias"][2] == (1,)
+        members = []
+        for i, v in enumerate(values):
+            params = init_params(spec, i)
+            params.tensors["layer0.bias"][0] = v
+            members.append(params)
+        merged = stage1_aggregate(members)
+        assert merged.tensors["layer0.bias"][0] == 0.0
+        assert reference_stage1_aggregate(members).tensors["layer0.bias"][0] == 6.0 / 9
+        for name in ("layer0.weight", "layer2.weight", "layer2.bias"):
+            assert merged.tensors[name].tobytes() == reference_stage1_aggregate(members).tensors[name].tobytes()
 
 
 class TestEvaluate:
@@ -1063,8 +1121,8 @@ class TestRunExperiment:
         assert result.states[0].spec.pruning_rate == 1.0
         # every cluster's model is a leading slice of the global model
         for state in result.states:
-            omap = overlap_map(self.base, state.spec)
-            assert params_equal(state.params, extract_overlap(result.global_params, omap))
+            overlap_map(self.base, state.spec)
+            assert params_equal(state.params, extract_overlap(result.global_params, state.spec))
         assert result.metrics[-1].client_weighted_accuracy > 0.8
 
     @pytest.mark.parametrize("algorithm", ["fedtsa", "fedavg", "fedprox", "heterofl"])

@@ -1,4 +1,5 @@
-"""Model spec construction, pruning arithmetic, overlap maps and checkpoints."""
+"""Model spec construction, pruning arithmetic, the flat parameter
+representation, overlap maps and checkpoints."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from fedsim.errors import DimensionError
 from fedsim.models import (
     LayerSpec,
+    ModelParams,
     ModelSpec,
+    ParamLayout,
     build_pruned_spec,
     cnn_spec,
     extract_overlap,
@@ -14,10 +17,13 @@ from fedsim.models import (
     load_checkpoint,
     mlp_spec,
     overlap_map,
-    param_shapes,
     pruned_width,
     save_checkpoint,
 )
+
+
+def param_shapes(spec):
+    return {name: shape for name, (_, _, shape) in spec.layout.spans.items()}
 
 
 class TestShapeInference:
@@ -52,7 +58,7 @@ class TestShapeInference:
             class_count=2,
         )
         with pytest.raises(DimensionError, match="layer0"):
-            param_shapes(spec)
+            spec.layout
 
     def test_model_must_end_in_class_dense(self):
         spec = ModelSpec(
@@ -61,7 +67,7 @@ class TestShapeInference:
             class_count=5,
         )
         with pytest.raises(DimensionError, match="dense"):
-            param_shapes(spec)
+            spec.layout
 
 
 class TestPruning:
@@ -136,16 +142,19 @@ class TestOverlap:
     def test_extents_are_prefix_blocks(self):
         base = mlp_spec((5,), (6,), 2)
         small = build_pruned_spec(base, 0.5)  # hidden width 3
-        shapes = overlap_map(base, small)
+        overlap_map(base, small)
+        shapes = param_shapes(small)
         assert shapes["layer0.weight"] == (3, 5)
         assert shapes["layer2.weight"] == (2, 3)
 
     def test_extract_then_embed_roundtrip(self):
         base = cnn_spec((2, 6, 6), (4,), 3, dense_width=8)
         small_spec = build_pruned_spec(base, 0.5)
-        shapes = overlap_map(base, small_spec)
+        overlap_map(base, small_spec)
+        shapes = param_shapes(small_spec)
         large = init_params(base, 1)
-        small = extract_overlap(large, shapes)
+        small = extract_overlap(large, small_spec)
+        assert small.layout is small_spec.layout
         for name, extent in shapes.items():
             assert small.tensors[name].shape == extent
         # writing the extracted blocks back at their slices is a no-op
@@ -165,6 +174,54 @@ class TestOverlap:
             overlap_map(c, a)  # small/large swapped
 
 
+class TestFlatRepresentation:
+    def test_tensors_cannot_be_rebound(self):
+        params = init_params(mlp_spec((4,), (3,), 2), 0)
+        with pytest.raises(TypeError):
+            params.tensors["layer0.bias"] = np.ones(3)
+        with pytest.raises(TypeError):
+            del params.tensors["layer0.bias"]
+
+    def test_an_in_place_write_shows_in_the_vector(self):
+        spec = mlp_spec((4,), (3,), 2)
+        params = init_params(spec, 0)
+        params.tensors["layer0.bias"][1] = 7.5
+        start, _, _ = spec.layout.spans["layer0.bias"]
+        assert params.flat[start + 1] == 7.5
+        params.flat[:] = 0.0
+        assert not any(t.any() for t in params.tensors.values())
+
+    def test_copy_shares_no_memory(self):
+        params = init_params(cnn_spec((1, 6, 6), (2,), 3, dense_width=4), 2)
+        copied = params.copy()
+        assert copied.layout is params.layout
+        assert copied.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(copied.flat, params.flat)
+        for name, tensor in copied.tensors.items():
+            assert not np.shares_memory(tensor, params.tensors[name])
+
+    def test_from_tensors_copies_hand_built_extents(self):
+        w, b = np.arange(6.0).reshape(2, 3), np.array([1, 2], dtype=np.int32)
+        params = ModelParams.from_tensors({"w": w, "b": b})
+        assert list(params.layout.spans) == ["w", "b"]
+        assert params.layout.spans["b"] == (6, 8, (2,))
+        assert params.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0]
+        assert not np.shares_memory(params.tensors["w"], w)
+        assert params.tensors["b"].dtype == np.float64
+
+    def test_layout_check_names_the_first_difference(self):
+        layout = ParamLayout({"w": (2, 3), "b": (2,)})
+        layout.check(ParamLayout({"w": (2, 3), "b": (2,)}))
+        with pytest.raises(DimensionError, match=r"w: expected shape \(2, 3\), got \(3, 2\)"):
+            layout.check(ParamLayout({"w": (3, 2), "b": (2,)}))
+        with pytest.raises(DimensionError, match="missing parameter tensor 'b'"):
+            layout.check(ParamLayout({"w": (2, 3)}))
+        with pytest.raises(DimensionError, match=r"unexpected parameter tensors: \['c'\]"):
+            layout.check(ParamLayout({"w": (2, 3), "b": (2,), "c": (1,)}))
+        with pytest.raises(DimensionError, match="order"):
+            layout.check(ParamLayout({"b": (2,), "w": (2, 3)}))
+
+
 class TestFlattenAndCheckpoint:
     def test_checkpoint_roundtrip_preserves_bits(self, tmp_path):
         spec = build_pruned_spec(mlp_spec((7,), (6, 5), 3), 0.8)
@@ -181,3 +238,51 @@ class TestFlattenAndCheckpoint:
         np.savez(path, __header__=np.array('{"format": "something-else"}'), a=np.zeros(3))
         with pytest.raises(DimensionError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda t: t.pop("layer2.bias"), "missing parameter tensor 'layer2.bias'"),
+            (lambda t: t.update(extra=np.zeros(2)), r"unexpected parameter tensors: \['extra'\]"),
+            (lambda t: t.update({"layer0.weight": np.zeros((6, 8))}), r"layer0\.weight: expected shape"),
+        ],
+        ids=["missing", "extra", "wrong-shape"],
+    )
+    def test_checkpoint_tensors_are_checked_against_the_spec(self, tmp_path, change, message):
+        spec = mlp_spec((7,), (6,), 3)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, spec, init_params(spec, 1))
+        with np.load(path) as archive:
+            tensors = {name: archive[name] for name in archive.files}
+        change(tensors)
+        np.savez(path, **tensors)
+        with pytest.raises(DimensionError, match=message):
+            load_checkpoint(path)
+
+    def test_checkpoint_tensors_load_in_the_spec_order(self, tmp_path):
+        spec = mlp_spec((7,), (6,), 3)
+        params = init_params(spec, 2)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, spec, params)
+        with np.load(path) as archive:
+            tensors = {name: archive[name] for name in reversed(archive.files)}
+        np.savez(path, **tensors)
+        _, loaded = load_checkpoint(path)
+        assert list(loaded.tensors) == list(spec.layout.spans)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+
+    def test_float32_checkpoint_loads_as_float64(self, tmp_path):
+        spec = mlp_spec((7,), (6,), 3)
+        params = init_params(spec, 4)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, spec, params)
+        with np.load(path) as archive:
+            tensors = {
+                name: archive[name] if name == "__header__" else archive[name].astype(np.float32)
+                for name in archive.files
+            }
+        np.savez(path, **tensors)
+        _, loaded = load_checkpoint(path)
+        assert loaded.flat.dtype == np.float64
+        for name, tensor in params.tensors.items():
+            assert loaded.tensors[name].tobytes() == tensor.astype(np.float32).astype(np.float64).tobytes()

@@ -8,6 +8,7 @@ from fedsim.errors import DimensionError
 from fedsim.losses import cross_entropy, kl_divergence, softmax_with_temperature
 from fedsim.models import (
     LayerSpec,
+    ModelParams,
     ModelSpec,
     cnn_spec,
     init_params,
@@ -33,7 +34,7 @@ def jitter_biases(params, rng, scale=0.3):
 
     for name, tensor in params.tensors.items():
         if name.endswith(".bias"):
-            params.tensors[name] = tensor + rng.normal(size=tensor.shape) * scale
+            tensor += rng.normal(size=tensor.shape) * scale
 
 
 def fd_param_grads(spec, params, loss_of_params, h=1e-6):
@@ -228,10 +229,10 @@ class TestForwardAgainstBruteForce:
                 class_count=n_flat,
             )
             params = init_params(spec, 0)
-            params.tensors["layer0.weight"] = w
-            params.tensors["layer0.bias"] = b
-            params.tensors["layer2.weight"] = np.eye(n_flat)
-            params.tensors["layer2.bias"] = np.zeros(n_flat)
+            params.tensors["layer0.weight"][...] = w
+            params.tensors["layer0.bias"][...] = b
+            params.tensors["layer2.weight"][...] = np.eye(n_flat)
+            params.tensors["layer2.bias"][...] = 0.0
             got = model_forward(spec, params, x)
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
@@ -251,8 +252,8 @@ class TestForwardAgainstBruteForce:
                 class_count=n_flat,
             )
             params = init_params(spec, 0)
-            params.tensors["layer2.weight"] = np.eye(n_flat)
-            params.tensors["layer2.bias"] = np.zeros(n_flat)
+            params.tensors["layer2.weight"][...] = np.eye(n_flat)
+            params.tensors["layer2.bias"][...] = 0.0
             got = model_forward(spec, params, x)
             expected = brute_force_maxpool(x, k, stride).reshape(3, -1)
             np.testing.assert_allclose(got, expected, rtol=1e-12)
@@ -296,7 +297,7 @@ class TestBackwardAgainstFiniteDifferences:
         grads = model_backward(spec, params, x, logit_grad)
         fd = fd_param_grads(spec, params, loss_of)
         for name in fd:
-            np.testing.assert_allclose(grads[name], fd[name], rtol=1e-4, atol=1e-7,
+            np.testing.assert_allclose(grads.tensors[name], fd[name], rtol=1e-4, atol=1e-7,
                                        err_msg=name)
 
     def test_cnn_cross_entropy_gradients(self):
@@ -315,7 +316,7 @@ class TestBackwardAgainstFiniteDifferences:
         grads = model_backward(spec, params, x, logit_grad)
         fd = fd_param_grads(spec, params, loss_of)
         for name in fd:
-            np.testing.assert_allclose(grads[name], fd[name], rtol=1e-4, atol=1e-7,
+            np.testing.assert_allclose(grads.tensors[name], fd[name], rtol=1e-4, atol=1e-7,
                                        err_msg=name)
 
     @pytest.mark.parametrize(
@@ -349,7 +350,7 @@ class TestBackwardAgainstFiniteDifferences:
         grads = model_backward(spec, params, x, logit_grad)
         fd = fd_param_grads(spec, params, loss_of)
         for name in fd:
-            np.testing.assert_allclose(grads[name], fd[name], rtol=1e-4, atol=1e-7,
+            np.testing.assert_allclose(grads.tensors[name], fd[name], rtol=1e-4, atol=1e-7,
                                        err_msg=name)
 
     def test_mlp_distillation_gradients(self):
@@ -369,7 +370,7 @@ class TestBackwardAgainstFiniteDifferences:
         grads = model_backward(spec, params, x, logit_grad)
         fd = fd_param_grads(spec, params, loss_of)
         for name in fd:
-            np.testing.assert_allclose(grads[name], fd[name], rtol=1e-4, atol=1e-7,
+            np.testing.assert_allclose(grads.tensors[name], fd[name], rtol=1e-4, atol=1e-7,
                                        err_msg=name)
 
     def test_maxpool_routes_gradient_to_argmax(self):
@@ -385,7 +386,7 @@ class TestBackwardAgainstFiniteDifferences:
             class_count=1,
         )
         params = init_params(spec, 0)
-        params.tensors["layer2.weight"] = np.array([[1.0]])
+        params.tensors["layer2.weight"][...] = 1.0
         logits = model_forward(spec, params, x)
         np.testing.assert_allclose(logits, [[5.0 + params.tensors["layer2.bias"][0]]])
         # inspect dx by differentiating through a probe: finite differences
@@ -438,7 +439,7 @@ class TestSgdStep:
 
     def test_zero_learning_rate_is_identity(self):
         spec = mlp_spec((4,), (3,), 2)
-        flat = spec.layout.flatten(init_params(spec, seed=3))
+        flat = init_params(spec, seed=3).flat
         before = flat.copy()
         sgd_step(flat, np.ones_like(flat), 0.0)
         assert flat.tobytes() == before.tobytes()
@@ -449,17 +450,19 @@ class TestFlatLayout:
         spec = cnn_spec((2, 6, 6), (3, 4), 3, dense_width=5)
         params = init_params(spec, 1)
         layout = spec.layout
-        flat = layout.flatten(params)
-        assert flat.shape == (layout.size,) == (sum(t.size for t in params.tensors.values()),)
-        views = layout.views(flat)
-        assert list(views.tensors) == list(params.tensors)
+        assert params.layout is layout
+        assert params.flat.shape == (layout.size,) == (sum(t.size for t in params.tensors.values()),)
+        assert list(params.tensors) == list(layout.spans)
         for name, tensor in params.tensors.items():
-            assert views.tensors[name].tobytes() == tensor.tobytes()
-            assert np.shares_memory(views.tensors[name], flat)
+            start, stop, shape = layout.spans[name]
+            assert tensor.shape == shape
+            assert tensor.tobytes() == params.flat[start:stop].tobytes()
+            assert np.shares_memory(tensor, params.flat[start:stop])
         assert [slot is not None for slot in layout.slots] == [
             layer.kind in ("dense", "conv") for layer in spec.layers
         ]
         assert layout.first == 0 and spec.layout is layout
+        assert layout.input_shape == (2, 6, 6)
 
     def test_backward_writes_into_the_given_tensors(self):
         spec = mlp_spec((4,), (6, 5), 3)
@@ -468,13 +471,13 @@ class TestFlatLayout:
         x = rng.normal(size=(7, 4))
         logits, caches = fedsim.nn.forward_cached(spec, params, x)
         grad = np.full(spec.layout.size, np.nan)
-        out = spec.layout.views(grad)
+        out = ModelParams(spec.layout, grad)
         logit_grad = rng.normal(size=logits.shape)
         before = logit_grad.copy()
         assert fedsim.nn.backward_from_cache(spec, params, caches, logit_grad, out) is None
         expected = model_backward(spec, params, x, logit_grad)
         for name, tensor in out.tensors.items():
-            assert tensor.tobytes() == expected[name].tobytes()
+            assert tensor.tobytes() == expected.tensors[name].tobytes()
         assert not np.isnan(grad).any()
         assert logit_grad.tobytes() == before.tobytes()
 
@@ -488,8 +491,7 @@ class TestShapeErrors:
 
     def test_wrong_param_shape_names_tensor(self):
         spec = mlp_spec((5,), (4,), 3)
-        params = init_params(spec, 0)
-        params.tensors["layer0.weight"] = np.zeros((4, 6))
+        params = ModelParams.from_tensors({**init_params(spec, 0).tensors, "layer0.weight": np.zeros((4, 6))})
         with pytest.raises(DimensionError, match="layer0.weight"):
             model_forward(spec, params, np.zeros((2, 5)))
 
