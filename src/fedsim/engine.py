@@ -13,9 +13,12 @@ are grouped and how their updates are merged:
 * ``heterofl`` -- duration-based clusters sharing one full-width global model;
   each coordinate is averaged over the clients whose submodel covers it.
 
-Every reduction over clients or clusters sorts its operands per coordinate
-before summing, so results are bit-identical under any permutation of the
-inputs.
+Every reduction over clients or clusters goes through one kernel,
+:func:`_sorted_mean`, which sorts the operands per coordinate and sums them
+one operand after another, slab by slab through a scratch buffer of about
+1 MiB (a one-coordinate slab is widened to two columns, which NumPy does not
+sum pairwise).  Results are bit-identical under any permutation of the inputs
+and any slab size.
 """
 
 from __future__ import annotations
@@ -204,14 +207,50 @@ class RunResult:
     global_params: ModelParams | None = None  # heterofl's full-width model
 
 
-def _sorted_mean(stack: np.ndarray) -> np.ndarray:
-    """Mean over axis 0 with a canonical summation order.
+# float64s in the scratch buffer of one _sorted_mean call: 1 MiB
+_SLAB_ELEMENTS = 1 << 17
 
-    Sorting per coordinate first makes the reduction invariant (bitwise) to
-    the order the operands arrive in.
+
+def _sorted_mean(
+    operands: list[np.ndarray], out: np.ndarray | None = None, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-coordinate mean of same-shaped arrays in a canonical summation order.
+
+    The operands are taken in slabs of rows along axis 0.  Each slab is
+    stacked into one scratch buffer, sorted there in place per coordinate and
+    summed one operand after another, so the result is invariant (bitwise) to
+    the order the operands arrive in and to the slab size.  NumPy sums a
+    lone ``(m, 1)`` column pairwise once ``m >= 8``, so a slab of exactly one
+    coordinate is widened to two columns.  With ``weights`` (one per
+    operand) each slab is scaled before the sort and the sum is not divided.
+    The result is written into ``out`` (new when omitted), which is returned.
     """
 
-    return np.sort(stack, axis=0).sum(axis=0) / stack.shape[0]
+    m = len(operands)
+    if out is None:
+        out = np.empty_like(operands[0])
+    rows = out.shape[0]
+    row = math.prod(out.shape[1:])
+    step = max(1, _SLAB_ELEMENTS // (m * row))
+    scratch = np.empty(m * max(min(step, rows) * row, 2))
+    for lo in range(0, rows, step):
+        block = out[lo : lo + step]
+        if block.size == 1:
+            stack = scratch[: 2 * m].reshape(m, 2)
+            np.stack([op[lo : lo + 1].reshape(1) for op in operands], out=stack[:, :1])
+            stack[:, 1] = stack[:, 0]
+        else:
+            stack = scratch[: m * block.size].reshape(m, block.size)
+            np.stack([op[lo : lo + step] for op in operands], out=stack.reshape(m, *block.shape))
+        if weights is not None:
+            stack *= weights[:, None]
+        stack.sort(axis=0)
+        total = np.add.reduce(stack, axis=0)[: block.size].reshape(block.shape)
+        if weights is None:
+            np.divide(total, m, out=block)
+        else:
+            block[...] = total
+    return out
 
 
 class _Learner:
@@ -317,11 +356,12 @@ def stage1_aggregate(
 ) -> ModelParams:
     """Average client parameters inside one cluster (all of one layout).
 
-    The members' flat vectors are stacked and reduced per coordinate.
+    The members' flat vectors are reduced per coordinate by
+    :func:`_sorted_mean`, slab by slab through one scratch buffer.
     ``uniform`` sums in sorted order and divides by the count; ``data_size``
-    weights each client by its share of the cluster's samples (weighted
-    values are sorted before summing).  Either way the result is
-    bit-identical under permutation of the clients.
+    scales each slab by the clients' shares of the cluster's samples before
+    the sort and does not divide.  Either way the result is bit-identical
+    under permutation of the clients.
     """
 
     if not params_list:
@@ -329,16 +369,15 @@ def stage1_aggregate(
     layout = params_list[0].layout
     for p in params_list[1:]:
         layout.check(p.layout)
-    stack = np.stack([p.flat for p in params_list])
+    weights = None
     if weighting == "data_size":
         if data_sizes is None or len(data_sizes) != len(params_list):
             raise EngineError("data_size weighting needs one sample count per client")
         sizes = np.asarray(data_sizes, dtype=np.float64)
         if np.any(sizes <= 0):
             raise EngineError("data_size weighting needs positive sample counts")
-        stack *= (sizes / sizes.sum())[:, None]
-        return ModelParams(layout, np.sort(stack, axis=0).sum(axis=0))
-    return ModelParams(layout, _sorted_mean(stack))
+        weights = sizes / sizes.sum()
+    return ModelParams(layout, _sorted_mean([p.flat for p in params_list], weights=weights))
 
 
 def heterofl_aggregate(global_params: ModelParams, contributions: list[ModelParams]) -> ModelParams:
@@ -350,11 +389,11 @@ def heterofl_aggregate(global_params: ModelParams, contributions: list[ModelPara
     coordinates nobody covers keep their previous value.  The merge writes
     into a copy of the global vector cell by cell: on each axis the block
     stops of all clients cut a tensor into a grid of cells, every coordinate
-    of a cell is covered by the same clients, and a cell's mean sorts and
-    sums the values of those clients only.  When every client covers
-    everything, each tensor of more than one coordinate is
-    arithmetic-for-arithmetic the uniform Stage-1 average; a one-coordinate
-    tensor is summed pairwise here but one operand after another there.
+    of a cell is covered by the same clients, and one :func:`_sorted_mean`
+    call per cell sorts and sums the values of those clients only, slab by
+    slab through a scratch buffer of about 1 MiB.  When every client covers
+    everything, every tensor is arithmetic-for-arithmetic the uniform Stage-1
+    average, one-coordinate tensors included.
     """
 
     if not contributions:
@@ -380,15 +419,7 @@ def heterofl_aggregate(global_params: ModelParams, contributions: list[ModelPara
             if not covering:
                 continue
             cell = tuple(slice(lo, hi) for lo, hi in bounds)
-            stack = np.stack([b[cell] for b in covering])
-            if stack[0].size == 1 < out.size:
-                # NumPy sums a column of scalars pairwise, but each coordinate
-                # of a wider stack one operand after the other.  A lone
-                # coordinate of a larger tensor is widened to two columns so
-                # it is summed in the same order as the rest of the tensor.
-                out[cell] = _sorted_mean(np.repeat(stack, 2, axis=-1))[..., :1]
-            else:
-                out[cell] = _sorted_mean(stack)
+            _sorted_mean([b[cell] for b in covering], out[cell])
     return merged
 
 
@@ -435,14 +466,10 @@ def stage2_dml(
         for batch in batches:
             # every cluster's forward pass runs before any cluster steps
             forwards = [forward_cached(model.spec, model.params, batch) for model in models]
-            stack = np.stack([logits for logits, _ in forwards])
-            shared = _sorted_mean(stack) if config.include_self_in_consensus else None
+            logits = [own for own, _ in forwards]
+            shared = _sorted_mean(logits) if config.include_self_in_consensus else None
             for r, (state, model) in enumerate(zip(states, models)):
-                consensus = (
-                    shared
-                    if shared is not None
-                    else _sorted_mean(np.delete(stack, r, axis=0))
-                )
+                consensus = shared if shared is not None else _sorted_mean(logits[:r] + logits[r + 1 :])
                 own, caches = forwards[r]
                 logit_grad = None
                 step_losses = []

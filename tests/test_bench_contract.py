@@ -84,6 +84,16 @@ def test_stage2_calls_each_step_function_once_per_cluster_per_batch(monkeypatch)
     assert tracer.counts["engine.local_steps"] == 0
 
 
+def run_heterofl(rounds):
+    """A heterofl run of five clients in two speed tiers."""
+
+    train, test = make_blobs(3, 40, 10, 5, seed=1)
+    profiles = [ClientProfile(i, s) for i, s in enumerate([1.0, 1.0, 1.0, 2.5, 2.5])]
+    cfg = FedConfig(algorithm="heterofl", rounds=rounds, local_epochs=1, batch_size=20,
+                    profile_noise_sd=0.0, master_seed=2)
+    return fedsim.engine.run_experiment(cfg, mlp_spec((5,), (8,), 3), train, test, profiles)
+
+
 def test_a_heterofl_run_extracts_each_cluster_model_once_per_round(monkeypatch):
     # the traced models.init and models.extract_overlap spans time these
     # calls: one overlap check per cluster, one extraction per cluster at
@@ -95,12 +105,26 @@ def test_a_heterofl_run_extracts_each_cluster_model_once_per_round(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(fedsim.engine, name, counted)
-    train, test = make_blobs(3, 40, 10, 5, seed=1)
-    profiles = [ClientProfile(i, s) for i, s in enumerate([1.0, 1.0, 1.0, 2.5, 2.5])]
     rounds = 3
-    cfg = FedConfig(algorithm="heterofl", rounds=rounds, local_epochs=1, batch_size=20,
-                    profile_noise_sd=0.0, master_seed=2)
-    result = fedsim.engine.run_experiment(cfg, mlp_spec((5,), (8,), 3), train, test, profiles)
+    result = run_heterofl(rounds)
     clusters = len(result.states)
     assert clusters == 2
     assert calls == {"overlap_map": clusters, "extract_overlap": clusters * (rounds + 1)}
+
+
+def test_a_heterofl_run_merges_every_member_once_per_round(monkeypatch):
+    # engine.heterofl_aggregate.alloc_mb is the allocation peak of the first
+    # traced call, so every round must merge the same set: each member's model
+    merged = []
+
+    def recorded(global_params, contributions, real=fedsim.engine.heterofl_aggregate):
+        merged.append([p.layout.spans for p in contributions])
+        return real(global_params, contributions)
+
+    monkeypatch.setattr(fedsim.engine, "heterofl_aggregate", recorded)
+    rounds = 3
+    result = run_heterofl(rounds)
+    members = [s.spec.layout.spans for s in result.states for _ in s.member_ids]
+    assert len(members) == 5
+    assert merged == [members] * rounds
+

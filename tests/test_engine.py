@@ -6,6 +6,7 @@ the snapshot/consensus/step recipe; permutation invariances are asserted
 bitwise.
 """
 
+import contextlib
 import gc
 import math
 import tracemalloc
@@ -210,7 +211,9 @@ class TestHeteroflAggregate:
 def heterofl_canvas(global_params, contributions):
     """The merge as a mean over every client: each block is padded to the
     global shape with NaN, the stack is sorted per coordinate (NaN last) and
-    summed with NaN read as +0.0."""
+    summed with NaN read as +0.0.  NumPy sums a lone column pairwise, so a
+    one-element tensor is summed as a column of a two-column stack, one
+    operand after another like every other coordinate."""
 
     out = {}
     for name, base in global_params.tensors.items():
@@ -220,9 +223,11 @@ def heterofl_canvas(global_params, contributions):
             canvas = np.full(base.shape, np.nan)
             canvas[tuple(slice(0, n) for n in block.shape)] = block
             padded.append(canvas)
-        stack = np.sort(np.stack(padded), axis=0)
-        count = np.sum(~np.isnan(stack), axis=0)
-        total = np.nansum(stack, axis=0)
+        stack = np.sort(np.stack(padded), axis=0).reshape(len(padded), -1)
+        if stack.shape[1] == 1:
+            stack = np.repeat(stack, 2, axis=1)
+        count = np.sum(~np.isnan(stack), axis=0)[: base.size].reshape(base.shape)
+        total = np.nansum(stack, axis=0)[: base.size].reshape(base.shape)
         out[name] = np.where(count > 0, total / np.maximum(count, 1), base)
     return ModelParams.from_tensors(out)
 
@@ -265,34 +270,54 @@ def hand_built(extent_maps, seed):
     ]
 
 
+def with_signed_zeros(params, rng):
+    """``params`` with about a fifth of its entries set to -0.0 or +0.0."""
+
+    hit = rng.random(params.flat.size) < 0.2
+    params.flat[hit] = np.where(rng.random(hit.sum()) < 0.5, -0.0, 0.0)
+    return params
+
+
+@contextlib.contextmanager
+def slab_budget(budget):
+    """Size the reduction kernel's scratch buffer to ``budget`` float64s."""
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fedsim.engine, "_SLAB_ELEMENTS", budget)
+        yield
+
+
+# the reduction kernel's own scratch size, or 1-64 float64s, which split
+# cells and rows into many slabs, down to single coordinates
+slab_budgets = st.one_of(st.just(fedsim.engine._SLAB_ELEMENTS), st.integers(1, 64))
+
+
 class TestCellMergeMatchesCanvas:
-    @given(seed=st.integers(0, 10**6))
-    @settings(max_examples=40, deadline=None)
-    def test_random_mlp_specs(self, seed):
+    @given(seed=st.integers(0, 10**6), budget=slab_budgets)
+    @settings(max_examples=60, deadline=None)
+    def test_random_mlp_specs(self, seed, budget):
         rng = np.random.default_rng(seed)
         hidden = tuple(int(h) for h in rng.integers(1, 10, size=rng.integers(1, 3)))
         base = mlp_spec((int(rng.integers(1, 6)),), hidden, int(rng.integers(2, 5)))
         global_params = spread_params(base, seed)
-        contributions = random_contributions(base, rng, int(rng.integers(1, 20)))
-        assert_same_bytes(
-            heterofl_aggregate(global_params, contributions),
-            heterofl_canvas(global_params, contributions),
-        )
+        contributions = [with_signed_zeros(p, rng) for p in random_contributions(base, rng, int(rng.integers(1, 20)))]
+        with slab_budget(budget):
+            merged = heterofl_aggregate(global_params, contributions)
+        assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
 
-    @given(seed=st.integers(0, 10**6))
-    @settings(max_examples=15, deadline=None)
-    def test_random_cnn_specs(self, seed):
+    @given(seed=st.integers(0, 10**6), budget=slab_budgets)
+    @settings(max_examples=25, deadline=None)
+    def test_random_cnn_specs(self, seed, budget):
         rng = np.random.default_rng(seed)
         channels = tuple(int(c) for c in rng.integers(1, 7, size=rng.integers(1, 3)))
         base = cnn_spec((int(rng.integers(1, 3)), 6, 6), channels, int(rng.integers(2, 4)),
                         dense_width=int(rng.integers(2, 9)))
         global_params = spread_params(base, seed)
-        contributions = random_contributions(base, rng, int(rng.integers(1, 10)))
+        contributions = [with_signed_zeros(p, rng) for p in random_contributions(base, rng, int(rng.integers(1, 10)))]
         assert any(t.ndim == 4 for t in global_params.tensors.values())
-        assert_same_bytes(
-            heterofl_aggregate(global_params, contributions),
-            heterofl_canvas(global_params, contributions),
-        )
+        with slab_budget(budget):
+            merged = heterofl_aggregate(global_params, contributions)
+        assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
 
     def test_extents_that_are_not_nested(self):
         shapes = {"w": (10, 10), "b": (10,)}
@@ -342,6 +367,17 @@ class TestCellMergeMatchesCanvas:
         assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
         assert merged.tensors["b"][3] == 0.0
 
+    def test_one_element_tensor_sums_as_stage1_does(self):
+        # Nine full-width clients.  Summed one after the other, -1e16, seven
+        # 1s and 1e16 give 0; NumPy's pairwise sum of the lone column gives 6.
+        values = [-1e16] + [1.0] * 7 + [1e16]
+        global_params = ModelParams.from_tensors({"w": np.zeros(2), "b": np.zeros(1)})
+        contributions = [ModelParams.from_tensors({"w": np.full(2, v), "b": np.full(1, v)}) for v in values]
+        merged = heterofl_aggregate(global_params, contributions)
+        assert_same_bytes(merged, stage1_aggregate(contributions))
+        assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
+        assert merged.tensors["b"][0] == 0.0 and merged.tensors["w"].tolist() == [0.0, 0.0]
+
     def test_negative_zeros(self):
         # NumPy starts a sum from +0.0, so a mean of -0.0s is +0.0, whether
         # or not every client covers the coordinate.
@@ -366,6 +402,23 @@ class TestCellMergeMatchesCanvas:
         finally:
             tracemalloc.stop()
         assert peak < 48 * largest
+
+    def test_peak_memory_stays_below_3_mb(self):
+        # 48 clients of MLP 64-256-256-10 at rates 1.0, 0.8 and 0.6: the
+        # 154x154 cell alone would stack to 9.1 MB
+        base = mlp_spec((64,), (256, 256), 10)
+        global_params = init_params(base, 0)
+        contributions = []
+        for i in range(48):
+            spec = build_pruned_spec(base, (1.0, 0.8, 0.6)[i % 3])
+            contributions.append(init_params(spec, i))
+        tracemalloc.start()
+        try:
+            heterofl_aggregate(global_params, contributions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
 
 class TestLocalUpdate:
@@ -730,6 +783,12 @@ def reference_backward(spec, params, caches, logit_grad):
     return grads
 
 
+def stacked_sorted_mean(stack):
+    """The mean over axis 0 of a whole stack, sorted per coordinate first."""
+
+    return np.sort(stack, axis=0).sum(axis=0) / stack.shape[0]
+
+
 def reference_stage1_aggregate(params_list, data_sizes=None, weighting="uniform"):
     """Stage 1 as it ran tensor by tensor, before the members' flat vectors
     were stacked whole."""
@@ -743,7 +802,7 @@ def reference_stage1_aggregate(params_list, data_sizes=None, weighting="uniform"
             stack = np.stack([w * p.tensors[name] for w, p in zip(weights, params_list)])
             out[name] = np.sort(stack, axis=0).sum(axis=0)
         else:
-            out[name] = fedsim.engine._sorted_mean(np.stack([p.tensors[name] for p in params_list]))
+            out[name] = stacked_sorted_mean(np.stack([p.tensors[name] for p in params_list]))
     return ModelParams.from_tensors(out)
 
 
@@ -786,9 +845,9 @@ def reference_stage2_dml(states, batches, config):
             new_params = []
             for r, state in enumerate(states):
                 if config.include_self_in_consensus:
-                    consensus = fedsim.engine._sorted_mean(stack)
+                    consensus = stacked_sorted_mean(stack)
                 else:
-                    consensus = fedsim.engine._sorted_mean(np.delete(stack, r, axis=0))
+                    consensus = stacked_sorted_mean(np.delete(stack, r, axis=0))
                 own, caches = forwards[r]
                 logit_grad = None
                 if config.loss_mode in ("kl_only", "combined"):
@@ -986,6 +1045,93 @@ class TestFlatStage1MatchesPerTensorLoop:
         assert reference_stage1_aggregate(members).tensors["layer0.bias"][0] == 6.0 / 9
         for name in ("layer0.weight", "layer2.weight", "layer2.bias"):
             assert merged.tensors[name].tobytes() == reference_stage1_aggregate(members).tensors[name].tobytes()
+
+
+def sequential_sorted_sum(stack):
+    """Sort a stack per coordinate, then add its operands one after another,
+    starting from +0.0 as NumPy's sum does."""
+
+    total = np.zeros(stack.shape[1:])
+    for operand in np.sort(stack, axis=0):
+        total += operand
+    return total
+
+
+def reference_sequential_stage1(params_list, data_sizes=None, weighting="uniform"):
+    """Stage 1 tensor by tensor, every coordinate (a lone one too) summed one
+    operand after another."""
+
+    out = {}
+    for name in params_list[0].tensors:
+        stack = np.stack([p.tensors[name] for p in params_list])
+        if weighting == "data_size":
+            sizes = np.asarray(data_sizes, dtype=np.float64)
+            weights = (sizes / sizes.sum()).reshape(-1, *[1] * (stack.ndim - 1))
+            out[name] = sequential_sorted_sum(stack * weights)
+        else:
+            out[name] = sequential_sorted_sum(stack) / len(params_list)
+    return ModelParams.from_tensors(out)
+
+
+class TestSlabBoundaries:
+    """The reduction kernel at slab boundaries and within its scratch buffer."""
+
+    def test_lone_coordinates_of_many_clients(self):
+        # a budget of one float64 makes every slab of a bias one coordinate,
+        # and NumPy sums a lone column of 8 or more clients pairwise
+        base = mlp_spec((3,), (1, 5), 4)
+        rng = np.random.default_rng(11)
+        global_params = spread_params(base, 11)
+        contributions = random_contributions(base, rng, 16)
+        with slab_budget(1):
+            merged = heterofl_aggregate(global_params, contributions)
+        assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
+
+    @given(
+        spec=model_specs(),
+        members=st.integers(1, 13),
+        weighting=st.sampled_from(STAGE1_WEIGHTINGS),
+        seed=st.integers(0, 2**16),
+        budget=slab_budgets,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stage1_matches_sequential_reference(self, spec, members, weighting, seed, budget):
+        rng = np.random.default_rng(seed)
+        params = [with_signed_zeros(spread_params(spec, seed + i), rng) for i in range(members)]
+        sizes = [int(n) for n in rng.integers(1, 200, size=members)]
+        with slab_budget(budget):
+            got = stage1_aggregate(params, data_sizes=sizes, weighting=weighting)
+        assert_same_bytes(got, reference_sequential_stage1(params, data_sizes=sizes, weighting=weighting))
+
+    @pytest.mark.parametrize("weighting", STAGE1_WEIGHTINGS)
+    def test_flat_vector_with_a_one_coordinate_tail_slab(self, weighting):
+        # 17 parameters and nine members in 72 float64s: slabs of 8, 8 and
+        # 1 coordinates.  Summed one after the other, -1.5e16, seven 1s and
+        # 1.5e16 give 0 in the last coordinate, weighted by 1/9 or not;
+        # NumPy's pairwise sum of the lone column gives 6/9 and 0.75.
+        spec = mlp_spec((2,), (3,), 2)
+        assert spec.layout.size == 17
+        members = [spread_params(spec, i) for i in range(9)]
+        for params, v in zip(members, [-1.5e16] + [1.0] * 7 + [1.5e16]):
+            params.flat[-1] = v
+        sizes = [1] * 9
+        with slab_budget(72):
+            merged = stage1_aggregate(members, data_sizes=sizes, weighting=weighting)
+        assert merged.flat[-1] == 0.0
+        assert_same_bytes(merged, reference_sequential_stage1(members, data_sizes=sizes, weighting=weighting))
+
+    def test_stage1_works_through_one_scratch_buffer(self):
+        # 48 members whose whole stack would take 33 MB: the peak is the
+        # output plus one scratch buffer, and no sorted copy of it
+        base = mlp_spec((64,), (256, 256), 10)
+        members = [init_params(base, i) for i in range(48)]
+        tracemalloc.start()
+        try:
+            merged = stage1_aggregate(members)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < merged.flat.nbytes + 1.25 * 8 * fedsim.engine._SLAB_ELEMENTS
 
 
 class TestEvaluate:
