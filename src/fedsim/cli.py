@@ -118,26 +118,44 @@ def cmd_run(args) -> int:
             "output directory",
             field="output.directory",
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.yaml").write_text(cfg.echo_text())
 
     total_rounds = cfg.fed.rounds
-    metrics_file = metrics_path.open("a") if "jsonl" in formats else None
-    try:
-        def on_round(m):
-            if metrics_file is not None:
-                metrics_file.write(metrics_line(m.as_dict()) + "\n")
-                metrics_file.flush()
-            print(
-                f"round {m.round_index + 1}/{total_rounds}: "
-                f"client-weighted accuracy {m.client_weighted_accuracy:.4f}, "
-                f"local loss {m.mean_local_loss:.4f}, stage-2 KL {m.stage2_kl:.4f}",
-                flush=True,
-            )
+    metrics_file = None
+    opened = False
 
+    def open_outputs():
+        """Make the output directory, echo the config and open metrics.jsonl, once."""
+
+        nonlocal metrics_file, opened
+        if not opened:
+            opened = True
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "config.yaml").write_text(cfg.echo_text())
+            if "jsonl" in formats:
+                metrics_file = metrics_path.open("a")
+
+    def on_round(m):
+        open_outputs()
+        if metrics_file is not None:
+            metrics_file.write(metrics_line(m.as_dict()) + "\n")
+            metrics_file.flush()
+        print(
+            f"round {m.round_index + 1}/{total_rounds}: "
+            f"client-weighted accuracy {m.client_weighted_accuracy:.4f}, "
+            f"local loss {m.mean_local_loss:.4f}, stage-2 KL {m.stage2_kl:.4f}",
+            flush=True,
+        )
+
+    try:
         started = time.perf_counter()
         result = run_experiment(cfg.fed, base_spec, train, test, profiles, on_round=on_round)
         wall_seconds = time.perf_counter() - started
+        open_outputs()  # a run of zero rounds
+    except ConfigError:
+        raise  # run_experiment's config checks all run before the first round
+    except BaseException:
+        open_outputs()  # a failed run keeps its echo and its complete metrics lines
+        raise
     finally:
         if metrics_file is not None:
             metrics_file.close()

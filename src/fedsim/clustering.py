@@ -113,8 +113,8 @@ def load_durations(path) -> dict[int, float]:
             duration = float(parts[1])
         except ValueError as exc:
             raise ConfigError(f"{p}:{lineno}: {exc}") from exc
-        if duration <= 0:
-            raise ConfigError(f"{p}:{lineno}: duration must be positive, got {duration}")
+        if not (math.isfinite(duration) and duration > 0):
+            raise ConfigError(f"{p}:{lineno}: duration must be positive and finite, got {duration}")
         if client_id in out:
             raise ConfigError(f"{p}:{lineno}: duplicate client id {client_id}")
         out[client_id] = duration

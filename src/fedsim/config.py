@@ -10,10 +10,6 @@ Every setting is declared once: the settings a run needs on
 :class:`~fedsim.engine.FedConfig`, the data, fleet, model and output settings
 in ``SETTINGS`` below.  The declarations give the known keys, the defaults,
 the checks, the resolved mapping and the ``FedConfig`` a file resolves to.
-
-The data-heterogeneity Dirichlet parameter lives at ``dataset.dirichlet_alpha``
-and the distillation loss mixing weight at ``distillation.loss_alpha``; the
-two alphas are easy to conflate, so they are kept apart by name on purpose.
 """
 
 from __future__ import annotations
@@ -43,6 +39,8 @@ _FED_PATHS = {s.path for s in _FED_SETTINGS.values()}
 # every setting: FedConfig's, then the ones only the builders below read
 SETTINGS = (
     *_FED_SETTINGS.values(),
+    # Stage 2 has one loss; nothing reads this, but bench/workloads.py writes it
+    Setting("distillation.loss", ("kl_only",), "kl_only"),
     Setting("dataset.source", DATASET_SOURCES, "blobs"),
     Setting("dataset.directory", str),
     Setting("dataset.classes", int, 3, ge=2),

@@ -49,7 +49,7 @@ from fedsim.errors import ConfigError, DimensionError, EngineError, FedsimError
 from fedsim.losses import (
     cross_entropy,
     kl_divergence,
-    kl_divergence_model_led,
+    kl_divergence_model_led,  # not called here: bench/tracer.py wraps it in this module
     softmax_with_temperature,
 )
 from fedsim.models import (
@@ -65,8 +65,6 @@ from fedsim.nn import backward_from_cache, forward_cached, model_forward, sgd_st
 from fedsim.settings import coerce, setting
 
 ALGORITHMS = ("fedtsa", "fedavg", "fedprox", "heterofl")
-LOSS_MODES = ("kl_only", "ce_only", "combined")
-KL_DIRECTIONS = ("forward", "reverse")
 STAGE1_WEIGHTINGS = ("uniform", "data_size")
 PARTITION_MODES = ("iid", "dirichlet")
 
@@ -95,9 +93,9 @@ class FedConfig:
 
     Defaults follow the full protocol (batch 100, 100 local epochs, learning
     rate 0.03, 100 rounds, temperature 5, one global distillation epoch,
-    KL-only Stage 2, 200 distillation samples); desk-scale runs override the
-    counts, not the structure.  Each field declares its config path, kind,
-    bounds and default once (see :mod:`fedsim.settings`).
+    200 distillation samples); desk-scale runs override the counts, not the
+    structure.  Each field declares its config path, kind, bounds and
+    default once (see :mod:`fedsim.settings`).
     """
 
     algorithm: str = setting("training.algorithm", ALGORITHMS, "fedtsa")
@@ -110,10 +108,6 @@ class FedConfig:
     # Stage-2 mutual distillation
     temperature: float = setting("distillation.temperature", float, 5.0, gt=0.0)
     global_epochs: int = setting("distillation.global_epochs", int, 1, ge=1)
-    loss_mode: str = setting("distillation.loss", LOSS_MODES, "kl_only")
-    loss_alpha: float = setting("distillation.loss_alpha", float, 0.5, ge=0.0, le=1.0)
-    kl_direction: str = setting("distillation.kl_direction", KL_DIRECTIONS, "forward")
-    t_squared_rescale: bool = setting("distillation.t_squared_rescale", bool, False)
     include_self_in_consensus: bool = setting("distillation.include_self", bool, True)
     distill_kind: str = setting("distillation.source", DISTILLATION_KINDS, "holdout")
     distill_count: int = setting("distillation.count", int, 200, ge=1)
@@ -441,14 +435,13 @@ def stage2_dml(
     own logits unless configured otherwise), softened at the distillation
     temperature, and each cluster takes one SGD step toward it.  Batches are
     sequential: later batches see earlier steps.  Returns new states plus the
-    mean per-step KL value (0.0 when no KL term is active).  A non-finite
-    loss or parameter after any step raises :class:`EngineError` naming the
-    cluster.  Each cluster's parameters are checked against its spec once, on
-    entry, and trained in place on a private copy; the input states are not
-    written.
+    mean per-step KL value (0.0 with no batches).  A non-finite loss or
+    parameter after any step raises :class:`EngineError` naming the cluster.
+    Each cluster's parameters are checked against its spec once, on entry,
+    and trained in place on a private copy; the input states are not written.
 
-    With a single cluster and ``kl_only`` the consensus equals the cluster's
-    own distribution, the gradient is exactly zero, and parameters come back
+    With a single cluster the consensus equals the cluster's own
+    distribution, the gradient is exactly zero, and parameters come back
     unchanged.
     """
 
@@ -458,8 +451,6 @@ def stage2_dml(
     if m == 1 and not config.include_self_in_consensus:
         raise EngineError("consensus over zero peers: a single cluster must include itself")
     models = [_Learner(s.spec, s.params) for s in states]
-    kl_fn = kl_divergence if config.kl_direction == "forward" else kl_divergence_model_led
-    scale = config.temperature**2 if config.t_squared_rescale else 1.0
     kl_sum = 0.0
     kl_steps = 0
     for _ in range(config.global_epochs):
@@ -471,31 +462,15 @@ def stage2_dml(
             for r, (state, model) in enumerate(zip(states, models)):
                 consensus = shared if shared is not None else _sorted_mean(logits[:r] + logits[r + 1 :])
                 own, caches = forwards[r]
-                logit_grad = None
-                step_losses = []
-                if config.loss_mode in ("kl_only", "combined"):
-                    kl_value, kl_grad = kl_fn(
-                        softmax_with_temperature(consensus, config.temperature),
-                        own,
-                        config.temperature,
-                    )
-                    kl_sum += kl_value
-                    kl_steps += 1
-                    step_losses.append(kl_value)
-                    logit_grad = scale * kl_grad
-                if config.loss_mode in ("ce_only", "combined"):
-                    pseudo = np.argmax(consensus, axis=1)
-                    ce_value, ce_grad = cross_entropy(own, pseudo)
-                    step_losses.append(ce_value)
-                    if config.loss_mode == "ce_only":
-                        logit_grad = ce_grad
-                    else:
-                        logit_grad = config.loss_alpha * logit_grad + (1.0 - config.loss_alpha) * ce_grad
-                model.step(caches, logit_grad, config.learning_rate)
-                model.check_finite(step_losses, f"cluster {state.cluster_id}: distillation")
+                kl_value, kl_grad = kl_divergence(
+                    softmax_with_temperature(consensus, config.temperature), own, config.temperature
+                )
+                kl_sum += kl_value
+                kl_steps += 1
+                model.step(caches, kl_grad, config.learning_rate)
+                model.check_finite([kl_value], f"cluster {state.cluster_id}: distillation")
     new_states = [replace(s, params=model.params) for s, model in zip(states, models)]
-    mean_kl = kl_sum / kl_steps if kl_steps else 0.0
-    return new_states, mean_kl
+    return new_states, kl_sum / kl_steps if kl_steps else 0.0
 
 
 def evaluate(spec: ModelSpec, params: ModelParams, features: np.ndarray, labels: np.ndarray) -> float:

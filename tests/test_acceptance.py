@@ -148,7 +148,7 @@ def test_criterion_2_invariant_battery_under_a_minute():
         member_ids=(0,),
     )
     batch = [rng.normal(size=(8, 5))]
-    cfg = FedConfig(loss_mode="kl_only", temperature=5.0, learning_rate=0.1)
+    cfg = FedConfig(temperature=5.0, learning_rate=0.1)
     (after,), mean_kl = stage2_dml([state], batch, cfg)
     for name in state.params.tensors:
         assert np.array_equal(after.params.tensors[name], state.params.tensors[name])

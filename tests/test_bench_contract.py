@@ -75,11 +75,11 @@ def test_stage2_calls_each_step_function_once_per_cluster_per_batch(monkeypatch)
     specs = [build_pruned_spec(base, rate) for rate in (1.0, 0.7, 0.4)]
     states = [ClusterState(c, s, init_params(s, c), (c,)) for c, s in enumerate(specs)]
     batches = split_batches(np.random.default_rng(1).normal(size=(9, 5)), 4)  # 3 batches
-    cfg = FedConfig(loss_mode="combined", global_epochs=2)
-    fedsim.engine.stage2_dml(states, batches, cfg)
+    fedsim.engine.stage2_dml(states, batches, FedConfig(global_epochs=2))
     steps = 3 * 2 * len(batches)
-    assert {span: tracer.calls[span] for span in STEP_SPANS} == dict.fromkeys(STEP_SPANS, steps)
-    assert tracer.calls["losses.kl"] == steps
+    step_spans = ("nn.forward", "nn.backward", "nn.sgd_step", "losses.kl")
+    assert {span: tracer.calls[span] for span in step_spans} == dict.fromkeys(step_spans, steps)
+    assert tracer.calls["losses.cross_entropy"] == 0
     assert tracer.counts["engine.distill_steps"] == steps
     assert tracer.counts["engine.local_steps"] == 0
 

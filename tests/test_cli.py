@@ -173,6 +173,24 @@ def test_override_on_a_section_that_is_not_a_mapping_is_a_config_error(
     assert not (tmp_path / "D").exists() and not (tmp_path / "runs").exists()
 
 
+def test_config_error_raised_inside_the_run_writes_nothing(tmp_path, capsys):
+    # the holdout is reserved by run_experiment, after the config resolved
+    cfg = write_config(tmp_path, {"clients": {"count": 4}, "distillation": {"count": 500}})
+    out = tmp_path / "o"
+    for _ in range(2):  # so the same command can be run again
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert "holdout of 500 leaves no training data" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_run_of_zero_rounds_writes_the_echo_and_an_empty_metrics_file(tmp_path):
+    cfg = write_config(tmp_path, tiny_config(training={"rounds": 0}))
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "config.yaml").is_file()
+    assert (out / "metrics.jsonl").read_bytes() == b""
+
+
 def test_missing_durations_file_fails_before_output(tmp_path):
     raw = tiny_config(clients={"speed_factors": [1.0, 2.0], "durations_file": "nowhere.csv"})
     cfg = write_config(tmp_path, raw)

@@ -264,9 +264,10 @@ class TestProfiling:
         path.write_text("0,1.5\n0,2.5\n")
         with pytest.raises(ConfigError, match="duplicate"):
             load_durations(path)
-        path.write_text("0,-3\n")
-        with pytest.raises(ConfigError, match="positive"):
-            load_durations(path)
+        for bad in ("-3", "nan", "inf", "-inf"):
+            path.write_text(f"0,1.5\n1,{bad}\n")
+            with pytest.raises(ConfigError, match="bad.csv:2: duration must be positive and finite"):
+                load_durations(path)
         with pytest.raises(ConfigError, match="exist"):
             load_durations(tmp_path / "missing.csv")
         path.write_text("# only comments\n")

@@ -54,13 +54,11 @@ def test_distillation_defaults_match_reference_protocol():
     cfg = resolve_config(minimal_raw())
     assert cfg.fed.temperature == pytest.approx(5.0)
     assert cfg.fed.global_epochs == 1
-    assert cfg.fed.loss_mode == "kl_only"
+    assert cfg.resolved["distillation"]["loss"] == "kl_only"
     assert cfg.fed.distill_kind == "holdout"
     assert cfg.fed.distill_count == 200
     assert cfg.fed.distill_resample is False
     assert cfg.fed.include_self_in_consensus is True
-    assert cfg.fed.t_squared_rescale is False
-    assert cfg.fed.kl_direction == "forward"
 
 
 def test_dataset_and_clustering_defaults():
@@ -100,6 +98,11 @@ def test_resolved_mapping_spells_out_every_default():
         ({"clients": {"count": 2, "speeds": [1.0]}}, "clients.speeds"),
         ({"clients": {"count": 2}, "distillation": {"temp": 4}}, "distillation.temp"),
         ({"clients": {"count": 2}, "output": {"format": ["jsonl"]}}, "output.format"),
+        ({"clients": {"count": 2}, "distillation": {"kl_direction": "forward"}},
+         "distillation.kl_direction"),
+        ({"clients": {"count": 2}, "distillation": {"t_squared_rescale": False}},
+         "distillation.t_squared_rescale"),
+        ({"clients": {"count": 2}, "distillation": {"loss_alpha": 0.5}}, "distillation.loss_alpha"),
     ],
 )
 def test_unknown_keys_are_rejected_with_dotted_path(raw, path_fragment):
@@ -138,8 +141,8 @@ def test_booleans_are_not_numbers(section, key, value, path):
         ("dataset", "classes", 1, "dataset.classes"),
         ("dataset", "partition", "random", "dataset.partition"),
         ("dataset", "dirichlet_alpha", 0.0, "dataset.dirichlet_alpha"),
-        ("distillation", "loss_alpha", 1.5, "distillation.loss_alpha"),
-        ("distillation", "loss_alpha", -0.5, "distillation.loss_alpha"),
+        ("distillation", "loss", "ce_only", "distillation.loss"),
+        ("distillation", "loss", "combined", "distillation.loss"),
         ("distillation", "temperature", 0.0, "distillation.temperature"),
         ("distillation", "global_epochs", 0, "distillation.global_epochs"),
         ("distillation", "loss", "mse", "distillation.loss"),

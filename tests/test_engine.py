@@ -21,7 +21,6 @@ import fedsim.engine
 from fedsim.clustering import ClientProfile
 from fedsim.data import make_blobs
 from fedsim.engine import (
-    LOSS_MODES,
     STAGE1_WEIGHTINGS,
     ClusterState,
     FedConfig,
@@ -36,12 +35,7 @@ from fedsim.engine import (
     stream_seed,
 )
 from fedsim.errors import ConfigError, DimensionError, EngineError
-from fedsim.losses import (
-    cross_entropy,
-    kl_divergence,
-    kl_divergence_model_led,
-    softmax_with_temperature,
-)
+from fedsim.losses import cross_entropy, kl_divergence, softmax_with_temperature
 from fedsim.models import (
     ModelParams,
     build_pruned_spec,
@@ -614,17 +608,9 @@ class TestStage2DML:
         states = make_states([1.0])
         before = states[0].params.copy()
         batches = split_batches(np.random.default_rng(1).normal(size=(12, 6)), 5)
-        cfg = FedConfig(loss_mode="kl_only", temperature=5.0, global_epochs=3)
+        cfg = FedConfig(temperature=5.0, global_epochs=3)
         after, kl = stage2_dml(states, batches, cfg)
         assert kl == 0.0
-        assert params_equal(after[0].params, before)
-
-    def test_single_cluster_combined_alpha_one_is_exact_noop(self):
-        states = make_states([1.0])
-        before = states[0].params.copy()
-        batches = split_batches(np.random.default_rng(2).normal(size=(8, 6)), 8)
-        cfg = FedConfig(loss_mode="combined", loss_alpha=1.0)
-        after, _ = stage2_dml(states, batches, cfg)
         assert params_equal(after[0].params, before)
 
     def test_two_clusters_match_straight_line_reference(self):
@@ -667,27 +653,6 @@ class TestStage2DML:
         by_id = {s.cluster_id: s for s in shuffled}
         for s in plain:
             assert params_equal(s.params, by_id[s.cluster_id].params)
-
-    def test_ce_only_moves_even_alone(self):
-        states = make_states([1.0])
-        before = states[0].params.copy()
-        batches = split_batches(np.random.default_rng(6).normal(size=(8, 6)), 8)
-        after, kl = stage2_dml(states, batches, FedConfig(loss_mode="ce_only"))
-        assert kl == 0.0
-        assert not params_equal(after[0].params, before)
-
-    def test_temperature_squared_rescale_scales_single_step(self):
-        batches = split_batches(np.random.default_rng(7).normal(size=(6, 6)), 6)
-        cfg = FedConfig(temperature=5.0, learning_rate=0.02)
-        plain, _ = stage2_dml(make_states([1.0, 0.5]), batches, cfg)
-        cfg2 = FedConfig(temperature=5.0, learning_rate=0.02, t_squared_rescale=True)
-        scaled, _ = stage2_dml(make_states([1.0, 0.5]), batches, cfg2)
-        start = make_states([1.0, 0.5])
-        for s0, p, q in zip(start, plain, scaled):
-            for name in s0.params.tensors:
-                step_plain = s0.params.tensors[name] - p.params.tensors[name]
-                step_scaled = s0.params.tensors[name] - q.params.tensors[name]
-                np.testing.assert_allclose(step_scaled, 25.0 * step_plain, atol=1e-12)
 
     def test_exclude_self_uses_peers_only(self):
         states = make_states([1.0, 0.5])
@@ -834,8 +799,6 @@ def reference_local_update(spec, params, features, labels, config, seed, prox_re
 
 
 def reference_stage2_dml(states, batches, config):
-    kl_fn = kl_divergence if config.kl_direction == "forward" else kl_divergence_model_led
-    scale = config.temperature**2 if config.t_squared_rescale else 1.0
     params = [s.params for s in states]
     kl_sum, kl_steps = 0.0, 0
     for _ in range(config.global_epochs):
@@ -849,23 +812,12 @@ def reference_stage2_dml(states, batches, config):
                 else:
                     consensus = stacked_sorted_mean(np.delete(stack, r, axis=0))
                 own, caches = forwards[r]
-                logit_grad = None
-                if config.loss_mode in ("kl_only", "combined"):
-                    kl_value, kl_grad = kl_fn(
-                        softmax_with_temperature(consensus, config.temperature),
-                        own,
-                        config.temperature,
-                    )
-                    kl_sum += kl_value
-                    kl_steps += 1
-                    logit_grad = scale * kl_grad
-                if config.loss_mode in ("ce_only", "combined"):
-                    _, ce_grad = cross_entropy(own, np.argmax(consensus, axis=1))
-                    if config.loss_mode == "ce_only":
-                        logit_grad = ce_grad
-                    else:
-                        logit_grad = config.loss_alpha * logit_grad + (1.0 - config.loss_alpha) * ce_grad
-                grads = reference_backward(state.spec, params[r], caches, logit_grad)
+                kl_value, kl_grad = kl_divergence(
+                    softmax_with_temperature(consensus, config.temperature), own, config.temperature
+                )
+                kl_sum += kl_value
+                kl_steps += 1
+                grads = reference_backward(state.spec, params[r], caches, kl_grad)
                 new_params.append(reference_sgd_step(params[r], grads, config.learning_rate))
             params = new_params
     return params, (kl_sum / kl_steps if kl_steps else 0.0)
@@ -935,18 +887,12 @@ class TestFlatTrainingMatchesPerTensorLoops:
         rates=st.lists(st.sampled_from([1.0, 0.8, 0.5]), min_size=1, max_size=3),
         n=st.integers(1, 9),
         batch_size=st.integers(1, 4),
-        loss_mode=st.sampled_from(LOSS_MODES),
         include_self=st.booleans(),
-        kl_direction=st.sampled_from(["forward", "reverse"]),
-        t_squared=st.booleans(),
         global_epochs=st.integers(1, 2),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
-    def test_stage2_is_bitwise_equal(
-        self, spec, rates, n, batch_size, loss_mode, include_self, kl_direction, t_squared,
-        global_epochs, seed,
-    ):
+    def test_stage2_is_bitwise_equal(self, spec, rates, n, batch_size, include_self, global_epochs, seed):
         assume(include_self or len(rates) > 1)
         specs = [build_pruned_spec(spec, rate) for rate in rates]
         states = [ClusterState(c, s, spread_params(s, seed + c), (c,)) for c, s in enumerate(specs)]
@@ -954,11 +900,7 @@ class TestFlatTrainingMatchesPerTensorLoops:
         cfg = FedConfig(
             temperature=2.0,
             learning_rate=0.1,
-            loss_mode=loss_mode,
-            loss_alpha=0.3,
             include_self_in_consensus=include_self,
-            kl_direction=kl_direction,
-            t_squared_rescale=t_squared,
             global_epochs=global_epochs,
         )
         batches = split_batches(inputs, batch_size)
@@ -999,7 +941,7 @@ class TestFlatTrainingMatchesPerTensorLoops:
         states = make_states([1.0, 0.6, 0.3])
         before = [snapshot(s.params) for s in states]
         batches = split_batches(np.random.default_rng(9).normal(size=(7, 6)), 3)
-        cfg = FedConfig(loss_mode="combined", learning_rate=0.2, global_epochs=2)
+        cfg = FedConfig(learning_rate=0.2, global_epochs=2)
         after, _ = stage2_dml(states, batches, cfg)
         assert [snapshot(s.params) for s in states] == before
         assert all(snapshot(a.params) != b for a, b in zip(after, before))
@@ -1335,9 +1277,9 @@ class TestFedConfigValidation:
             ("stage1_weighting", "median"),
             ("temperature", 0.0),
             ("global_epochs", 0),
-            ("loss_mode", "mse"),
-            ("loss_alpha", 1.5),
-            ("kl_direction", "both"),
+            ("include_self_in_consensus", "yes"),
+            ("distill_resample", 1),
+            ("refine_kde", "no"),
             ("distill_kind", "internet"),
             ("distill_count", 0),
             ("holdout_count", 0),
@@ -1370,6 +1312,5 @@ class TestFedConfigValidation:
         cfg.validate()
         assert (cfg.rounds, cfg.local_epochs, cfg.batch_size) == (100, 100, 100)
         assert (cfg.learning_rate, cfg.temperature, cfg.global_epochs) == (0.03, 5.0, 1)
-        assert cfg.loss_mode == "kl_only"
         assert cfg.distill_count == 200
         assert cfg.fedprox_mu == 0.01

@@ -24,6 +24,10 @@ METRICS_SHA256 = {
     "quickstart-fedprox": "63fcc485e6d466ccb1653bfef70fbdb19315e3d3388930cc9a43da06a5515fd9",
     "quickstart-heterofl": "9b7d4fa60c527b98c46f44e1399d83f2af61c4e3eef2bc1a86644e1018090864",
     "quickstart-dirichlet": "23f4d4e1067b5b5e6244f2bb2590017016e4170789e8ee09c65922baaa4d15dc",
+    "quickstart-no-self": "81d016d1dad110b84433f6392a88a39b7c51f075c49a30002677ecb6cc4cdde6",
+    "quickstart-no-refine": "3c6e15b73a06e9973447550a7ed5f76fd8f853a24311ec66ff82c7f244b4ff0a",
+    "quickstart-dirichlet-data-size": "f049c1be18b293756af89d34714a2eddb7ada144da9d3b9fdf63be0515f8283a",
+    "quickstart-resample": "d349753569f8694ecadf0420a4c7103e43a7560f1841ebcef21aa55c48b978f5",
     "cnn-images": "a16a5fc8d5424b9111c100d8ebbb13698d39b61bc67c9cab11fb98d5ca68e614",
 }
 
@@ -35,12 +39,16 @@ OUTPUT_SHA256 = {
     "quickstart-fedprox": "92b6768a1f4ddfbfe996caac48e014ad483e1678781e64344c871ba782159686",
     "quickstart-heterofl": "3fd4aa955a1269a6579d61258971fed8056a88e4ff477c6ad0d5cfd4136c5e4b",
     "quickstart-dirichlet": "c58d9835570eec400e3efec042a3b2f561186da982eaaa95fae137eb186e9a14",
+    "quickstart-no-self": "e8770b378505b5eff405532925bdee670f2c44f22ce4cca0c4b33e79ba2d91c4",
+    "quickstart-no-refine": "df7a4474636e00d4e1f2db195278f76bd068c15da78dbcbe078818bd36a8b1b6",
+    "quickstart-dirichlet-data-size": "f44ff00fcfd6a45399164ab451c2cd103b268619ac1d74cea674285afb2a0524",
+    "quickstart-resample": "16f3171efe918b559f291a7f18efa0d544ca0b28fd638b17ad6ab9e16fbe64d6",
     "cnn-images": "447227f6de4c27045db8a85f5b5ab822bbeaf4858dd78edcb86fa9ee5b56be1c",
 }
 
 ECHO_SHA256 = {
-    "quickstart.yaml": "770913f0e04790d3e9e8b1a19137e1014bce23d87635f8c8ab4e5f5a9e8711d7",
-    "full-protocol.yaml": "88ef2c394d7a289025c0a080d9d98d3d818c791b6adaf9f8451a904425c0eccd",
+    "quickstart.yaml": "e5f0d33ef7a0a74a469f292a9daac1e2688c0f572008cac84cf989ff71ecb222",
+    "full-protocol.yaml": "38f80a8cc4793c8b6c57f24c01a4fc4c1eef6ba1981c299c159fcacfca9bec1c",
 }
 
 
@@ -62,6 +70,34 @@ def write_images(root: Path, seed: int = 17) -> None:
                 np.save(folder / f"s{i}.npy", image)
 
 
+# each quickstart variant's settings over configs/quickstart.yaml, by section
+QUICKSTART_VARIANTS = {
+    "quickstart-fedtsa": {},
+    "quickstart-fedavg": {"training": {"algorithm": "fedavg"}},
+    "quickstart-fedprox": {"training": {"algorithm": "fedprox"}},
+    "quickstart-heterofl": {"training": {"algorithm": "heterofl"}},
+    "quickstart-dirichlet": {"dataset": {"partition": "dirichlet"}},
+    "quickstart-no-self": {"distillation": {"include_self": False}},
+    "quickstart-no-refine": {"clustering": {"refine": False}},
+    "quickstart-dirichlet-data-size": {
+        "dataset": {"partition": "dirichlet"},
+        "training": {"stage1_weighting": "data_size"},
+    },
+    # holdout_count above count: with the default (holdout_count = count)
+    # every round draws the whole holdout, sorted, and the bytes equal the
+    # fixed pool's
+    "quickstart-resample": {"distillation": {"resample": True, "holdout_count": 120}},
+}
+
+# a variant that sets one non-default value, and the run without it
+DEFAULT_TWIN = {
+    "quickstart-no-self": "quickstart-fedtsa",
+    "quickstart-no-refine": "quickstart-fedtsa",
+    "quickstart-dirichlet-data-size": "quickstart-dirichlet",
+    "quickstart-resample": "quickstart-fedtsa",
+}
+
+
 def golden_config(name: str, tmp_path: Path) -> dict:
     if name == "cnn-images":
         write_images(tmp_path / "images")
@@ -76,11 +112,8 @@ def golden_config(name: str, tmp_path: Path) -> dict:
             "distillation": {"count": 6, "holdout_count": 6},
         }
     raw = load_config_dict(CONFIGS / "quickstart.yaml")
-    variant = name.split("-", 1)[1]
-    if variant == "dirichlet":
-        raw["dataset"]["partition"] = "dirichlet"
-    else:
-        raw["training"]["algorithm"] = variant
+    for section, values in QUICKSTART_VARIANTS[name].items():
+        raw[section].update(values)
     raw["output"] = {"write_checkpoints": True}
     return raw
 
@@ -120,6 +153,12 @@ def test_metrics_bytes_are_pinned(name, golden_run):
 @pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
 def test_report_and_checkpoint_bytes_are_pinned(name, golden_run):
     assert output_sha256(golden_run(name)) == OUTPUT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_TWIN))
+def test_variant_metrics_differ_from_default_twin(name, golden_run):
+    variant, twin = (golden_run(n) / "metrics.jsonl" for n in (name, DEFAULT_TWIN[name]))
+    assert variant.read_bytes() != twin.read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(ECHO_SHA256))
