@@ -145,7 +145,8 @@ def _read_netpbm(path: Path) -> np.ndarray:
 def _read_feature_file(path: Path) -> np.ndarray:
     """A single sample from a ``.npy`` / netpbm file.
 
-    2-d arrays become (1, h, w); integer dtypes are scaled by 1/255.
+    2-d arrays become (1, h, w); integer dtypes are scaled by 1/255.  A
+    non-finite value is a :class:`ConfigError` naming the file.
     """
 
     if path.suffix == ".npy":
@@ -153,6 +154,8 @@ def _read_feature_file(path: Path) -> np.ndarray:
         if np.issubdtype(arr.dtype, np.integer):
             arr = arr.astype(np.float64) / 255.0
         arr = np.asarray(arr, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"{path}: sample holds a non-finite value")
         if arr.ndim == 2:
             arr = arr[None, :, :]
         return arr

@@ -139,6 +139,12 @@ class FedConfig:
 
     master_seed: int = setting("seed", int, 0, ge=0)
 
+    @staticmethod
+    def path(name: str) -> str:
+        """The dotted config key that sets field ``name``."""
+
+        return FedConfig.__dataclass_fields__[name].metadata["setting"].path
+
     def validate(self) -> None:
         """Check every field against its declaration, then the cross-field rules.
 
@@ -577,11 +583,12 @@ def run_experiment(
     holdout = None
     pool_indices = None
     if config.algorithm == "fedtsa" and config.distill_kind == "holdout":
-        n_hold = config.holdout_count if config.holdout_count is not None else config.distill_count
+        held_by = "holdout_count" if config.holdout_count is not None else "distill_count"
+        n_hold = getattr(config, held_by)
         if n_hold >= len(train):
             raise ConfigError(
                 f"holdout of {n_hold} leaves no training data (have {len(train)})",
-                field="holdout_count",
+                field=FedConfig.path(held_by),
             )
         holdout, pool_indices = reserve_indices(len(train), n_hold, stream_seed(seed, _STREAM_HOLDOUT))
 

@@ -5,13 +5,21 @@ conv (square kernel, zero padding), relu, maxpool and flatten.  The backward
 pass is hand-derived per layer; correctness is pinned by central
 finite-difference checks in the test suite.
 
-Convolution is implemented with an im2col expansion: one fancy-index gather
-of every window, with indices built once per kernel, stride and output size.
-The maxpool forward takes the argmax of each window (first maximum wins on
-ties).  Both backward passes scatter window values back with one strided
-slice add per window offset (col2im): the conv its column gradients, the
-maxpool the upstream gradient routed to each argmax.  Offsets are added in a
-fixed order, so results are deterministic for fixed inputs.
+Both window layers read their windows through one read-only strided view
+of the input, ``(n, c, k, k, out_h, out_w)``, and copy it once.  The conv
+copies it C-contiguous as im2col columns ``(n, c*k*k, L)`` and multiplies
+them by the weights with BLAS.  Its weight gradient is one BLAS product per
+sample, ``dy[s] @ cols[s].T``, added up in sample order, so ``dw`` does not
+depend on how a gather laid out its memory.  The maxpool copies the windows
+offset-major and keeps, with strict ``>`` comparisons in row-major offset
+order, the first maximum of each window: a tie of -0.0 and +0.0 keeps the
+one that comes first, and a NaN, once taken, stays, as with ``argmax``.  Both
+backward passes scatter window values back with one strided slice add per
+window offset (col2im): the conv its column gradients, the maxpool the
+upstream gradient routed to each window's maximum.  Offsets are added in a
+fixed order, so results are deterministic for fixed inputs.  Evaluation
+(:func:`model_forward`) drops each layer's cache as soon as the next layer
+has run.
 
 Training runs on flat vectors: a :class:`fedsim.models.ModelParams` is one
 contiguous float64 vector laid out by ``spec.layout``, with a read-only
@@ -25,8 +33,6 @@ parameters and the input shape.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from fedsim.errors import DimensionError
@@ -39,28 +45,30 @@ from fedsim.models import (
 )
 
 
-@functools.lru_cache(maxsize=64)
-def _window_indices(k: int, stride: int, out_h: int, out_w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column gather indices of shape ``(k*k, out_h*out_w)``, window
-    offsets in row-major order.  Cached, so they are read-only."""
+def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """A read-only strided view ``(n, c, k, k, out_h, out_w)`` of every
+    ``k x k`` window of ``x``: ``[:, :, di, dj]`` holds the pixel at offset
+    ``(di, dj)`` of each window."""
 
-    i0 = np.repeat(np.arange(k), k)
-    j0 = np.tile(np.arange(k), k)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i, j = i0[:, None] + i1[None, :], j0[:, None] + j1[None, :]
-    i.flags.writeable = False
-    j.flags.writeable = False
-    return i, j
+    n, c, h, wid = x.shape
+    out_h = (h - k) // stride + 1
+    out_w = (wid - k) // stride + 1
+    sn, sc, sh, sw = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x,
+        (n, c, k, k, out_h, out_w),
+        (sn, sc, sh, sw, stride * sh, stride * sw),
+        writeable=False,
+    )
 
 
-def _col2im(parts: np.ndarray, k: int, stride: int, shape) -> np.ndarray:
+def _col2im(parts, k: int, stride: int, shape) -> np.ndarray:
     """Sum window values back onto a zeroed ``(n, c, h, w)`` map.
 
-    ``parts[kk]`` holds the ``(n, c, out_h*out_w)`` values at window offset
-    ``kk = di*k + dj``, the inverse of the gather by :func:`_window_indices`.
-    Each offset is one strided slice add, in ascending ``kk``, so every pixel
-    sums its addends in the order ``np.add.at`` over the gather indices would.
+    ``parts`` yields, for each window offset ``kk = di*k + dj`` in ascending
+    order, the ``(n, c, out_h*out_w)`` values at that offset.  Each offset is
+    one strided slice add, so every pixel sums its addends in ascending
+    ``kk``, the order ``np.add.at`` over the windows would take.
     """
 
     n, c, h, wid = shape
@@ -91,25 +99,25 @@ def _dense_backward(dy, w, cache, dw, db, need_dx=True):
     return dy @ w if need_dx else None
 
 
+def _im2col(x, k: int, stride: int, padding: int) -> np.ndarray:
+    """Every window of the zero-padded ``x``, copied into one C-contiguous
+    ``(n, c, k, k, out_h, out_w)`` array."""
+
+    if padding:
+        n, c, h, wid = x.shape
+        xp = np.zeros((n, c, h + 2 * padding, wid + 2 * padding), dtype=np.float64)
+        xp[:, :, padding : padding + h, padding : padding + wid] = x
+        x = xp
+    return np.ascontiguousarray(_windows(x, k, stride))
+
+
 def _conv_forward(x, w, b, layer: LayerSpec):
-    n, c, h, wid = x.shape
-    k, s, p = layer.kernel, layer.stride, layer.padding
-    if p:
-        xp = np.zeros((n, c, h + 2 * p, wid + 2 * p), dtype=np.float64)
-        xp[:, :, p : p + h, p : p + wid] = x
-    else:
-        xp = x
-    out_h = (h + 2 * p - k) // s + 1
-    out_w = (wid + 2 * p - k) // s + 1
-    i, j = _window_indices(k, s, out_h, out_w)
-    # The fancy-index gather, not a copy of strided slices: for one input
-    # channel its reshape is a non-contiguous view, and the einsum in the
-    # backward pass rounds ``dw`` according to that layout.
-    cols = xp[:, :, i, j].reshape(n, c * k * k, -1)  # (n, c*k*k, out_h*out_w)
-    wm = w.reshape(w.shape[0], -1)
-    y = np.matmul(wm, cols) + b[:, None]
-    y = y.reshape(n, w.shape[0], out_h, out_w)
-    return y, (cols, x.shape)
+    windows = _im2col(x, layer.kernel, layer.stride, layer.padding)
+    n, _, _, _, out_h, out_w = windows.shape
+    cols = windows.reshape(n, -1, out_h * out_w)  # (n, c*k*k, L)
+    y = np.matmul(w.reshape(w.shape[0], -1), cols)
+    y += b[:, None]
+    return y.reshape(n, w.shape[0], out_h, out_w), (cols, x.shape)
 
 
 def _conv_backward(dy, w, layer: LayerSpec, cache, dw, db, need_dx=True):
@@ -119,7 +127,10 @@ def _conv_backward(dy, w, layer: LayerSpec, cache, dw, db, need_dx=True):
     n, c, h, wid = x_shape
     k, s, p = layer.kernel, layer.stride, layer.padding
     dyl = dy.reshape(n, dy.shape[1], -1)  # (n, out_c, L)
-    np.einsum("nol,nfl->of", dyl, cols, out=dw.reshape(w.shape[0], -1))
+    # one BLAS product per sample, summed in sample order
+    np.add.reduce(
+        np.matmul(dyl, cols.transpose(0, 2, 1)), axis=0, out=dw.reshape(w.shape[0], -1)
+    )
     np.add.reduce(dyl, axis=(0, 2), out=db)
     if not need_dx:
         return None
@@ -130,25 +141,40 @@ def _conv_backward(dy, w, layer: LayerSpec, cache, dw, db, need_dx=True):
 
 
 def _maxpool_forward(x, layer: LayerSpec):
-    n, c, h, wid = x.shape
-    k, s = layer.kernel, layer.stride
-    out_h = (h - k) // s + 1
-    out_w = (wid - k) // s + 1
-    i, j = _window_indices(k, s, out_h, out_w)
-    windows = x[:, :, i, j]  # (n, c, k*k, L)
-    # argmax and a pick, not a max: relu outputs hold -0.0, and the pick
-    # returns the first maximum itself, whichever zero it is.
-    amax = windows.argmax(axis=2)  # first maximum on ties
-    y = np.take_along_axis(windows, amax[:, :, None, :], axis=2)[:, :, 0, :]
-    return y.reshape(n, c, out_h, out_w), (x.shape, amax)
+    """The first maximum of each window, found with strict comparisons.
+
+    The window offsets are copied offset-major, then visited in row-major
+    order; an offset replaces the running maximum only where it is larger, so
+    a tie keeps the first, whichever zero it is.  A NaN counts as larger and,
+    once taken, is never replaced, as with ``argmax``.  The cache holds, for
+    each offset after the first, where it was taken.
+    """
+
+    k = layer.kernel
+    windows = np.ascontiguousarray(_windows(x, k, layer.stride).transpose(2, 3, 0, 1, 4, 5))
+    windows = windows.reshape(k * k, *windows.shape[2:])  # (k*k, n, c, out_h, out_w)
+    y = windows[0]
+    taken = np.empty((k * k - 1, *y.shape), dtype=bool)
+    for kk in range(1, k * k):
+        take = np.less_equal(windows[kk], y, out=taken[kk - 1])
+        np.logical_not(take, out=take)  # larger, or a NaN on either side
+        take &= y == y  # but a NaN already taken stays
+        y = np.where(take, windows[kk], y)
+    return y, (x.shape, taken)
 
 
 def _maxpool_backward(dy, layer: LayerSpec, cache):
-    x_shape, amax = cache
-    k = layer.kernel
-    offsets = np.arange(k * k).reshape(-1, 1, 1, 1)
-    routed = np.where(amax == offsets, dy.reshape(amax.shape), 0.0)  # (k*k, n, c, L)
-    return _col2im(routed, k, layer.stride, x_shape)
+    x_shape, taken = cache
+    # an offset won where it was taken and no later offset was; offset 0
+    # won where none was
+    won = []
+    later = np.zeros(dy.shape, dtype=bool)
+    for take in taken[::-1]:
+        won.append(take & ~later)
+        later |= take
+    won.append(~later)
+    parts = (np.where(mask, dy, 0.0) for mask in reversed(won))
+    return _col2im(parts, layer.kernel, layer.stride, x_shape)
 
 
 def _check_batch(expected: tuple[int, ...], batch: np.ndarray) -> np.ndarray:
@@ -163,19 +189,13 @@ def _check_batch(expected: tuple[int, ...], batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def forward_cached(spec: ModelSpec, params: ModelParams, batch: np.ndarray):
-    """Logits plus the per-layer caches needed for the backward pass.
-
-    ``params`` is not checked against ``spec``: callers validate once at
-    their entry (:func:`model_forward`, :func:`model_backward`,
-    ``engine.local_update``, ``engine.stage2_dml``), and training updates
-    the values in place, never the shapes.
-    """
+def _forward(spec: ModelSpec, params: ModelParams, batch: np.ndarray, caches: list | None):
+    """Logits; each layer's cache for the backward pass is appended to
+    ``caches``, or dropped as the next layer runs when it is ``None``."""
 
     layout = spec.layout
     x = _check_batch(layout.input_shape, batch)
     tensors = params.tensors
-    caches: list = []
     for idx, (layer, slot) in enumerate(zip(spec.layers, layout.slots)):
         try:
             if layer.kind == "dense":
@@ -192,8 +212,22 @@ def forward_cached(spec: ModelSpec, params: ModelParams, batch: np.ndarray):
                 x = x.reshape(x.shape[0], -1)
         except ValueError as exc:  # pragma: no cover - guarded by spec validation
             raise DimensionError(f"{layer_name(idx, layer)}: {exc}") from exc
-        caches.append(cache)
-    return x, caches
+        if caches is not None:
+            caches.append(cache)
+    return x
+
+
+def forward_cached(spec: ModelSpec, params: ModelParams, batch: np.ndarray):
+    """Logits plus the per-layer caches needed for the backward pass.
+
+    ``params`` is not checked against ``spec``: callers validate once at
+    their entry (:func:`model_forward`, :func:`model_backward`,
+    ``engine.local_update``, ``engine.stage2_dml``), and training updates
+    the values in place, never the shapes.
+    """
+
+    caches: list = []
+    return _forward(spec, params, batch, caches), caches
 
 
 def backward_from_cache(
@@ -231,11 +265,10 @@ def backward_from_cache(
 
 
 def model_forward(spec: ModelSpec, params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Class logits, shape ``(batch, class_count)``."""
+    """Class logits, shape ``(batch, class_count)``, keeping no layer's cache."""
 
     validate_params(spec, params)
-    logits, _ = forward_cached(spec, params, batch)
-    return logits
+    return _forward(spec, params, batch, None)
 
 
 def model_backward(

@@ -12,25 +12,29 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fedsim.engine
 from fedsim.clustering import ClientProfile
 from fedsim.data import make_blobs
 from fedsim.engine import ClusterState, FedConfig, split_batches
-from fedsim.models import build_pruned_spec, init_params, mlp_spec
+from fedsim.nn import model_forward
+from fedsim.models import build_pruned_spec, cnn_spec, init_params, mlp_spec, spec_to_dict
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def load_bench(name):
+    """A module of ``bench/`` loaded by path, as ``bench_<name>``."""
+
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_exists_and_is_callable():
-    spans = load_tracer().SPANS
+    spans = load_bench("tracer").SPANS
     assert spans
     for module, attr, _span, _counted in spans:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
@@ -45,7 +49,7 @@ def test_forward_cached_takes_the_batch_third():
 def traced(monkeypatch):
     """A tracer whose wrappers replace every span target for this test only."""
 
-    module = load_tracer()
+    module = load_bench("tracer")
     tracer = module.Tracer()
     for target, attr, span, counted in module.SPANS:
         monkeypatch.setattr(target, attr, tracer.wrap(getattr(target, attr), span, counted))
@@ -128,3 +132,31 @@ def test_a_heterofl_run_merges_every_member_once_per_round(monkeypatch):
     assert len(members) == 5
     assert merged == [members] * rounds
 
+
+
+@pytest.mark.parametrize("pool", [2, 3])
+def test_model_forward_matches_the_checkers_reference_forward(pool):
+    # the benchmark marks a cnn-images run incorrect when a checkpoint's
+    # accuracy under checks.reference_forward differs from the reported one
+    checks = load_bench("checks")
+    rng = np.random.default_rng(pool)
+    for trial in range(6):
+        layers = int(rng.integers(1, 3))
+        side = 7 if pool == 2 else 10  # every pool crops a border
+        spec = cnn_spec(
+            (int(rng.integers(1, 3)), side, side),
+            tuple(int(c) for c in rng.integers(1, 5, size=layers)),
+            int(rng.integers(2, 5)),
+            pool=pool,
+            dense_width=int(rng.integers(2, 9)),
+        )
+        params = init_params(spec, trial)
+        x = rng.normal(size=(12, *spec.input_shape))
+        # the zero half of each image makes conv outputs of +0.0 (biases
+        # start at zero), which relu keeps next to the -0.0 of negative
+        # outputs, so the pools see ties of -0.0 and +0.0
+        x[:, :, : side // 2] = 0.0
+        got = model_forward(spec, params, x)
+        want = checks.reference_forward(spec_to_dict(spec), dict(params.tensors), x)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))

@@ -183,6 +183,50 @@ def test_config_error_raised_inside_the_run_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "distillation, key",
+    [({"count": 500}, "distillation.count"), ({"holdout_count": 500}, "distillation.holdout_count")],
+    ids=["count", "holdout_count"],
+)
+def test_holdout_error_names_the_key_that_sets_it(tmp_path, capsys, distillation, key):
+    cfg = write_config(tmp_path, {"clients": {"count": 4}, "distillation": distillation})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {key}: holdout of 500 leaves no training data (have 180)" in err
+    assert not out.exists()
+
+
+def write_image_classes(root, rng, side=4):
+    for c in range(2):
+        (root / f"c{c}").mkdir(parents=True)
+        for i in range(4):
+            np.save(root / f"c{c}" / f"s{i}.npy", rng.normal(size=(1, side, side)))
+
+
+@pytest.mark.parametrize("where", ["dataset", "distillation"])
+def test_a_non_finite_sample_fails_before_output(tmp_path, capsys, where):
+    rng = np.random.default_rng(0)
+    for split in ("train", "test", "distill"):
+        write_image_classes(tmp_path / split, rng)
+    bad = tmp_path / ("train" if where == "dataset" else "distill") / "c1" / "s2.npy"
+    image = np.load(bad)
+    image[0, 1, 2] = np.nan
+    np.save(bad, image)
+    raw = tiny_config(
+        dataset={"source": "directory", "directory": str(tmp_path)},
+        clients={"speed_factors": [1.0, 2.0]},
+        model={"kind": "cnn", "conv_channels": [2], "dense_width": 4},
+        distillation={"source": "directory", "directory": str(tmp_path / "distill"), "count": 8},
+    )
+    raw["distillation"].pop("holdout_count")
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert f"{bad}: sample holds a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_run_of_zero_rounds_writes_the_echo_and_an_empty_metrics_file(tmp_path):
     cfg = write_config(tmp_path, tiny_config(training={"rounds": 0}))
     out = tmp_path / "o"

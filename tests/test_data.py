@@ -212,6 +212,13 @@ class TestDistillationSources:
         with pytest.raises(ConfigError):
             draw_from_directory("/nonexistent/path", (), 2, seed=0)
 
+    def test_non_finite_sample_is_rejected_by_name(self, tmp_path):
+        for i in range(3):
+            np.save(tmp_path / f"s{i}.npy", np.zeros((1, 2, 2)))
+        np.save(tmp_path / "s1.npy", np.array([[[0.0, np.inf], [0.0, 0.0]]]))
+        with pytest.raises(ConfigError, match=r"s1\.npy: sample holds a non-finite value"):
+            draw_from_directory(tmp_path, (), 3, seed=0)
+
 
 class TestImageDirectory:
     def _write_pgm(self, path, array):
@@ -263,3 +270,11 @@ class TestImageDirectory:
     def test_missing_directory_rejected(self):
         with pytest.raises(ConfigError):
             load_image_directory("/nonexistent/classes")
+
+    def test_non_finite_sample_is_rejected_by_name(self, tmp_path):
+        (tmp_path / "x").mkdir()
+        (tmp_path / "y").mkdir()
+        np.save(tmp_path / "x" / "a.npy", np.zeros((1, 2, 2)))
+        np.save(tmp_path / "y" / "b.npy", np.array([[0.0, np.nan], [0.5, 0.5]]))
+        with pytest.raises(ConfigError, match=r"b\.npy: sample holds a non-finite value"):
+            load_image_directory(tmp_path)

@@ -28,7 +28,7 @@ METRICS_SHA256 = {
     "quickstart-no-refine": "3c6e15b73a06e9973447550a7ed5f76fd8f853a24311ec66ff82c7f244b4ff0a",
     "quickstart-dirichlet-data-size": "f049c1be18b293756af89d34714a2eddb7ada144da9d3b9fdf63be0515f8283a",
     "quickstart-resample": "d349753569f8694ecadf0420a4c7103e43a7560f1841ebcef21aa55c48b978f5",
-    "cnn-images": "a16a5fc8d5424b9111c100d8ebbb13698d39b61bc67c9cab11fb98d5ca68e614",
+    "cnn-images": "2da0d7bcf093e5b2c1cb63d482a553d7c8a9359a824e5f049044ab139cb115cf",
 }
 
 # over cluster_report.txt and checkpoints/*, each file's relative path and
@@ -43,7 +43,7 @@ OUTPUT_SHA256 = {
     "quickstart-no-refine": "df7a4474636e00d4e1f2db195278f76bd068c15da78dbcbe078818bd36a8b1b6",
     "quickstart-dirichlet-data-size": "f44ff00fcfd6a45399164ab451c2cd103b268619ac1d74cea674285afb2a0524",
     "quickstart-resample": "16f3171efe918b559f291a7f18efa0d544ca0b28fd638b17ad6ab9e16fbe64d6",
-    "cnn-images": "447227f6de4c27045db8a85f5b5ab822bbeaf4858dd78edcb86fa9ee5b56be1c",
+    "cnn-images": "f889823df8d1d532038fd5c111a2988f20fece2ef618e326424ac15b5a13ad43",
 }
 
 ECHO_SHA256 = {

@@ -104,11 +104,15 @@ def add_at_conv(x, w, b, k, stride, padding, dy):
     out_h = (h + 2 * padding - k) // stride + 1
     out_w = (wid + 2 * padding - k) // stride + 1
     i, j = gather_indices(k, stride, out_h, out_w)
-    cols = xp[:, :, i, j].reshape(n, c * k * k, -1)
+    cols = np.ascontiguousarray(xp[:, :, i, j]).reshape(n, c * k * k, -1)
     wm = w.reshape(w.shape[0], -1)
     y = (np.matmul(wm, cols) + b[:, None]).reshape(n, w.shape[0], out_h, out_w)
     dyl = dy.reshape(n, dy.shape[1], -1)
-    dw = np.einsum("nol,nfl->of", dyl, cols).reshape(w.shape)
+    # one product per sample, added in sample order
+    dw = np.dot(dyl[0], cols[0].T)
+    for s in range(1, n):
+        dw += np.dot(dyl[s], cols[s].T)
+    dw = dw.reshape(w.shape)
     db = dyl.sum(axis=(0, 2))
     dcols = np.matmul(wm.T, dyl).reshape(n, c, k * k, -1)
     xp_grad = np.zeros(xp.shape)
@@ -206,6 +210,23 @@ class TestKernelsAgainstAddAt:
         bound = 2 * k**4 * np.finfo(np.float64).eps * np.abs(dy).max()
         np.testing.assert_allclose(_maxpool_backward(dy, layer, cache), expected_dx,
                                    rtol=0, atol=bound)
+
+
+    @pytest.mark.parametrize("k, stride", [(2, 2), (3, 3), (2, 1), (3, 2)])
+    def test_a_nan_in_a_window_reaches_the_output(self, k, stride):
+        # argmax takes the first NaN of a window as its maximum
+        rng = np.random.default_rng(20 * k + stride)
+        x = with_zeros(rng, rng.normal(size=(2, 3, 7, 8)))
+        x[rng.random(x.shape) < 0.08] = np.nan
+        layer = LayerSpec(kind="maxpool", kernel=k, stride=stride)
+        y, cache = _maxpool_forward(x, layer)
+        expected_y, expected_dx = add_at_maxpool(x, k, stride, np.ones(y.shape))
+        assert_same_bytes((y,), (expected_y,))
+        nan_windows = brute_force_maxpool(np.where(np.isnan(x), np.inf, -np.inf), k, stride)
+        assert 0 < np.isnan(y).sum() < y.size
+        np.testing.assert_array_equal(np.isnan(y), nan_windows == np.inf)
+        dx = _maxpool_backward(np.ones(y.shape), layer, cache)
+        np.testing.assert_array_equal(dx, expected_dx)
 
 
 class TestForwardAgainstBruteForce:
