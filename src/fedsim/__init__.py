@@ -15,7 +15,7 @@ The package is organised around a handful of small, pure modules:
 * :mod:`fedsim.clustering` -- simulated duration profiling, Gaussian KDE and
   density-valley clustering with pruning-rate assignment.
 * :mod:`fedsim.engine` -- local updates, the two aggregation stages, baseline
-  aggregators and the round loop.
+  aggregators, and a run as ``prepare_run`` then one ``run_round`` per round.
 * :mod:`fedsim.settings` / :mod:`fedsim.config` / :mod:`fedsim.cli` -- config
   settings declared once each, strict YAML configuration and the command
   line harness.

@@ -28,7 +28,7 @@ from fedsim.config import (
     load_config_dict,
     resolve_config,
 )
-from fedsim.engine import RunResult, cluster_clients, profile_clients, run_experiment
+from fedsim.engine import RunState, cluster_clients, profile_clients, run_experiment
 from fedsim.errors import ConfigError, FedsimError
 from fedsim.models import save_checkpoint
 
@@ -64,7 +64,7 @@ def metrics_line(metrics_dict: dict) -> str:
     return json.dumps(_clean(metrics_dict), allow_nan=False)
 
 
-def write_summary(path: Path, cfg: ExperimentConfig, result: RunResult, wall_seconds: float) -> None:
+def write_summary(path: Path, cfg: ExperimentConfig, result: RunState, wall_seconds: float) -> None:
     final = result.metrics[-1] if result.metrics else None
     row = {
         "algorithm": cfg.fed.algorithm,
@@ -152,7 +152,7 @@ def cmd_run(args) -> int:
         wall_seconds = time.perf_counter() - started
         open_outputs()  # a run of zero rounds
     except ConfigError:
-        raise  # run_experiment's config checks all run before the first round
+        raise  # prepare_run raises every config error, so nothing is written yet
     except BaseException:
         open_outputs()  # a failed run keeps its echo and its complete metrics lines
         raise

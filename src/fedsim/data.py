@@ -321,12 +321,13 @@ def draw_from_holdout(
     return dataset.features[np.sort(chosen)].copy()
 
 
-def draw_from_directory(directory, prompts: tuple[str, ...], count: int, seed) -> np.ndarray:
+def draw_from_directory(directory, prompts: tuple[str, ...], count: int | None, seed) -> np.ndarray:
     """``count`` samples loaded from the files under ``directory`` (recursively).
 
     If prompts match file names, the draw is balanced across the matching
-    prompts.  Raises :class:`~fedsim.errors.ConfigError` when the directory
-    cannot supply ``count`` distinct samples of one shape.
+    prompts.  With ``count`` None, every file a draw can choose is loaded.
+    Raises :class:`~fedsim.errors.ConfigError` when the directory cannot
+    supply ``count`` distinct samples of one shape.
     """
 
     rng = np.random.default_rng(seed)
@@ -346,9 +347,10 @@ def draw_from_directory(directory, prompts: tuple[str, ...], count: int, seed) -
             idx_groups.append(np.arange(offset, offset + len(g)))
             flat.extend(g)
             offset += len(g)
-        chosen_idx = _balanced_draw(rng, idx_groups, count)
+        chosen_idx = np.arange(offset) if count is None else _balanced_draw(rng, idx_groups, count)
         chosen_files = [flat[i] for i in np.sort(chosen_idx)]
     else:
+        count = len(files) if count is None else count
         if count > len(files):
             raise ConfigError(f"{root}: has {len(files)} files, distillation needs {count}")
         chosen_files = [files[i] for i in np.sort(rng.choice(len(files), count, replace=False))]

@@ -1,8 +1,9 @@
 """Federated training loop: local SGD, in-cluster averaging, mutual distillation.
 
-The round structure is the same for every algorithm -- local updates, an
-aggregation step, evaluation -- and the algorithms differ only in how clients
-are grouped and how their updates are merged:
+A run is :func:`prepare_run`, which checks the inputs and sets up a
+:class:`RunState`, then one :func:`run_round` per round: local updates, an
+aggregation step, evaluation.  The algorithms differ only in how clients are
+grouped and how their updates are merged:
 
 * ``fedtsa``   -- duration-based clusters, per-cluster width; Stage 1 averages
   weights inside each cluster, Stage 2 runs deep mutual learning between the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -196,15 +197,29 @@ class RoundMetrics:
 
 
 @dataclass
-class RunResult:
-    """Everything a run leaves behind."""
+class RunState:
+    """A run between rounds, as :func:`prepare_run` sets it up.
 
-    metrics: list[RoundMetrics]
-    states: list[ClusterState]
+    Only ``states``, ``global_params`` (heterofl's full-width model) and
+    ``metrics`` change from round to round.  The rest derives from the
+    config and the master seed alone, so :func:`prepare_run` rebuilds it
+    exactly: the measured profiles, the partition, the clusters, the holdout
+    rows and the round-0 distillation draw (every round's when not
+    resampling).  ``train`` and ``test`` are the caller's datasets, held,
+    not copied.
+    """
+
+    config: FedConfig
+    train: LabeledDataset
+    test: LabeledDataset
     profiles: list[ClientProfile]
     partition: Partition
     assignment: ClusterAssignment
-    global_params: ModelParams | None = None  # heterofl's full-width model
+    holdout: np.ndarray | None
+    distill_batches: list[np.ndarray]
+    states: list[ClusterState]
+    global_params: ModelParams | None
+    metrics: list[RoundMetrics] = field(default_factory=list)
 
 
 # float64s in the scratch buffer of one _sorted_mean call: 1 MiB
@@ -551,18 +566,16 @@ def cluster_clients(config: FedConfig, profiles: list[ClientProfile]) -> Cluster
     )
 
 
-def run_experiment(
+def prepare_run(
     config: FedConfig,
     base_spec: ModelSpec,
     train: LabeledDataset,
     test: LabeledDataset,
     profiles: list[ClientProfile],
-    on_round=None,
-) -> RunResult:
-    """Cluster once, then run the configured number of federated rounds.
+) -> RunState:
+    """Check the inputs and set a run up to its first round.
 
-    ``on_round`` (if set) is called with each :class:`RoundMetrics` as it is
-    produced.
+    Every :class:`ConfigError` a run can raise is raised here.
     """
 
     config.validate()
@@ -577,12 +590,13 @@ def run_experiment(
         raise DimensionError("train and test disagree on the number of classes")
 
     seed = config.master_seed
+    distils = config.algorithm == "fedtsa"
 
     # Reserve the server-side holdout before partitioning so no client ever
     # trains on a distillation input.
     holdout = None
     pool_indices = None
-    if config.algorithm == "fedtsa" and config.distill_kind == "holdout":
+    if distils and config.distill_kind == "holdout":
         held_by = "holdout_count" if config.holdout_count is not None else "distill_count"
         n_hold = getattr(config, held_by)
         if n_hold >= len(train):
@@ -604,10 +618,14 @@ def run_experiment(
             stream_seed(seed, _STREAM_PARTITION),
             indices=pool_indices,
         )
-    sizes = partition.sizes()
 
     profiles = profile_clients(config, profiles)
     assignment = cluster_clients(config, profiles)
+    if distils and assignment.cluster_count == 1 and not config.include_self_in_consensus:
+        raise ConfigError(
+            "a single cluster has no peers to distil from; it must include itself",
+            field=FedConfig.path("include_self_in_consensus"),
+        )
 
     states: list[ClusterState] = []
     for c, rate in enumerate(assignment.rates):
@@ -615,12 +633,6 @@ def run_experiment(
         params_c = init_params(spec_c, stream_seed(seed, _STREAM_INIT, c))
         members = tuple(int(ids[pos]) for pos in assignment.members(c))
         states.append(ClusterState(c, spec_c, params_c, members))
-
-    # position of each client in the profile/partition order, keyed by id
-    pos_of = {cid: pos for pos, cid in enumerate(ids)}
-    member_sizes = [[int(sizes[pos_of[cid]]) for cid in s.member_ids] for s in states]
-    member_counts = np.array([len(s.member_ids) for s in states], dtype=np.float64)
-    member_data = np.array([sum(m) for m in member_sizes], dtype=np.float64)
 
     global_params = None
     if config.algorithm == "heterofl":
@@ -630,90 +642,113 @@ def run_experiment(
             state.params = extract_overlap(global_params, state.spec)
 
     distill_batches: list[np.ndarray] = []
-    if config.algorithm == "fedtsa" and not config.distill_resample:
+    if distils:
         distill_batches = distillation_batches(
             config, train, holdout, stream_seed(seed, _STREAM_DISTILL, 0)
         )
+        if config.distill_resample and config.distill_kind == "directory":
+            # later rounds draw other files: read each one now, so a bad one fails here
+            draw_from_directory(config.distill_directory, config.distill_prompts, None, 0)
 
-    prox = config.algorithm == "fedprox"
+    return RunState(
+        config, train, test, profiles, partition, assignment, holdout, distill_batches, states, global_params
+    )
 
-    def train_members(state: ClusterState, t: int, losses: list[float]) -> list[ModelParams]:
-        """The local updates of a cluster's members in round ``t``, in member order.
 
-        The trained models are held only by the returned list, so none of
-        them outlives the aggregation it is passed to.
-        """
+def train_members(run: RunState, state: ClusterState, t: int, losses: list[float]) -> list[ModelParams]:
+    """The local updates of a cluster's members in round ``t``, in member order.
 
-        trained = []
-        for cid in state.member_ids:
-            idx = partition.client_indices[pos_of[cid]]
-            try:
-                params, loss = local_update(
-                    state.spec,
-                    state.params,
-                    train.features[idx],
-                    train.labels[idx],
-                    config,
-                    stream_seed(seed, _STREAM_LOCAL, cid, t),
-                    prox_reference=state.params if prox else None,
-                )
-            except FedsimError as exc:
-                raise EngineError(f"round {t}, cluster {state.cluster_id}, client {cid}: {exc}") from exc
-            trained.append(params)
-            losses.append(loss)
-        return trained
+    Their losses join ``losses``.  The trained models are held only by the
+    returned list, so none of them outlives the aggregation it is passed to.
+    """
 
-    metrics: list[RoundMetrics] = []
-    for t in range(config.rounds):
-        losses: list[float] = []
-        if config.algorithm == "heterofl":
-            global_params = heterofl_aggregate(
-                global_params, [p for s in states for p in train_members(s, t, losses)]
+    prox_reference = state.params if run.config.algorithm == "fedprox" else None
+    trained = []
+    for pos, cid in zip(run.assignment.members(state.cluster_id), state.member_ids):
+        idx = run.partition.client_indices[pos]
+        try:
+            params, loss = local_update(
+                state.spec,
+                state.params,
+                run.train.features[idx],
+                run.train.labels[idx],
+                run.config,
+                stream_seed(run.config.master_seed, _STREAM_LOCAL, cid, t),
+                prox_reference=prox_reference,
             )
-            for state in states:
-                state.params = extract_overlap(global_params, state.spec)
-        else:
-            for state, sizes_c in zip(states, member_sizes):
-                state.params = stage1_aggregate(
-                    train_members(state, t, losses),
-                    data_sizes=sizes_c,
-                    weighting=config.stage1_weighting,
-                )
-        mean_local_loss = float(np.mean(losses)) if losses else float("nan")
+        except FedsimError as exc:
+            raise EngineError(f"round {t}, cluster {state.cluster_id}, client {cid}: {exc}") from exc
+        trained.append(params)
+        losses.append(loss)
+    return trained
 
-        stage2_kl = 0.0
-        if config.algorithm == "fedtsa":
-            if config.distill_resample:
-                distill_batches = distillation_batches(
-                    config, train, holdout, stream_seed(seed, _STREAM_DISTILL, t)
-                )
-            try:
-                states, stage2_kl = stage2_dml(states, distill_batches, config)
-            except FedsimError as exc:
-                raise EngineError(f"round {t}, stage 2: {exc}") from exc
 
-        accuracies = tuple(
-            evaluate(s.spec, s.params, test.features, test.labels) for s in states
+def run_round(run: RunState, t: int) -> RoundMetrics:
+    """Advance ``run`` by round ``t``, append the round's metrics to it and return them."""
+
+    config = run.config
+    cluster_of, sizes = run.assignment.cluster_of, run.partition.sizes()
+    losses: list[float] = []
+    if config.algorithm == "heterofl":
+        run.global_params = heterofl_aggregate(
+            run.global_params, [p for s in run.states for p in train_members(run, s, t, losses)]
         )
-        acc = np.asarray(accuracies)
-        round_metrics = RoundMetrics(
-            round_index=t,
-            cluster_accuracy=accuracies,
-            client_weighted_accuracy=float(np.sum(acc * member_counts) / member_counts.sum()),
-            data_weighted_accuracy=float(np.sum(acc * member_data) / member_data.sum()),
-            unweighted_accuracy=float(acc.mean()),
-            mean_local_loss=mean_local_loss,
-            stage2_kl=stage2_kl,
-        )
-        metrics.append(round_metrics)
+        for state in run.states:
+            state.params = extract_overlap(run.global_params, state.spec)
+    else:
+        for state in run.states:
+            state.params = stage1_aggregate(
+                train_members(run, state, t, losses),
+                data_sizes=sizes[cluster_of == state.cluster_id],
+                weighting=config.stage1_weighting,
+            )
+    mean_local_loss = float(np.mean(losses)) if losses else float("nan")
+
+    stage2_kl = 0.0
+    if config.algorithm == "fedtsa":
+        batches = run.distill_batches  # the draw of round 0
+        if config.distill_resample and t > 0:
+            batches = distillation_batches(
+                config, run.train, run.holdout, stream_seed(config.master_seed, _STREAM_DISTILL, t)
+            )
+        try:
+            run.states, stage2_kl = stage2_dml(run.states, batches, config)
+        except FedsimError as exc:
+            raise EngineError(f"round {t}, stage 2: {exc}") from exc
+
+    accuracies = tuple(
+        evaluate(s.spec, s.params, run.test.features, run.test.labels) for s in run.states
+    )
+    acc = np.asarray(accuracies)
+    member_counts = np.bincount(cluster_of, minlength=acc.size)
+    member_data = np.bincount(cluster_of, weights=sizes, minlength=acc.size)
+    round_metrics = RoundMetrics(
+        round_index=t,
+        cluster_accuracy=accuracies,
+        client_weighted_accuracy=float(np.sum(acc * member_counts) / member_counts.sum()),
+        data_weighted_accuracy=float(np.sum(acc * member_data) / member_data.sum()),
+        unweighted_accuracy=float(acc.mean()),
+        mean_local_loss=mean_local_loss,
+        stage2_kl=stage2_kl,
+    )
+    run.metrics.append(round_metrics)
+    return round_metrics
+
+
+def run_experiment(
+    config: FedConfig,
+    base_spec: ModelSpec,
+    train: LabeledDataset,
+    test: LabeledDataset,
+    profiles: list[ClientProfile],
+    on_round=None,
+) -> RunState:
+    """:func:`prepare_run`, then :func:`run_round` once per configured round;
+    ``on_round`` (if set) is called with each round's :class:`RoundMetrics`."""
+
+    run = prepare_run(config, base_spec, train, test, profiles)
+    for t in range(config.rounds):
+        round_metrics = run_round(run, t)
         if on_round is not None:
             on_round(round_metrics)
-
-    return RunResult(
-        metrics=metrics,
-        states=states,
-        profiles=profiles,
-        partition=partition,
-        assignment=assignment,
-        global_params=global_params,
-    )
+    return run

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import fedsim.cli
 import fedsim.engine
 from fedsim.clustering import ClientProfile
 from fedsim.data import make_blobs
@@ -132,6 +134,35 @@ def test_a_heterofl_run_merges_every_member_once_per_round(monkeypatch):
     assert len(members) == 5
     assert merged == [members] * rounds
 
+
+def test_every_round_line_is_printed_inside_the_one_run_experiment_call(tmp_path, monkeypatch, capsys):
+    # bench/run.py times rounds by the gaps between the "round k/N" lines,
+    # and the tracer takes rounds_end when fedsim.cli.run_experiment returns
+    printed = []  # (output before the call, output during the call)
+
+    def watched(*args, real=fedsim.cli.run_experiment, **kwargs):
+        before = capsys.readouterr().out
+        result = real(*args, **kwargs)
+        printed.append((before, capsys.readouterr().out))
+        return result
+
+    monkeypatch.setattr(fedsim.cli, "run_experiment", watched)
+    raw = {
+        "dataset": {"classes": 3, "train_per_class": 8, "test_per_class": 4, "dim": 4},
+        "clients": {"speed_factors": [1.0, 1.0, 2.0, 4.0]},
+        "model": {"hidden": [6]},
+        "training": {"rounds": 3, "local_epochs": 1, "batch_size": 8},
+        "distillation": {"count": 6},
+    }
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    assert fedsim.cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    after = capsys.readouterr().out
+    assert len(printed) == 1
+    (before, during), = printed
+    round_lines = [line for line in during.splitlines() if line.startswith("round ")]
+    assert [line.split(":")[0] for line in round_lines] == ["round 1/3", "round 2/3", "round 3/3"]
+    assert not [line for line in (before + after).splitlines() if line.startswith("round ")]
 
 
 @pytest.mark.parametrize("pool", [2, 3])

@@ -174,13 +174,23 @@ def test_override_on_a_section_that_is_not_a_mapping_is_a_config_error(
 
 
 def test_config_error_raised_inside_the_run_writes_nothing(tmp_path, capsys):
-    # the holdout is reserved by run_experiment, after the config resolved
-    cfg = write_config(tmp_path, {"clients": {"count": 4}, "distillation": {"count": 500}})
-    out = tmp_path / "o"
-    for _ in range(2):  # so the same command can be run again
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
-        assert "holdout of 500 leaves no training data" in capsys.readouterr().err
-    assert not out.exists()
+    # prepare_run reserves the holdout and clusters the clients after the
+    # config resolved; one cluster has no stage-2 peer unless it includes itself
+    one_cluster = tiny_config(
+        clients={"speed_factors": [1.0] * 4, "profile_noise_sd": 0.0},
+        distillation={"include_self": False},
+    )
+    cases = [
+        ({"clients": {"count": 4}, "distillation": {"count": 500}}, "holdout of 500 leaves no training data"),
+        (one_cluster, "distillation.include_self: a single cluster has no peers to distil from"),
+    ]
+    for n, (raw, message) in enumerate(cases):
+        cfg = write_config(tmp_path, raw, name=f"exp{n}.yaml")
+        out = tmp_path / f"o{n}"
+        for _ in range(2):  # so the same command can be run again
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+            assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -204,8 +214,10 @@ def write_image_classes(root, rng, side=4):
             np.save(root / f"c{c}" / f"s{i}.npy", rng.normal(size=(1, side, side)))
 
 
-@pytest.mark.parametrize("where", ["dataset", "distillation"])
+@pytest.mark.parametrize("where", ["dataset", "distillation", "resampled distillation"])
 def test_a_non_finite_sample_fails_before_output(tmp_path, capsys, where):
+    # resampled: round 0 draws 3 of the 8 files and skips the bad one,
+    # which round 1 draws
     rng = np.random.default_rng(0)
     for split in ("train", "test", "distill"):
         write_image_classes(tmp_path / split, rng)
@@ -219,6 +231,9 @@ def test_a_non_finite_sample_fails_before_output(tmp_path, capsys, where):
         model={"kind": "cnn", "conv_channels": [2], "dense_width": 4},
         distillation={"source": "directory", "directory": str(tmp_path / "distill"), "count": 8},
     )
+    if where == "resampled distillation":
+        raw["distillation"].update(count=3, resample=True)
+        raw["training"]["rounds"] = 4
     raw["distillation"].pop("holdout_count")
     cfg = write_config(tmp_path, raw)
     out = tmp_path / "o"

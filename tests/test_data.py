@@ -199,8 +199,13 @@ class TestDistillationSources:
 
     def test_directory_source_with_prompt_filter(self, tmp_path):
         rng = np.random.default_rng(0)
-        for name in ["cat_1", "cat_2", "cat_3", "dog_1", "dog_2", "dog_3"]:
+        names = ["cat_1", "cat_2", "cat_3", "dog_1", "dog_2", "dog_3"]
+        for name in names:
             np.save(tmp_path / f"{name}.npy", rng.normal(size=(2, 4, 4)))
+        # no count: every file a draw can choose, in file order
+        files = np.stack([np.load(tmp_path / f"{name}.npy") for name in names])
+        np.testing.assert_array_equal(draw_from_directory(tmp_path, ("cat",), None, seed=1), files[:3])
+        np.testing.assert_array_equal(draw_from_directory(tmp_path, (), None, seed=1), files)
         batch = draw_from_directory(tmp_path, ("cat",), 3, seed=1)
         assert batch.shape == (3, 2, 4, 4)
         batch2 = draw_from_directory(tmp_path, ("cat", "dog"), 6, seed=1)

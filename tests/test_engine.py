@@ -11,6 +11,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from fedsim.engine import (
     evaluate,
     heterofl_aggregate,
     local_update,
+    prepare_run,
     run_experiment,
+    run_round,
     split_batches,
     stage1_aggregate,
     stage2_dml,
@@ -1256,6 +1259,44 @@ class TestRunExperiment:
         cfg = desk_config(algorithm=algorithm, rounds=3)
         run_experiment(cfg, self.base, self.train, self.test, self.profiles, on_round=round_ended)
         assert alive_at_next_round == [0, 0]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(distill_resample=True, holdout_count=60), dict(algorithm="heterofl")],
+        ids=["fedtsa-resample", "heterofl"],
+    )
+    def test_a_fresh_run_continues_a_shorter_one_bitwise(self, overrides):
+        # everything in a RunState but the models and the metrics derives
+        # from the config and the master seed, so a fresh prepare_run given
+        # the models of a k-round run carries it on to the N-round run
+        k, n = 2, 4
+        cfg = desk_config(rounds=n, **overrides)
+        full = run_experiment(cfg, self.base, self.train, self.test, self.profiles)
+        head = run_experiment(replace(cfg, rounds=k), self.base, self.train, self.test, self.profiles)
+        run = prepare_run(cfg, self.base, self.train, self.test, self.profiles)
+        run.states, run.global_params = head.states, head.global_params
+        tail = [run_round(run, t) for t in range(k, n)]
+        assert run.metrics == tail
+        assert [m.as_dict() for m in head.metrics + tail] == [m.as_dict() for m in full.metrics]
+        got = [s.params for s in run.states]
+        want = [s.params for s in full.states]
+        if cfg.algorithm == "heterofl":
+            got.append(run.global_params)
+            want.append(full.global_params)
+        assert [p.flat.tobytes() for p in got] == [p.flat.tobytes() for p in want]
+
+    def test_a_run_holds_its_datasets_without_copying_them(self):
+        run = prepare_run(desk_config(), self.base, self.train, self.test, self.profiles)
+        assert run.train is self.train and run.test is self.test
+
+    def test_one_cluster_that_excludes_itself_from_stage2_is_a_config_error(self):
+        cfg = desk_config(include_self_in_consensus=False, profile_noise_sd=0.0)
+        one_cluster = desk_profiles([1.0] * 4)
+        with pytest.raises(ConfigError, match="distillation.include_self"):
+            prepare_run(cfg, self.base, self.train, self.test, one_cluster)
+        # fedavg never distils, and two clusters have peers
+        prepare_run(replace(cfg, algorithm="fedavg"), self.base, self.train, self.test, one_cluster)
+        prepare_run(cfg, self.base, self.train, self.test, self.profiles)
 
     def test_on_round_callback_sees_every_round(self):
         seen = []
