@@ -87,7 +87,7 @@ def write_summary(path: Path, cfg: ExperimentConfig, result: RunState, wall_seco
 
 
 def _default_out_dir(config_path: str, cfg: ExperimentConfig) -> Path:
-    return Path("runs") / f"{Path(config_path).stem}-{cfg.fed.algorithm}-seed{cfg.seed}"
+    return Path("runs") / f"{Path(config_path).stem}-{cfg.fed.algorithm}-seed{cfg.fed.master_seed}"
 
 
 def _load_resolved(args) -> ExperimentConfig:
@@ -110,9 +110,8 @@ def cmd_run(args) -> int:
     base_spec = build_model_spec(cfg, train)
 
     out_dir = Path(cfg.output["directory"]) if cfg.output["directory"] else _default_out_dir(args.config, cfg)
-    formats = cfg.output["formats"]
     metrics_path = out_dir / "metrics.jsonl"
-    if "jsonl" in formats and metrics_path.exists():
+    if metrics_path.exists():
         raise ConfigError(
             f"{metrics_path} already exists; metrics files are append-only, pick a fresh "
             "output directory",
@@ -121,24 +120,20 @@ def cmd_run(args) -> int:
 
     total_rounds = cfg.fed.rounds
     metrics_file = None
-    opened = False
 
     def open_outputs():
         """Make the output directory, echo the config and open metrics.jsonl, once."""
 
-        nonlocal metrics_file, opened
-        if not opened:
-            opened = True
+        nonlocal metrics_file
+        if metrics_file is None:
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "config.yaml").write_text(cfg.echo_text())
-            if "jsonl" in formats:
-                metrics_file = metrics_path.open("a")
+            metrics_file = metrics_path.open("a")
 
     def on_round(m):
         open_outputs()
-        if metrics_file is not None:
-            metrics_file.write(metrics_line(m.as_dict()) + "\n")
-            metrics_file.flush()
+        metrics_file.write(metrics_line(m.as_dict()) + "\n")
+        metrics_file.flush()
         print(
             f"round {m.round_index + 1}/{total_rounds}: "
             f"client-weighted accuracy {m.client_weighted_accuracy:.4f}, "
@@ -163,8 +158,7 @@ def cmd_run(args) -> int:
     report = format_cluster_report(result.assignment, result.profiles)
     (out_dir / "cluster_report.txt").write_text(report + "\n")
     print(report)
-    if "csv" in formats:
-        write_summary(out_dir / "summary.csv", cfg, result, wall_seconds)
+    write_summary(out_dir / "summary.csv", cfg, result, wall_seconds)
     if cfg.output["write_checkpoints"]:
         ck_dir = out_dir / "checkpoints"
         ck_dir.mkdir(exist_ok=True)

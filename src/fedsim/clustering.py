@@ -40,7 +40,6 @@ class ClientProfile:
 class DensityEstimate:
     grid: np.ndarray
     density: np.ndarray
-    bandwidth: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +174,7 @@ def kde_density(durations: np.ndarray, bandwidth: float | None = None) -> Densit
     h = float(bandwidth)
     grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, GRID_POINTS)
     density = gaussian_kernel((grid[:, None] - x[None, :]) / h).mean(axis=1) / h
-    return DensityEstimate(grid, density, h)
+    return DensityEstimate(grid, density)
 
 
 def _valley_runs(density: np.ndarray) -> list[tuple[int, int]]:
@@ -345,7 +344,7 @@ def cluster_profiles(
     return assign_pruning_rates(assignment, ladder)
 
 
-def format_cluster_report(assignment: ClusterAssignment, profiles: list[ClientProfile] | None = None) -> str:
+def format_cluster_report(assignment: ClusterAssignment, profiles: list[ClientProfile]) -> str:
     """Human-readable summary: one line per cluster plus the boundary list."""
 
     lines = [
@@ -355,9 +354,7 @@ def format_cluster_report(assignment: ClusterAssignment, profiles: list[ClientPr
     ]
     for c in range(assignment.cluster_count):
         members = assignment.members(c)
-        ids = (
-            [profiles[i].client_id for i in members] if profiles is not None else list(members)
-        )
+        ids = [profiles[i].client_id for i in members]
         rate = f"{assignment.rates[c]:.4f}" if assignment.rates is not None else "-"
         lines.append(
             f"cluster {c}: size={members.size} mean_duration={assignment.cluster_means[c]:.6g}s "

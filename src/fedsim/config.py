@@ -28,7 +28,6 @@ from fedsim.settings import Setting, coerce
 
 DATASET_SOURCES = ("blobs", "directory")
 MODEL_KINDS = ("auto", "mlp", "cnn")
-OUTPUT_FORMATS = ("jsonl", "csv")
 
 _STREAM_DATASET = 6  # blobs generation, disjoint from the engine's streams
 
@@ -59,7 +58,6 @@ SETTINGS = (
     Setting("model.pool", int, 2, ge=1),
     Setting("model.dense_width", int, 64, ge=1),
     Setting("output.directory", str),
-    Setting("output.formats", OUTPUT_FORMATS, ("jsonl", "csv"), many=True),
     Setting("output.write_checkpoints", bool, False),
 )
 _PATHS = {s.path for s in SETTINGS}
@@ -72,7 +70,6 @@ class ExperimentConfig:
     """A fully resolved experiment: every default explicit, everything checked."""
 
     resolved: dict
-    seed: int
     dataset: dict
     clients: dict
     model: dict
@@ -169,7 +166,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         (resolved.setdefault(section, {}) if section else resolved)[key] = value
     return ExperimentConfig(
         resolved=resolved,
-        seed=resolved["seed"],
         dataset=resolved["dataset"],
         clients=resolved["clients"],
         model=resolved["model"],
@@ -214,7 +210,7 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
             ds["train_per_class"],
             ds["test_per_class"],
             ds["dim"],
-            stream_seed(cfg.seed, _STREAM_DATASET),
+            stream_seed(cfg.fed.master_seed, _STREAM_DATASET),
             center_spread=ds["center_spread"],
             noise_sd=ds["noise_sd"],
         )

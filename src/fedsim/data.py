@@ -41,7 +41,6 @@ class LabeledDataset:
     features: np.ndarray  # (n, *input_shape), float64
     labels: np.ndarray  # (n,), int64
     class_count: int
-    name: str = "dataset"
     class_names: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -72,10 +71,6 @@ class Partition:
 
     client_indices: tuple[np.ndarray, ...]
 
-    @property
-    def client_count(self) -> int:
-        return len(self.client_indices)
-
     def sizes(self) -> np.ndarray:
         return np.array([len(ix) for ix in self.client_indices])
 
@@ -94,13 +89,13 @@ def make_blobs(
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(class_count, dim)) * center_spread
 
-    def draw(per_class: int, tag: str) -> LabeledDataset:
+    def draw(per_class: int) -> LabeledDataset:
         labels = np.repeat(np.arange(class_count), per_class)
         feats = centers[labels] + rng.normal(size=(labels.size, dim)) * noise_sd
         order = rng.permutation(labels.size)
-        return LabeledDataset(feats[order], labels[order], class_count, f"blobs-{tag}")
+        return LabeledDataset(feats[order], labels[order], class_count)
 
-    return draw(train_per_class, "train"), draw(test_per_class, "test")
+    return draw(train_per_class), draw(test_per_class)
 
 
 _NETPBM_MAGIC = {b"P2": ("ascii", 1), b"P3": ("ascii", 3), b"P5": ("raw", 1), b"P6": ("raw", 3)}
@@ -195,7 +190,6 @@ def load_image_directory(path) -> LabeledDataset:
         np.stack(features),
         np.array(labels),
         len(class_dirs),
-        root.name,
         tuple(d.name for d in class_dirs),
     )
 

@@ -164,12 +164,11 @@ class FedConfig:
 
 @dataclass
 class ClusterState:
-    """One cluster's model between rounds."""
+    """One cluster's model between rounds; its members are ``assignment.members(cluster_id)``."""
 
     cluster_id: int
     spec: ModelSpec  # its pruning_rate is the cluster's rate
     params: ModelParams
-    member_ids: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -631,8 +630,7 @@ def prepare_run(
     for c, rate in enumerate(assignment.rates):
         spec_c = build_pruned_spec(base_spec, float(rate))
         params_c = init_params(spec_c, stream_seed(seed, _STREAM_INIT, c))
-        members = tuple(int(ids[pos]) for pos in assignment.members(c))
-        states.append(ClusterState(c, spec_c, params_c, members))
+        states.append(ClusterState(c, spec_c, params_c))
 
     global_params = None
     if config.algorithm == "heterofl":
@@ -664,8 +662,8 @@ def train_members(run: RunState, state: ClusterState, t: int, losses: list[float
 
     prox_reference = state.params if run.config.algorithm == "fedprox" else None
     trained = []
-    for pos, cid in zip(run.assignment.members(state.cluster_id), state.member_ids):
-        idx = run.partition.client_indices[pos]
+    for pos in run.assignment.members(state.cluster_id):
+        cid, idx = run.profiles[pos].client_id, run.partition.client_indices[pos]
         try:
             params, loss = local_update(
                 state.spec,

@@ -25,7 +25,7 @@ import functools
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -372,35 +372,24 @@ def spec_to_dict(spec: ModelSpec) -> dict:
         "input_shape": list(spec.input_shape),
         "class_count": spec.class_count,
         "pruning_rate": spec.pruning_rate,
-        "layers": [
-            {
-                "kind": l.kind,
-                "width": l.width,
-                "base_width": l.base_width,
-                "kernel": l.kernel,
-                "stride": l.stride,
-                "padding": l.padding,
-            }
-            for l in spec.layers
-        ],
+        "layers": [asdict(layer) for layer in spec.layers],
     }
 
 
+def _require_keys(d, keys: list[str], what: str) -> None:
+    if not isinstance(d, dict) or set(d) != set(keys):
+        raise DimensionError(f"{what} needs exactly the keys {', '.join(keys)}")
+
+
 def spec_from_dict(d: dict) -> ModelSpec:
-    layers = tuple(
-        LayerSpec(
-            kind=l["kind"],
-            width=l["width"],
-            base_width=l["base_width"],
-            kernel=l["kernel"],
-            stride=l["stride"],
-            padding=l["padding"],
-        )
-        for l in d["layers"]
-    )
+    """The spec :func:`spec_to_dict` wrote; a missing or unknown key raises :class:`DimensionError`."""
+
+    _require_keys(d, ["input_shape", "class_count", "pruning_rate", "layers"], "a model spec")
+    for layer in d["layers"]:
+        _require_keys(layer, [f.name for f in fields(LayerSpec)], "a layer")
     return ModelSpec(
         input_shape=tuple(d["input_shape"]),
-        layers=layers,
+        layers=tuple(LayerSpec(**layer) for layer in d["layers"]),
         class_count=int(d["class_count"]),
         pruning_rate=float(d["pruning_rate"]),
     )
@@ -427,7 +416,10 @@ def load_checkpoint(path) -> tuple[ModelSpec, ModelParams]:
         header = json.loads(str(archive["__header__"]))
         if header.get("format") != "fedsim-checkpoint-v1":
             raise DimensionError(f"{path}: not a recognised checkpoint file")
-        spec = spec_from_dict(header["spec"])
+        try:
+            spec = spec_from_dict(header.get("spec"))
+        except DimensionError as exc:
+            raise DimensionError(f"{path}: {exc}") from exc
         rank = {name: i for i, name in enumerate(spec.layout.spans)}
         names = sorted((n for n in archive.files if n != "__header__"), key=lambda n: rank.get(n, len(rank)))
         params = ModelParams.from_tensors({name: archive[name] for name in names})

@@ -145,7 +145,6 @@ def test_criterion_2_invariant_battery_under_a_minute():
         cluster_id=0,
         spec=spec,
         params=init_params(spec, np.random.SeedSequence(5)),
-        member_ids=(0,),
     )
     batch = [rng.normal(size=(8, 5))]
     cfg = FedConfig(temperature=5.0, learning_rate=0.1)

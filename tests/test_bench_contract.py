@@ -79,7 +79,7 @@ def test_stage2_calls_each_step_function_once_per_cluster_per_batch(monkeypatch)
     tracer = traced(monkeypatch)
     base = mlp_spec((5,), (6,), 3)
     specs = [build_pruned_spec(base, rate) for rate in (1.0, 0.7, 0.4)]
-    states = [ClusterState(c, s, init_params(s, c), (c,)) for c, s in enumerate(specs)]
+    states = [ClusterState(c, s, init_params(s, c)) for c, s in enumerate(specs)]
     batches = split_batches(np.random.default_rng(1).normal(size=(9, 5)), 4)  # 3 batches
     fedsim.engine.stage2_dml(states, batches, FedConfig(global_epochs=2))
     steps = 3 * 2 * len(batches)
@@ -130,7 +130,7 @@ def test_a_heterofl_run_merges_every_member_once_per_round(monkeypatch):
     monkeypatch.setattr(fedsim.engine, "heterofl_aggregate", recorded)
     rounds = 3
     result = run_heterofl(rounds)
-    members = [s.spec.layout.spans for s in result.states for _ in s.member_ids]
+    members = [s.spec.layout.spans for s in result.states for _ in result.assignment.members(s.cluster_id)]
     assert len(members) == 5
     assert merged == [members] * rounds
 

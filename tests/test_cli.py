@@ -336,13 +336,13 @@ def test_missing_config_file_exits_1(tmp_path):
     assert main(["run", "--config", str(tmp_path / "ghost.yaml")]) == 1
 
 
-def test_jsonl_can_be_disabled(tmp_path):
-    raw = tiny_config(output={"formats": ["csv"]})
-    cfg = write_config(tmp_path, raw)
+def test_a_config_that_picks_output_formats_is_rejected(tmp_path, capsys):
+    # metrics.jsonl and summary.csv are always written; no setting chooses them
+    cfg = write_config(tmp_path, tiny_config(output={"formats": ["csv"]}))
     out = tmp_path / "o"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    assert not (out / "metrics.jsonl").exists()
-    assert (out / "summary.csv").is_file()
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "config error: output.formats: unknown key" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_diverging_run_exits_2_and_keeps_earlier_rounds(tmp_path, capsys):

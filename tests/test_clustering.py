@@ -91,7 +91,7 @@ class TestValleyClustering:
     def test_boundary_tie_goes_to_faster_cluster(self):
         grid = np.arange(11, dtype=np.float64)
         density = np.array([5, 4, 3, 2, 1, 0.5, 1, 2, 3, 4, 5], dtype=np.float64)
-        est = DensityEstimate(grid, density, 1.0)
+        est = DensityEstimate(grid, density)
         assignment = cluster_by_density(est, np.array([4.9, 5.0, 5.1]))
         np.testing.assert_array_equal(assignment.boundaries, [5.0])
         np.testing.assert_array_equal(assignment.cluster_of, [0, 0, 1])
@@ -111,7 +111,7 @@ class TestValleyClustering:
     def test_plateau_valley_uses_midpoint(self):
         grid = np.arange(7, dtype=np.float64)
         density = np.array([5, 4, 1, 1, 1, 4, 5], dtype=np.float64)
-        est = DensityEstimate(grid, density, 1.0)
+        est = DensityEstimate(grid, density)
         assignment = cluster_by_density(est, np.array([1.0, 5.0]))
         np.testing.assert_array_equal(assignment.boundaries, [3.0])
 
@@ -212,7 +212,7 @@ class TestRates:
     def test_ladder_snapping_nearest(self):
         grid = np.arange(11, dtype=np.float64)
         density = np.array([5, 4, 3, 2, 1, 0.5, 1, 2, 3, 4, 5], dtype=np.float64)
-        est = DensityEstimate(grid, density, 1.0)
+        est = DensityEstimate(grid, density)
         assignment = cluster_by_density(est, np.array([2.0, 2.0, 8.0, 8.0]))
         snapped = assign_pruning_rates(assignment, ladder=[1.0, 0.8, 0.6])
         # raw rates are [1.0, 0.25] -> snapped to [1.0, 0.6]
@@ -221,7 +221,7 @@ class TestRates:
     def test_ladder_tie_prefers_smaller(self):
         grid = np.arange(11, dtype=np.float64)
         density = np.array([5, 4, 3, 2, 1, 0.5, 1, 2, 3, 4, 5], dtype=np.float64)
-        est = DensityEstimate(grid, density, 1.0)
+        est = DensityEstimate(grid, density)
         assignment = cluster_by_density(est, np.array([3.5, 3.5, 10.0, 10.0]))
         # raw slow rate = 3.5/10 = 0.35, equidistant from 0.3 and 0.4
         snapped = assign_pruning_rates(assignment, ladder=[0.3, 0.4, 1.0])

@@ -1,10 +1,13 @@
 """Config layer: strict validation, explicit defaults, reproducible echo."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
 from fedsim.config import (
+    SETTINGS,
     ExperimentConfig,
     apply_overrides,
     build_datasets,
@@ -34,7 +37,7 @@ def write_config(tmp_path, raw, name="exp.yaml"):
 def test_minimal_config_resolves():
     cfg = resolve_config(minimal_raw())
     assert isinstance(cfg, ExperimentConfig)
-    assert cfg.seed == 0
+    assert cfg.fed.master_seed == 0
     assert cfg.clients["count"] == 4
     assert cfg.clients["speed_factors"] == [1.0, 1.0, 1.0, 1.0]
 
@@ -81,9 +84,26 @@ def test_resolved_mapping_spells_out_every_default():
     assert resolved["distillation"]["temperature"] == pytest.approx(5.0)
     assert resolved["model"]["hidden"] == [32]
     assert resolved["model"]["kind"] == "auto"
-    assert resolved["output"]["formats"] == ["jsonl", "csv"]
     assert resolved["output"]["write_checkpoints"] is False
     assert resolved["clustering"] == {"bandwidth": None, "rate_ladder": None, "refine": True}
+
+
+def test_readme_reference_lists_every_setting_with_its_default():
+    # the YAML block of the README's Configuration section is the reference:
+    # a setting added or deleted without its line there fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+    documented = {}
+    for key, value in block.items():
+        if isinstance(value, dict):
+            documented.update({f"{key}.{k}": v for k, v in value.items()})
+        else:
+            documented[key] = value
+    declared = {
+        s.path: list(s.default) if isinstance(s.default, tuple) else s.default for s in SETTINGS
+    }
+    assert documented == declared
 
 
 # ---------------------------------------------------------------- rejection
@@ -150,7 +170,6 @@ def test_booleans_are_not_numbers(section, key, value, path):
         ("model", "hidden", [0], "model.hidden[0]"),
         ("model", "hidden", ["wide"], "model.hidden[0]"),
         ("clients", "profile_noise_sd", -0.1, "clients.profile_noise_sd"),
-        ("output", "formats", ["jsonl", "xml"], "output.formats[1]"),
     ],
 )
 def test_out_of_range_values_are_rejected(section, key, value, path):
@@ -254,7 +273,7 @@ def test_overrides_replace_seed_algorithm_and_output():
     raw = minimal_raw(training={"rounds": 2})
     out = apply_overrides(raw, seed=13, algorithm="fedavg", out="runs/x")
     cfg = resolve_config(out)
-    assert cfg.seed == 13
+    assert cfg.fed.master_seed == 13
     assert cfg.fed.algorithm == "fedavg"
     assert cfg.output["directory"] == "runs/x"
     assert cfg.fed.rounds == 2  # untouched
@@ -263,7 +282,7 @@ def test_overrides_replace_seed_algorithm_and_output():
 def test_overrides_leave_absent_values_alone():
     raw = minimal_raw(seed=5)
     cfg = resolve_config(apply_overrides(raw))
-    assert cfg.seed == 5
+    assert cfg.fed.master_seed == 5
     assert cfg.fed.algorithm == "fedtsa"
 
 

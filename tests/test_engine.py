@@ -602,7 +602,7 @@ def make_states(rates, seed0=40, input_dim=6, classes=3):
     states = []
     for i, rate in enumerate(rates):
         spec = build_pruned_spec(base, rate)
-        states.append(ClusterState(i, spec, init_params(spec, seed0 + i), (i,)))
+        states.append(ClusterState(i, spec, init_params(spec, seed0 + i)))
     return states
 
 
@@ -621,7 +621,7 @@ class TestStage2DML:
         batches = split_batches(np.random.default_rng(3).normal(size=(10, 6)), 4)
         cfg = FedConfig(temperature=4.0, learning_rate=0.07, global_epochs=2)
         reference = straight_line_dml(
-            [ClusterState(s.cluster_id, s.spec, s.params.copy(), s.member_ids) for s in states],
+            [ClusterState(s.cluster_id, s.spec, s.params.copy()) for s in states],
             batches,
             4.0,
             0.07,
@@ -636,8 +636,8 @@ class TestStage2DML:
         base = small_spec()
         shared = init_params(base, 21)
         states = [
-            ClusterState(0, base, shared.copy(), (0,)),
-            ClusterState(1, base, shared.copy(), (1,)),
+            ClusterState(0, base, shared.copy()),
+            ClusterState(1, base, shared.copy()),
         ]
         batches = split_batches(np.random.default_rng(4).normal(size=(9, 6)), 3)
         after, _ = stage2_dml(states, batches, FedConfig())
@@ -901,7 +901,7 @@ class TestFlatTrainingMatchesPerTensorLoops:
     def test_stage2_is_bitwise_equal(self, spec, rates, n, batch_size, include_self, global_epochs, seed):
         assume(include_self or len(rates) > 1)
         specs = [build_pruned_spec(spec, rate) for rate in rates]
-        states = [ClusterState(c, s, spread_params(s, seed + c), (c,)) for c, s in enumerate(specs)]
+        states = [ClusterState(c, s, spread_params(s, seed + c)) for c, s in enumerate(specs)]
         inputs = np.random.default_rng(seed).normal(size=(n, *spec.input_shape))
         cfg = FedConfig(
             temperature=2.0,
@@ -1199,7 +1199,7 @@ class TestRunExperiment:
         assert result.states[0].spec.pruning_rate == 0.5
         hidden = result.states[0].spec.layers[0].width
         assert hidden == 8  # half of 16
-        assert len(result.states[0].member_ids) == len(self.profiles)
+        assert result.assignment.members(0).size == len(self.profiles)
 
     def test_fedprox_with_zero_mu_equals_fedavg_bitwise(self):
         avg = run_experiment(
@@ -1284,6 +1284,37 @@ class TestRunExperiment:
             got.append(run.global_params)
             want.append(full.global_params)
         assert [p.flat.tobytes() for p in got] == [p.flat.tobytes() for p in want]
+
+    def test_clients_train_under_their_ids_on_the_rows_of_their_positions(self, monkeypatch):
+        # ids out of order and with gaps: a client's random stream is keyed by
+        # its id, its rows are the shard of its position in the profile list
+        ids = [40, 7, 13, 2, 25, 31]
+        profiles = [ClientProfile(i, s) for i, s in zip(ids, [1.0, 2.5, 1.0, 1.0, 2.5, 1.0])]
+        original, calls = fedsim.engine.local_update, []
+
+        def recorded(spec, params, features, labels, config, seed, **kwargs):
+            calls.append((seed.spawn_key, features))
+            return original(spec, params, features, labels, config, seed, **kwargs)
+
+        monkeypatch.setattr(fedsim.engine, "local_update", recorded)
+        run = run_experiment(desk_config(rounds=2), self.base, self.train, self.test, profiles)
+        order = [pos for c in range(run.assignment.cluster_count) for pos in run.assignment.members(c)]
+        assert order == [0, 2, 3, 5, 1, 4]
+        assert len(calls) == 2 * len(order)
+        for (key, features), (t, pos) in zip(calls, [(t, pos) for t in range(2) for pos in order]):
+            assert key == (fedsim.engine._STREAM_LOCAL, ids[pos], t)
+            assert np.array_equal(features, self.train.features[run.partition.client_indices[pos]])
+
+        rows = self.train.features[run.partition.client_indices[4]]
+
+        def diverging(spec, params, features, *args, **kwargs):
+            if np.array_equal(features, rows):
+                raise EngineError("local training diverged")
+            return original(spec, params, features, *args, **kwargs)
+
+        monkeypatch.setattr(fedsim.engine, "local_update", diverging)
+        with pytest.raises(EngineError, match=r"^round 0, cluster 1, client 25: local training diverged$"):
+            run_experiment(desk_config(rounds=1), self.base, self.train, self.test, profiles)
 
     def test_a_run_holds_its_datasets_without_copying_them(self):
         run = prepare_run(desk_config(), self.base, self.train, self.test, self.profiles)

@@ -47,8 +47,8 @@ OUTPUT_SHA256 = {
 }
 
 ECHO_SHA256 = {
-    "quickstart.yaml": "e5f0d33ef7a0a74a469f292a9daac1e2688c0f572008cac84cf989ff71ecb222",
-    "full-protocol.yaml": "38f80a8cc4793c8b6c57f24c01a4fc4c1eef6ba1981c299c159fcacfca9bec1c",
+    "quickstart.yaml": "4465c490cae8a7bf2f0435a9d4960f3b47cc152c2c29e7a033417fa635bd554f",
+    "full-protocol.yaml": "ca662df2f2136ad57f6034eb62ca8e3190f9a8f5046ab2496db8f6ff19e80119",
 }
 
 

@@ -1,6 +1,9 @@
 """Model spec construction, pruning arithmetic, the flat parameter
 representation, overlap maps and checkpoints."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -257,6 +260,31 @@ class TestFlattenAndCheckpoint:
         change(tensors)
         np.savez(path, **tensors)
         with pytest.raises(DimensionError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda h: h.pop("spec"), "a model spec needs exactly the keys"),
+            (lambda h: h["spec"].pop("class_count"), "a model spec needs exactly the keys"),
+            (lambda h: h["spec"]["layers"][0].pop("width"), "a layer needs exactly the keys"),
+            (lambda h: h["spec"]["layers"][0].update(dilation=1), "a layer needs exactly the keys"),
+        ],
+        ids=["no-spec", "spec-without-class-count", "layer-without-width", "layer-with-unknown-key"],
+    )
+    def test_malformed_checkpoint_header_is_named(self, tmp_path, change, message):
+        # a checkpoint is read from outside: a bad header is a DimensionError
+        # naming the file, not a KeyError or a silently dropped key
+        spec = mlp_spec((7,), (6,), 3)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, spec, init_params(spec, 1))
+        with np.load(path) as archive:
+            tensors = {name: archive[name] for name in archive.files}
+        header = json.loads(str(tensors["__header__"]))
+        change(header)
+        tensors["__header__"] = np.array(json.dumps(header))
+        np.savez(path, **tensors)
+        with pytest.raises(DimensionError, match=f"^{re.escape(str(path))}: {message}"):
             load_checkpoint(path)
 
     def test_checkpoint_tensors_load_in_the_spec_order(self, tmp_path):
