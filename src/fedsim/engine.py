@@ -69,8 +69,6 @@ ALGORITHMS = ("fedtsa", "fedavg", "fedprox", "heterofl")
 STAGE1_WEIGHTINGS = ("uniform", "data_size")
 PARTITION_MODES = ("iid", "dirichlet")
 
-EVAL_CHUNK = 1024
-
 # Disjoint random streams spawned off the master seed.  Each consumer gets its
 # own spawn key so adding rounds, clients or draws never shifts another
 # stream's values.
@@ -221,7 +219,9 @@ class RunState:
     metrics: list[RoundMetrics] = field(default_factory=list)
 
 
-# float64s in the scratch buffer of one _sorted_mean call: 1 MiB
+# The working set, in float64s (1 MiB), that sizes every array whose size the
+# code picks itself: the scratch buffer of one _sorted_mean call, and the
+# widest activation of one evaluation chunk
 _SLAB_ELEMENTS = 1 << 17
 
 
@@ -494,7 +494,13 @@ def stage2_dml(
 
 
 def evaluate(spec: ModelSpec, params: ModelParams, features: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy, computed in fixed-size chunks."""
+    """Top-1 accuracy, computed in chunks of rows sized from the spec.
+
+    A chunk holds ``max(1, _SLAB_ELEMENTS // spec.layout.widest)`` rows, so
+    its widest activation fits the working set.  The rows depend on the
+    spec alone, never on the machine, so the accuracy is a pure function of
+    the spec, the parameters and the data.
+    """
 
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -503,10 +509,11 @@ def evaluate(spec: ModelSpec, params: ModelParams, features: np.ndarray, labels:
         raise DimensionError("cannot evaluate on an empty set")
     if labels.shape != (n,):
         raise DimensionError(f"labels shape {labels.shape} does not match {n} samples")
+    rows = max(1, _SLAB_ELEMENTS // spec.layout.widest)
     hits = 0
-    for start in range(0, n, EVAL_CHUNK):
-        logits = model_forward(spec, params, features[start : start + EVAL_CHUNK])
-        hits += int(np.sum(np.argmax(logits, axis=1) == labels[start : start + EVAL_CHUNK]))
+    for start in range(0, n, rows):
+        logits = model_forward(spec, params, features[start : start + rows])
+        hits += int(np.sum(np.argmax(logits, axis=1) == labels[start : start + rows]))
     return hits / n
 
 

@@ -82,7 +82,7 @@ class ModelSpec:
                 slots.append((weight, bias))
             else:
                 slots.append(None)
-        return ParamLayout(shapes, tuple(slots), self.input_shape)
+        return ParamLayout(shapes, tuple(slots), self.input_shape, max(map(math.prod, inputs)))
 
 
 class ParamLayout:
@@ -92,11 +92,18 @@ class ParamLayout:
     in a vector of length ``size``.  A spec's layout also holds what every
     training step needs of the spec: ``slots[i]``, the weight and bias names
     of layer ``i`` (``None`` for a layer without parameters), ``first``, the
-    first layer that has them, and the ``input_shape``.  A layout built from
-    shapes alone has no slots.
+    first layer that has them, the ``input_shape``, and ``widest``, the
+    largest per-sample element count of the input and of every layer's
+    output.  A layout built from shapes alone has no slots.
     """
 
-    def __init__(self, shapes: Mapping[str, tuple[int, ...]], slots: tuple = (), input_shape: tuple = ()):
+    def __init__(
+        self,
+        shapes: Mapping[str, tuple[int, ...]],
+        slots: tuple = (),
+        input_shape: tuple = (),
+        widest: int = 0,
+    ):
         self.spans: dict[str, tuple[int, int, tuple[int, ...]]] = {}
         stop = 0
         for name, shape in shapes.items():
@@ -106,6 +113,7 @@ class ParamLayout:
         self.slots = slots
         self.first = next((i for i, slot in enumerate(slots) if slot is not None), 0)
         self.input_shape = tuple(int(d) for d in input_shape)
+        self.widest = widest
 
     def check(self, other: "ParamLayout") -> None:
         """Raise :class:`DimensionError` unless ``other`` holds the same tensors,
@@ -381,18 +389,44 @@ def _require_keys(d, keys: list[str], what: str) -> None:
         raise DimensionError(f"{what} needs exactly the keys {', '.join(keys)}")
 
 
+def _check_count(value, what: str, least: int = 1) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise DimensionError(f"{what} must be an integer of at least {least}, got {value!r}")
+
+
 def spec_from_dict(d: dict) -> ModelSpec:
-    """The spec :func:`spec_to_dict` wrote; a missing or unknown key raises :class:`DimensionError`."""
+    """The spec :func:`spec_to_dict` wrote.
+
+    A missing or unknown key, a value of the wrong kind or out of range, or
+    a layer chain that does not fit together raises :class:`DimensionError`.
+    """
 
     _require_keys(d, ["input_shape", "class_count", "pruning_rate", "layers"], "a model spec")
-    for layer in d["layers"]:
+    shape, layers, rate = d["input_shape"], d["layers"], d["pruning_rate"]
+    if not isinstance(shape, list):
+        raise DimensionError(f"input_shape must be a list of integers, got {shape!r}")
+    for dim in shape:
+        _check_count(dim, "an input_shape entry")
+    _check_count(d["class_count"], "class_count")
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 < rate <= 1.0:
+        raise DimensionError(f"pruning_rate must be a number in (0, 1], got {rate!r}")
+    if not isinstance(layers, list):
+        raise DimensionError(f"layers must be a list, got {layers!r}")
+    for i, layer in enumerate(layers):
         _require_keys(layer, [f.name for f in fields(LayerSpec)], "a layer")
-    return ModelSpec(
-        input_shape=tuple(d["input_shape"]),
-        layers=tuple(LayerSpec(**layer) for layer in d["layers"]),
-        class_count=int(d["class_count"]),
-        pruning_rate=float(d["pruning_rate"]),
+        for key in ("width", "base_width"):
+            if layer[key] is not None:
+                _check_count(layer[key], f"layer {i} {key}")
+        for key, least in (("kernel", 1), ("stride", 1), ("padding", 0)):
+            _check_count(layer[key], f"layer {i} {key}", least)
+    spec = ModelSpec(
+        input_shape=tuple(shape),
+        layers=tuple(LayerSpec(**layer) for layer in layers),
+        class_count=d["class_count"],
+        pruning_rate=float(rate),
     )
+    infer_layer_shapes(spec)  # validate eagerly
+    return spec
 
 
 def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:
@@ -413,8 +447,11 @@ def load_checkpoint(path) -> tuple[ModelSpec, ModelParams]:
     """
 
     with np.load(path, allow_pickle=False) as archive:
-        header = json.loads(str(archive["__header__"]))
-        if header.get("format") != "fedsim-checkpoint-v1":
+        try:
+            header = json.loads(str(archive["__header__"]))
+        except (KeyError, ValueError):  # no header, or not JSON
+            header = None
+        if not isinstance(header, dict) or header.get("format") != "fedsim-checkpoint-v1":
             raise DimensionError(f"{path}: not a recognised checkpoint file")
         try:
             spec = spec_from_dict(header.get("spec"))

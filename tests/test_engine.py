@@ -1082,12 +1082,32 @@ class TestSlabBoundaries:
         assert peak < merged.flat.nbytes + 1.25 * 8 * fedsim.engine._SLAB_ELEMENTS
 
 
+BENCH_CNN = cnn_spec((1, 16, 16), (8, 16), 4)
+
+
+def cnn_images(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 1, 16, 16)), rng.integers(0, 4, size=n)
+
+
+def evaluation_peak(spec, params, features, labels):
+    """tracemalloc's peak over one :func:`evaluate` call, after a warm-up call."""
+
+    evaluate(spec, params, features, labels)  # builds the spec's cached layout
+    tracemalloc.start()
+    try:
+        evaluate(spec, params, features, labels)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestEvaluate:
     def test_matches_naive_argmax_across_chunks(self):
-        spec = small_spec()
+        spec = small_spec(hidden=(512,))
         params = random_params(spec, 17)
         rng = np.random.default_rng(18)
-        features = rng.normal(size=(2100, 6))  # crosses the chunk boundary
+        features = rng.normal(size=(2100, 6))  # 256-row chunks: crosses eight chunk boundaries
         labels = rng.integers(0, 3, size=2100)
         got = evaluate(spec, params, features, labels)
         logits = model_forward(spec, params, features)
@@ -1111,21 +1131,51 @@ class TestEvaluate:
         with pytest.raises(DimensionError):
             evaluate(spec, random_params(spec, 1), np.zeros((0, 6)), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize(
+        "base,rate,rows",
+        [
+            (mlp_spec((12,), (32,), 10), 1.0, 400),
+            (mlp_spec((64,), (256, 256), 10), 1.0, 400),
+            (BENCH_CNN, 1.0, 64),
+            (BENCH_CNN, 0.8, 85),
+            (BENCH_CNN, 0.6, 102),
+        ],
+        ids=["mlp-12-32-10", "mlp-64-256-256-10", "cnn-1.0", "cnn-0.8", "cnn-0.6"],
+    )
+    def test_chunk_rows_fill_the_working_set_with_the_widest_activation(self, monkeypatch, base, rate, rows):
+        # 2**17 float64s over the widest per-sample array: 32 and 256 units
+        # leave the MLPs' 400 rows in one pass; the CNN's widest array is its
+        # conv1 output, 8, 6 or 5 channels of 16x16
+        spec = build_pruned_spec(base, rate)
+        seen = []
+
+        def recording_forward(spec, params, batch):
+            seen.append(len(batch))
+            return model_forward(spec, params, batch)
+
+        monkeypatch.setattr(fedsim.engine, "model_forward", recording_forward)
+        features = np.random.default_rng(24).normal(size=(400, *spec.input_shape))
+        evaluate(spec, init_params(spec, 0), features, np.zeros(400, dtype=int))
+        assert seen == [rows] * (400 // rows) + [400 % rows] * (400 % rows > 0)
+
+    def test_chunked_cnn_accuracy_equals_one_unchunked_pass(self):
+        params = init_params(BENCH_CNN, 3)
+        features, labels = cnn_images(300, 23)  # five 64-row chunks
+        logits = model_forward(BENCH_CNN, params, features)
+        want = int(np.sum(np.argmax(logits, axis=1) == labels)) / 300
+        assert evaluate(BENCH_CNN, params, features, labels) == want
+
     def test_a_cnn_evaluation_keeps_no_layer_caches(self):
-        # with every layer's cache held to the end of the forward pass, this
-        # chunk of 160 images peaks at 16.6 MiB
-        spec = cnn_spec((1, 16, 16), (8, 16), 4)
-        params = init_params(spec, 0)
-        rng = np.random.default_rng(21)
-        features, labels = rng.normal(size=(160, 1, 16, 16)), rng.integers(0, 4, size=160)
-        evaluate(spec, params, features, labels)  # builds the spec's cached layout
-        tracemalloc.start()
-        try:
-            evaluate(spec, params, features, labels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * 2**20
+        # with every layer's cache held to the end of the forward pass, a
+        # 64-row chunk peaks at 5.0 MiB; without, at 3.2 MiB
+        features, labels = cnn_images(160, 21)
+        assert evaluation_peak(BENCH_CNN, init_params(BENCH_CNN, 0), features, labels) < 4 * 2**20
+
+    def test_a_cnn_evaluation_is_chunked_to_the_working_set(self):
+        # 1,000 images in one pass peak at 48 MiB; in 64-row chunks, whose
+        # conv1 output fills the 1 MiB working set, at 3.2 MiB
+        features, labels = cnn_images(1000, 22)
+        assert evaluation_peak(BENCH_CNN, init_params(BENCH_CNN, 0), features, labels) < 4 * 2**20
 
 
 def desk_profiles(speeds):

@@ -25,6 +25,25 @@ from fedsim.models import (
 )
 
 
+def in_header(change):
+    """An edit of a checkpoint's arrays that applies ``change`` to its parsed header."""
+
+    def edit(tensors):
+        header = json.loads(str(tensors["__header__"]))
+        change(header)
+        tensors["__header__"] = np.array(json.dumps(header))
+
+    return edit
+
+
+def spec_update(**values):
+    return in_header(lambda h: h["spec"].update(values))
+
+
+def layer_update(index, **values):
+    return in_header(lambda h: h["spec"]["layers"][index].update(values))
+
+
 def param_shapes(spec):
     return {name: shape for name, (_, _, shape) in spec.layout.spans.items()}
 
@@ -265,24 +284,43 @@ class TestFlattenAndCheckpoint:
     @pytest.mark.parametrize(
         "change,message",
         [
-            (lambda h: h.pop("spec"), "a model spec needs exactly the keys"),
-            (lambda h: h["spec"].pop("class_count"), "a model spec needs exactly the keys"),
-            (lambda h: h["spec"]["layers"][0].pop("width"), "a layer needs exactly the keys"),
-            (lambda h: h["spec"]["layers"][0].update(dilation=1), "a layer needs exactly the keys"),
+            (in_header(lambda h: h.pop("spec")), "a model spec needs exactly the keys"),
+            (in_header(lambda h: h["spec"].pop("class_count")), "a model spec needs exactly the keys"),
+            (in_header(lambda h: h["spec"]["layers"][0].pop("width")), "a layer needs exactly the keys"),
+            (layer_update(0, dilation=1), "a layer needs exactly the keys"),
+            (spec_update(layers=5), "layers must be a list, got 5"),
+            (layer_update(0, width="2"), "layer 0 width must be an integer"),
+            (layer_update(2, base_width=0), "layer 2 base_width must be an integer"),
+            (layer_update(0, kernel=True), "layer 0 kernel must be an integer"),
+            (layer_update(1, stride=0), "layer 1 stride must be an integer of at least 1"),
+            (layer_update(0, padding=-1), "layer 0 padding must be an integer of at least 0"),
+            (layer_update(1, kind="gelu"), "unknown layer kind 'gelu'"),
+            (spec_update(input_shape="7"), "input_shape must be a list of integers"),
+            (spec_update(input_shape=[0]), "an input_shape entry must be an integer of at least 1"),
+            (spec_update(class_count=4), "model must end in a dense layer with 4 units"),
+            (spec_update(class_count=3.0), "class_count must be an integer"),
+            (spec_update(pruning_rate=1.5), r"pruning_rate must be a number in \(0, 1\]"),
+            (lambda t: t.pop("__header__"), "not a recognised checkpoint file"),
+            (lambda t: t.update(__header__=np.array("{")), "not a recognised checkpoint file"),
+            (lambda t: t.update(__header__=np.array("[]")), "not a recognised checkpoint file"),
         ],
-        ids=["no-spec", "spec-without-class-count", "layer-without-width", "layer-with-unknown-key"],
+        ids=[
+            "no-spec", "spec-without-class-count", "layer-without-width", "layer-with-unknown-key",
+            "layers-not-a-list", "width-a-string", "base-width-zero", "kernel-a-bool", "stride-zero",
+            "negative-padding", "unknown-kind", "input-shape-a-string", "input-shape-zero",
+            "wrong-class-count", "class-count-a-float", "rate-out-of-range", "no-header",
+            "header-not-json", "header-a-list",
+        ],
     )
     def test_malformed_checkpoint_header_is_named(self, tmp_path, change, message):
         # a checkpoint is read from outside: a bad header is a DimensionError
-        # naming the file, not a KeyError or a silently dropped key
+        # naming the file, not a KeyError, a TypeError or a silent load
         spec = mlp_spec((7,), (6,), 3)
         path = tmp_path / "model.npz"
         save_checkpoint(path, spec, init_params(spec, 1))
         with np.load(path) as archive:
             tensors = {name: archive[name] for name in archive.files}
-        header = json.loads(str(tensors["__header__"]))
-        change(header)
-        tensors["__header__"] = np.array(json.dumps(header))
+        change(tensors)
         np.savez(path, **tensors)
         with pytest.raises(DimensionError, match=f"^{re.escape(str(path))}: {message}"):
             load_checkpoint(path)
