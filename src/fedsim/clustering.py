@@ -6,12 +6,16 @@ with truncated Gaussian relative noise; real measurements can be supplied via
 a durations file instead.
 
 The duration sample is then smoothed with a Gaussian kernel density estimate
-(Silverman's rule bandwidth by default) and split at the interior local
-minima of the estimated density: each valley is a cluster boundary, so the
-number of clusters is discovered from the data rather than fixed up front.
-Every cluster finally receives a width-pruning rate ``t_fastest / t_cluster``
-(the fastest cluster trains the full model at rate 1.0), optionally snapped
-to a discrete ladder of supported rates.
+(Silverman's rule bandwidth by default) and cut at the local minima of the
+estimated density: each valley is a cluster boundary, so the number of
+clusters is discovered from the data rather than fixed up front.  One split
+is applied at two depths: the whole sample is cut at every valley, and each
+part is then re-estimated on its own and cut again at the valleys that dip
+below ``REFINE_DEPTH_RATIO`` of both flanks (``refine=False`` stops after the
+sample-wide split).  Every cluster receives a width-pruning rate
+``t_fastest / t_cluster``, so the fastest cluster's raw rate is 1.0.  With a
+discrete ladder of supported rates each rate snaps to the nearest rung, so
+the fastest cluster takes the rung nearest 1.0.
 """
 
 from __future__ import annotations
@@ -49,15 +53,11 @@ class ClusterAssignment:
     cluster_of: np.ndarray  # cluster index per client, in the profile order clustered
     boundaries: np.ndarray  # interior valley positions, ascending
     cluster_means: np.ndarray  # mean duration per cluster, ascending
-    rates: np.ndarray | None = None
+    rates: np.ndarray  # width-pruning rate per cluster
 
     @property
     def cluster_count(self) -> int:
         return int(self.cluster_means.size)
-
-    @property
-    def fastest_mean(self) -> float:
-        return float(self.cluster_means[0])
 
     def members(self, cluster_id: int) -> np.ndarray:
         return np.flatnonzero(self.cluster_of == cluster_id)
@@ -209,114 +209,78 @@ def _deep_minima(density: np.ndarray, grid: np.ndarray, depth_ratio: float) -> n
     return np.asarray(kept, dtype=np.float64)
 
 
-def cluster_by_density(estimate: DensityEstimate, durations: np.ndarray) -> ClusterAssignment:
-    """Split clients at the valleys of the density estimate.
+MIN_REFINE_SIZE = 6
+REFINE_DEPTH_RATIO = 0.45
 
-    Clients whose duration falls exactly on a boundary join the lower
-    (faster) cluster.  Valley intervals that contain no client are dropped
-    and cluster ids are renumbered, so cluster means are strictly increasing.
+
+def _split(estimate: DensityEstimate, values: np.ndarray, depth_ratio: float):
+    """Cut ``values`` at the valleys of ``estimate`` that dip below ``depth_ratio`` of both flanks.
+
+    Returns each value's part, numbered over the occupied parts in ascending
+    order, and the cut between consecutive occupied parts (the last valley
+    below the upper part).  A value exactly on a valley joins the lower part.
+    """
+
+    minima = _deep_minima(estimate.density, estimate.grid, depth_ratio)
+    occupied, part = np.unique(np.searchsorted(minima, values, side="left"), return_inverse=True)
+    return part, minima[occupied[1:] - 1]
+
+
+def cluster_durations(
+    durations: np.ndarray,
+    bandwidth: float | None = None,
+    ladder: tuple[float, ...] | None = None,
+    refine: bool = True,
+) -> ClusterAssignment:
+    """Split durations at density valleys, then rate each cluster.
+
+    The whole sample is split at every valley of its density estimate.  A
+    single sample-wide bandwidth oversmooths when cluster scales differ a lot
+    (durations of 2 s and 30 s in one sample make Silverman's rule merge
+    nearby modes), so with ``refine`` each part is re-estimated on its own
+    and split again, until nothing splits further.  Two guards keep this
+    from shredding genuine clusters, whose small subsamples give unstable
+    estimates: parts smaller than ``MIN_REFINE_SIZE`` or of a single value
+    are never re-examined, and a refinement valley only counts when it dips
+    below ``REFINE_DEPTH_RATIO`` of both flanking peaks.  Every boundary
+    reported is a valley of some (sub)sample's estimate; an explicit
+    ``bandwidth`` is reused at every level.
+
+    Clusters are numbered by ascending mean.  A cluster's rate is
+    ``fastest_mean / cluster_mean``; with a ladder, each rate snaps to the
+    nearest rung and a tie takes the smaller rung, so the fastest cluster
+    takes the rung nearest 1.0.
     """
 
     durations = np.asarray(durations, dtype=np.float64)
     if durations.size < 1:
         raise DimensionError("cannot cluster an empty duration sample")
     # a valley lies strictly below both neighbours, so ratio 1.0 keeps every one
-    boundaries = _deep_minima(estimate.density, estimate.grid, 1.0)
-    raw = np.searchsorted(boundaries, durations, side="left")
-    # renumber to occupied valley intervals only, keeping duration order
-    occupied = np.unique(raw)
-    remap = {int(old): new for new, old in enumerate(occupied)}
-    cluster_of = np.array([remap[int(c)] for c in raw], dtype=np.int64)
-    # the effective boundary between consecutive occupied intervals is the
-    # last valley below the upper interval
-    kept_boundaries = np.array(
-        [boundaries[occupied[j + 1] - 1] for j in range(occupied.size - 1)],
-        dtype=np.float64,
-    )
-    means = np.array(
-        [durations[cluster_of == c].mean() for c in range(occupied.size)], dtype=np.float64
-    )
-    return ClusterAssignment(cluster_of, kept_boundaries, means)
-
-
-def assign_pruning_rates(
-    assignment: ClusterAssignment, ladder: tuple[float, ...] | None = None
-) -> ClusterAssignment:
-    """Rate per cluster: ``fastest_mean / cluster_mean``, optionally snapped.
-
-    The fastest cluster always gets exactly 1.0.  With a ladder, each rate
-    snaps to the nearest ladder value; ties prefer the smaller value.
-    """
-
-    rates = assignment.fastest_mean / assignment.cluster_means
-    if ladder is not None:
-        steps = np.sort(np.asarray(ladder, dtype=np.float64))
-        snapped = []
-        for r in rates:
-            dist = np.abs(steps - r)
-            best = dist.min()
-            # ties prefer the smaller ladder value: first index at minimal distance
-            snapped.append(float(steps[int(np.flatnonzero(dist == best)[0])]))
-        rates = np.array(snapped)
-    return replace(assignment, rates=rates)
-
-
-MIN_REFINE_SIZE = 6
-REFINE_DEPTH_RATIO = 0.45
-
-
-def refine_clusters(
-    durations: np.ndarray, bandwidth: float | None = None
-) -> ClusterAssignment:
-    """Hierarchical valley clustering: split, then re-estimate within clusters.
-
-    A single sample-wide bandwidth oversmooths when cluster scales differ a
-    lot (e.g. durations of 2 s and 30 s in one sample make Silverman's rule
-    merge nearby modes): the first pass is the plain valley split of
-    :func:`cluster_by_density`, and each resulting cluster is then
-    re-estimated on its own and split again, until nothing splits further.
-
-    Two guards keep refinement from shredding genuine clusters, whose small
-    subsamples produce unstable density estimates: clusters smaller than
-    ``MIN_REFINE_SIZE`` are never re-examined, and a refinement valley only
-    counts when its density dips below ``REFINE_DEPTH_RATIO`` of both
-    flanking peaks.  Every boundary reported is a valley of some
-    (sub)sample's density estimate; an explicit ``bandwidth`` is reused at
-    every level.
-    """
-
-    durations = np.asarray(durations, dtype=np.float64)
-    if durations.size < 1:
-        raise DimensionError("cannot cluster an empty duration sample")
-    first = cluster_by_density(kde_density(durations, bandwidth), durations)
-    boundaries = [float(b) for b in first.boundaries]
-    queue = [np.flatnonzero(first.cluster_of == c) for c in range(first.cluster_count)]
-    final_groups: list[np.ndarray] = []
+    part, cuts = _split(kde_density(durations, bandwidth), durations, 1.0)
+    boundaries = [cuts]
+    first = [np.flatnonzero(part == p) for p in range(cuts.size + 1)]
+    queue, groups = (first, []) if refine else ([], first)
     while queue:
         idx = queue.pop()
-        vals = durations[idx]
-        if idx.size < MIN_REFINE_SIZE or np.unique(vals).size < 2:
-            final_groups.append(idx)
-            continue
-        estimate = kde_density(vals, bandwidth)
-        deep = _deep_minima(estimate.density, estimate.grid, REFINE_DEPTH_RATIO)
-        if deep.size == 0:
-            final_groups.append(idx)
-            continue
-        parts = np.searchsorted(deep, vals, side="left")  # a tie goes below
-        occupied = np.unique(parts)
-        if occupied.size == 1:
-            final_groups.append(idx)
-            continue
-        boundaries.extend(float(deep[occupied[j + 1] - 1]) for j in range(occupied.size - 1))
-        for c in occupied:
-            queue.append(idx[parts == c])
-    final_groups.sort(key=lambda g: float(durations[g].mean()))
+        values = durations[idx]
+        if idx.size >= MIN_REFINE_SIZE and np.unique(values).size > 1:
+            part, cuts = _split(kde_density(values, bandwidth), values, REFINE_DEPTH_RATIO)
+            if cuts.size:
+                boundaries.append(cuts)
+                queue.extend(idx[part == p] for p in range(cuts.size + 1))
+                continue
+        groups.append(idx)
+    groups.sort(key=lambda g: float(durations[g].mean()))
     cluster_of = np.empty(durations.size, dtype=np.int64)
-    for cid, group in enumerate(final_groups):
-        cluster_of[group] = cid
-    means = np.array([durations[g].mean() for g in final_groups])
-    return ClusterAssignment(cluster_of, np.sort(np.asarray(boundaries)), means)
+    for c, group in enumerate(groups):
+        cluster_of[group] = c
+    means = np.array([durations[g].mean() for g in groups])
+    rates = means[0] / means
+    if ladder is not None:
+        rungs = np.sort(np.asarray(ladder, dtype=np.float64))
+        # argmin takes the first of equal distances: the smaller rung
+        rates = rungs[np.argmin(np.abs(rungs - rates[:, None]), axis=1)]
+    return ClusterAssignment(cluster_of, np.sort(np.concatenate(boundaries)), means, rates)
 
 
 def cluster_profiles(
@@ -325,23 +289,14 @@ def cluster_profiles(
     ladder: tuple[float, ...] | None = None,
     refine: bool = True,
 ) -> ClusterAssignment:
-    """Measured profiles -> density clusters -> pruning rates, in one call.
-
-    ``refine=True`` (the default) applies :func:`refine_clusters`;
-    ``refine=False`` stops after a single sample-wide density split.
-    """
+    """:func:`cluster_durations` over the measured durations of ``profiles``."""
 
     durations = []
     for p in profiles:
         if p.measured_duration is None:
             raise ConfigError(f"client {p.client_id} has no measured duration")
         durations.append(p.measured_duration)
-    values = np.asarray(durations)
-    if refine:
-        assignment = refine_clusters(values, bandwidth)
-    else:
-        assignment = cluster_by_density(kde_density(values, bandwidth), values)
-    return assign_pruning_rates(assignment, ladder)
+    return cluster_durations(np.asarray(durations), bandwidth, ladder, refine)
 
 
 def format_cluster_report(assignment: ClusterAssignment, profiles: list[ClientProfile]) -> str:
@@ -355,9 +310,8 @@ def format_cluster_report(assignment: ClusterAssignment, profiles: list[ClientPr
     for c in range(assignment.cluster_count):
         members = assignment.members(c)
         ids = [profiles[i].client_id for i in members]
-        rate = f"{assignment.rates[c]:.4f}" if assignment.rates is not None else "-"
         lines.append(
             f"cluster {c}: size={members.size} mean_duration={assignment.cluster_means[c]:.6g}s "
-            f"rate={rate} clients={ids}"
+            f"rate={assignment.rates[c]:.4f} clients={ids}"
         )
     return "\n".join(lines)

@@ -319,7 +319,8 @@ def draw_from_directory(directory, prompts: tuple[str, ...], count: int | None, 
     """``count`` samples loaded from the files under ``directory`` (recursively).
 
     If prompts match file names, the draw is balanced across the matching
-    prompts.  With ``count`` None, every file a draw can choose is loaded.
+    prompts; a file that matches several prompts belongs to the first.  With
+    ``count`` None, every file a draw can choose is loaded.
     Raises :class:`~fedsim.errors.ConfigError` when the directory cannot
     supply ``count`` distinct samples of one shape.
     """
@@ -331,7 +332,10 @@ def draw_from_directory(directory, prompts: tuple[str, ...], count: int | None, 
     files = _gather_files(root)
     if not files:
         raise ConfigError(f"{root}: no usable files for distillation")
-    groups_files = [[f for f in files if p.lower() in f.name.lower()] for p in prompts]
+    first_prompt = {
+        f: next((i for i, p in enumerate(prompts) if p.lower() in f.name.lower()), None) for f in files
+    }
+    groups_files = [[f for f in files if first_prompt[f] == i] for i in range(len(prompts))]
     groups_files = [g for g in groups_files if g]
     if groups_files:
         idx_groups = []

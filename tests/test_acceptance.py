@@ -22,8 +22,7 @@ import pytest
 
 from fedsim.clustering import (
     ClientProfile,
-    assign_pruning_rates,
-    cluster_by_density,
+    cluster_durations,
     cluster_profiles,
     kde_density,
 )
@@ -168,10 +167,9 @@ def test_criterion_2_invariant_battery_under_a_minute():
 
     # pruning rates are exactly fastest-cluster-mean over cluster-mean
     durations = np.concatenate([rng.normal(m, 0.2, size=8) for m in (3.0, 12.0)])
-    assignment = cluster_by_density(kde_density(durations), durations)
-    rated = assign_pruning_rates(assignment)
+    assignment = cluster_durations(durations, refine=False)
     expected_rates = assignment.cluster_means[0] / assignment.cluster_means
-    assert rated.rates == pytest.approx(expected_rates, abs=0.0)
+    assert assignment.rates == pytest.approx(expected_rates, abs=0.0)
 
     # a full experiment is a pure function of its config
     first = trend_run(0, "iid", rounds=2)
@@ -208,16 +206,12 @@ def test_criterion_3_trimodal_clustering_oracle():
     # independent rate arithmetic from raw durations
     means = np.array([durations[list(sorted(g))].mean() for g in expected_groups])
     expected_rates = means.min() / means
-    rates_ok = (
-        assignment.rates is not None
-        and assignment.rates[0] == 1.0
-        and np.allclose(assignment.rates, expected_rates, atol=1e-4)
-    )
+    rates_ok = assignment.rates[0] == 1.0 and np.allclose(assignment.rates, expected_rates, atol=1e-4)
 
     # the single-pass density split must put its boundaries exactly at the
     # interior local minima of the estimated density (brute-force scan)
     estimate = kde_density(durations)
-    single = cluster_by_density(estimate, durations)
+    single = cluster_durations(durations, refine=False)
     d = estimate.density
     minima = []
     i = 1

@@ -1,4 +1,4 @@
-"""KDE oracles, valley clustering and pruning-rate assignment."""
+"""KDE oracles, the valley split, clustering and pruning-rate assignment."""
 
 import time
 
@@ -9,18 +9,17 @@ from fedsim.clustering import (
     ClientProfile,
     DensityEstimate,
     apply_durations,
-    assign_pruning_rates,
-    cluster_by_density,
+    cluster_durations,
     cluster_profiles,
     format_cluster_report,
     gaussian_kernel,
     kde_density,
     load_durations,
     measure_durations,
-    refine_clusters,
     save_durations,
     silverman_bandwidth,
     _deep_minima,
+    _split,
     _valley_runs,
 )
 from fedsim.errors import ConfigError
@@ -92,9 +91,9 @@ class TestValleyClustering:
         grid = np.arange(11, dtype=np.float64)
         density = np.array([5, 4, 3, 2, 1, 0.5, 1, 2, 3, 4, 5], dtype=np.float64)
         est = DensityEstimate(grid, density)
-        assignment = cluster_by_density(est, np.array([4.9, 5.0, 5.1]))
-        np.testing.assert_array_equal(assignment.boundaries, [5.0])
-        np.testing.assert_array_equal(assignment.cluster_of, [0, 0, 1])
+        part, cuts = _split(est, np.array([4.9, 5.0, 5.1]), 1.0)
+        np.testing.assert_array_equal(cuts, [5.0])
+        np.testing.assert_array_equal(part, [0, 0, 1])
 
     def test_valleys_are_every_interior_minimum(self):
         # oracle: every interior minimum, plateaus at their midpoint
@@ -112,8 +111,17 @@ class TestValleyClustering:
         grid = np.arange(7, dtype=np.float64)
         density = np.array([5, 4, 1, 1, 1, 4, 5], dtype=np.float64)
         est = DensityEstimate(grid, density)
-        assignment = cluster_by_density(est, np.array([1.0, 5.0]))
-        np.testing.assert_array_equal(assignment.boundaries, [3.0])
+        _, cuts = _split(est, np.array([1.0, 5.0]), 1.0)
+        np.testing.assert_array_equal(cuts, [3.0])
+
+    def test_empty_valley_intervals_are_dropped_and_parts_renumbered(self):
+        grid = np.arange(9, dtype=np.float64)
+        density = np.array([5, 1, 5, 1, 5, 1, 5, 1, 5], dtype=np.float64)
+        est = DensityEstimate(grid, density)
+        # valleys at 1, 3, 5, 7; nothing lies between 1 and 5
+        part, cuts = _split(est, np.array([6.0, 0.5, 5.5, 8.0]), 1.0)
+        np.testing.assert_array_equal(part, [1, 0, 1, 2])
+        np.testing.assert_array_equal(cuts, [5.0, 7.0])
 
     def test_trimodal_sample_recovers_three_clusters(self):
         rng = np.random.default_rng(2024)
@@ -121,7 +129,7 @@ class TestValleyClustering:
         durations = np.concatenate([rng.normal(m, 0.3, size=10) for m in means])
         truth = np.repeat([0, 1, 2], 10)
         start = time.perf_counter()
-        assignment = assign_pruning_rates(refine_clusters(durations))
+        assignment = cluster_durations(durations)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
         assert assignment.cluster_count == 3
@@ -131,23 +139,22 @@ class TestValleyClustering:
         comp_min = [durations[truth == c].min() for c in range(3)]
         for b in assignment.boundaries:
             assert all(b < comp_min[c] or b > comp_max[c] for c in range(3))
-        expected_rates = assignment.fastest_mean / assignment.cluster_means
+        expected_rates = assignment.cluster_means[0] / assignment.cluster_means
         np.testing.assert_allclose(assignment.rates, expected_rates, atol=1e-4)
         assert assignment.rates[0] == 1.0
 
     def test_single_pass_resolves_trimodal_at_moderate_bandwidth(self):
         rng = np.random.default_rng(2024)
         durations = np.concatenate([rng.normal(m, 0.3, size=10) for m in (2.0, 8.0, 30.0)])
-        est = kde_density(durations, bandwidth=0.5)
-        assignment = cluster_by_density(est, durations)
+        assignment = cluster_durations(durations, bandwidth=0.5, refine=False)
         assert assignment.cluster_count == 3
         np.testing.assert_array_equal(assignment.cluster_of, np.repeat([0, 1, 2], 10))
 
     def test_refinement_leaves_unimodal_sample_alone(self):
         rng = np.random.default_rng(5)
         durations = rng.normal(10, 0.5, size=30)
-        single = cluster_by_density(kde_density(durations), durations)
-        refined = refine_clusters(durations)
+        single = cluster_durations(durations, refine=False)
+        refined = cluster_durations(durations)
         assert single.cluster_count == 1
         assert refined.cluster_count == 1
 
@@ -156,35 +163,32 @@ class TestValleyClustering:
         durations = np.concatenate(
             [rng.normal(m, 0.3, size=8) for m in (2.0, 8.0, 30.0)]
         )
-        base = refine_clusters(durations)
+        base = cluster_durations(durations)
         perm = rng.permutation(durations.size)
-        shuffled = refine_clusters(durations[perm])
+        shuffled = cluster_durations(durations[perm])
         np.testing.assert_array_equal(shuffled.cluster_of, base.cluster_of[perm])
 
     def test_membership_is_permutation_invariant(self):
         rng = np.random.default_rng(3)
         durations = np.concatenate([rng.normal(2, 0.2, 8), rng.normal(10, 0.2, 8)])
-        est = kde_density(durations)
-        base = cluster_by_density(est, durations)
+        base = cluster_durations(durations, refine=False)
         perm = rng.permutation(durations.size)
-        shuffled = cluster_by_density(kde_density(durations[perm]), durations[perm])
+        shuffled = cluster_durations(durations[perm], refine=False)
         np.testing.assert_array_equal(shuffled.cluster_of, base.cluster_of[perm])
 
     def test_duplication_invariance_at_fixed_bandwidth(self):
         rng = np.random.default_rng(4)
         durations = np.concatenate([rng.normal(3, 0.2, 6), rng.normal(12, 0.2, 6)])
-        est = kde_density(durations, bandwidth=0.5)
-        base = cluster_by_density(est, durations)
+        base = cluster_durations(durations, bandwidth=0.5, refine=False)
         doubled = np.concatenate([durations, durations])
-        est2 = kde_density(doubled, bandwidth=0.5)
-        dup = cluster_by_density(est2, doubled)
+        dup = cluster_durations(doubled, bandwidth=0.5, refine=False)
         np.testing.assert_array_equal(dup.cluster_of[: durations.size], base.cluster_of)
         np.testing.assert_array_equal(dup.cluster_of[durations.size :], base.cluster_of)
 
     def test_unimodal_sample_is_one_cluster(self):
         rng = np.random.default_rng(5)
         durations = rng.normal(10, 0.5, size=30)
-        assignment = assign_pruning_rates(cluster_by_density(kde_density(durations), durations))
+        assignment = cluster_durations(durations, refine=False)
         assert assignment.cluster_count == 1
         np.testing.assert_array_equal(assignment.rates, [1.0])
 
@@ -193,39 +197,61 @@ class TestValleyClustering:
         durations = np.concatenate(
             [rng.normal(m, 0.3, size=12) for m in (1.5, 6.0, 14.0, 40.0)]
         )
-        assignment = cluster_by_density(kde_density(durations), durations)
+        assignment = cluster_durations(durations, refine=False)
         assert np.all(np.diff(assignment.cluster_means) > 0)
+
+    def test_refinement_only_splits(self):
+        # every unrefined boundary survives and no refined cluster spans two
+        # unrefined ones, at Silverman's bandwidth (even samples) and fixed ones
+        rng = np.random.default_rng(17)
+        split_further = 0
+        for sample in range(300):
+            modes = rng.uniform(0.5, 40.0, size=int(rng.integers(1, 5)))
+            spreads = rng.uniform(0.01, 3.0, size=modes.size)
+            component = rng.integers(0, modes.size, size=int(rng.integers(1, 40)))
+            durations = np.abs(rng.normal(modes[component], spreads[component])) + 0.05
+            h = None if sample % 2 == 0 else float(rng.uniform(0.05, 3.0))
+            single = cluster_durations(durations, h, refine=False)
+            refined = cluster_durations(durations, h)
+            assert set(single.boundaries.tolist()) <= set(refined.boundaries.tolist())
+            for c in range(refined.cluster_count):
+                assert np.unique(single.cluster_of[refined.members(c)]).size == 1
+            split_further += refined.cluster_count > single.cluster_count
+        assert split_further > 0
 
 
 class TestRates:
     def test_rates_are_fastest_over_mean_and_monotone(self):
         rng = np.random.default_rng(8)
         durations = np.concatenate([rng.normal(m, 0.2, 10) for m in (2.0, 5.0, 9.0)])
-        assignment = assign_pruning_rates(cluster_by_density(kde_density(durations), durations))
+        assignment = cluster_durations(durations, refine=False)
         np.testing.assert_allclose(
-            assignment.rates, assignment.fastest_mean / assignment.cluster_means, rtol=1e-12
+            assignment.rates, assignment.cluster_means[0] / assignment.cluster_means, rtol=1e-12
         )
         assert assignment.rates[0] == 1.0
         assert np.all(np.diff(assignment.rates) < 0)
         assert np.all(assignment.rates <= 1.0)
 
     def test_ladder_snapping_nearest(self):
-        grid = np.arange(11, dtype=np.float64)
-        density = np.array([5, 4, 3, 2, 1, 0.5, 1, 2, 3, 4, 5], dtype=np.float64)
-        est = DensityEstimate(grid, density)
-        assignment = cluster_by_density(est, np.array([2.0, 2.0, 8.0, 8.0]))
-        snapped = assign_pruning_rates(assignment, ladder=[1.0, 0.8, 0.6])
+        durations = np.array([2.0, 2.0, 8.0, 8.0])
+        snapped = cluster_durations(durations, bandwidth=0.5, ladder=(1.0, 0.8, 0.6))
         # raw rates are [1.0, 0.25] -> snapped to [1.0, 0.6]
+        np.testing.assert_array_equal(snapped.cluster_means, [2.0, 8.0])
         np.testing.assert_array_equal(snapped.rates, [1.0, 0.6])
 
     def test_ladder_tie_prefers_smaller(self):
-        grid = np.arange(11, dtype=np.float64)
-        density = np.array([5, 4, 3, 2, 1, 0.5, 1, 2, 3, 4, 5], dtype=np.float64)
-        est = DensityEstimate(grid, density)
-        assignment = cluster_by_density(est, np.array([3.5, 3.5, 10.0, 10.0]))
+        durations = np.array([3.5, 3.5, 10.0, 10.0])
         # raw slow rate = 3.5/10 = 0.35, equidistant from 0.3 and 0.4
-        snapped = assign_pruning_rates(assignment, ladder=[0.3, 0.4, 1.0])
+        snapped = cluster_durations(durations, bandwidth=0.5, ladder=(0.3, 0.4, 1.0))
+        np.testing.assert_array_equal(snapped.cluster_means, [3.5, 10.0])
         np.testing.assert_array_equal(snapped.rates, [1.0, 0.3])
+
+    def test_fastest_cluster_takes_the_rung_nearest_one(self):
+        profiles = [ClientProfile(i, 1.0, d) for i, d in enumerate([2.0] * 5 + [5.0] * 5)]
+        assignment = cluster_profiles(profiles, ladder=(0.5, 0.3))
+        # raw rates are [1.0, 0.4]; a ladder without 1.0 cannot give the fastest 1.0
+        assert assignment.cluster_count == 2
+        np.testing.assert_array_equal(assignment.rates, [0.5, 0.5])
 
 
 class TestProfiling:

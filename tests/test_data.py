@@ -213,6 +213,18 @@ class TestDistillationSources:
         with pytest.raises(ConfigError):
             draw_from_directory(tmp_path, ("cat",), 4, seed=1)  # only 3 cat files
 
+    def test_a_file_matching_two_prompts_is_drawn_at_most_once(self, tmp_path):
+        for i in range(3):
+            np.save(tmp_path / f"cat_small_{i}.npy", np.full(2, float(i)))
+        # every file matches both prompts, so it joins the first group only
+        np.testing.assert_array_equal(
+            draw_from_directory(tmp_path, ("cat", "small"), None, seed=0)[:, 0], [0.0, 1.0, 2.0]
+        )
+        batch = draw_from_directory(tmp_path, ("cat", "small"), 3, seed=0)
+        assert sorted(batch[:, 0].tolist()) == [0.0, 1.0, 2.0]
+        with pytest.raises(ConfigError):
+            draw_from_directory(tmp_path, ("cat", "small"), 4, seed=0)  # only 3 distinct files
+
     def test_missing_directory_raises(self):
         with pytest.raises(ConfigError):
             draw_from_directory("/nonexistent/path", (), 2, seed=0)
