@@ -21,15 +21,13 @@ import yaml
 
 from fedsim.clustering import ClientProfile, apply_durations, load_durations
 from fedsim.data import LabeledDataset, load_image_directory, make_blobs
-from fedsim.engine import FedConfig, stream_seed
+from fedsim.engine import _STREAM_DATASET, FedConfig, stream_seed
 from fedsim.errors import ConfigError
 from fedsim.models import ModelSpec, cnn_spec, mlp_spec
 from fedsim.settings import Setting, coerce
 
 DATASET_SOURCES = ("blobs", "directory")
 MODEL_KINDS = ("auto", "mlp", "cnn")
-
-_STREAM_DATASET = 6  # blobs generation, disjoint from the engine's streams
 
 # the settings FedConfig holds, by field name
 _FED_SETTINGS = {f.name: f.metadata["setting"] for f in fields(FedConfig)}

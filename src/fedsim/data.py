@@ -8,8 +8,12 @@ are built in:
   same centres, so both splits come from one distribution.
 * a directory path -- one subdirectory per class (class names are the sorted
   subdirectory names); files may be ``.npy`` arrays or binary/ascii netpbm
-  images (``.pgm``/``.ppm``).  Integer-typed pixel data is scaled by 1/255;
-  float arrays are taken as-is.
+  images (``.pgm``/``.ppm``).  Integer-typed ``.npy`` data is scaled by
+  1/255; float arrays are taken as-is.  A netpbm image is scaled by its
+  ``maxval``, which must lie in 1..65535; above 255 a binary sample takes two
+  bytes, most significant first.  A header that is not whole numbers, or a
+  sample that is not a whole number in ``[0, maxval]``, is a
+  :class:`ConfigError` naming the file.
 
 Partitioning comes in two flavours: a stratified IID split (client sizes
 differ by at most one) and the standard per-class Dirichlet split whose
@@ -20,7 +24,10 @@ learning -- are drawn here from a held-out slice of the training pool or from
 a directory of pre-generated images (the third source, standard-normal noise,
 needs no data and is drawn by the engine).  A prompt list steers class
 balance (holdout: prompts naming classes; directory: prompts matching file
-names).
+names).  Both sources make every draw through one sampler: the candidates
+are split into groups (one per matching prompt, or a single group when no
+prompt matches), each group gives an even share of the count, and the picks
+come back sorted, so a directory draw returns its files prompt by prompt.
 """
 
 from __future__ import annotations
@@ -116,53 +123,68 @@ def _read_netpbm(path: Path) -> np.ndarray:
         tok = m.group(1)
         if not tok.startswith(b"#"):
             tokens.append(tok)
-    if len(tokens) < 4 or tokens[0] not in _NETPBM_MAGIC:
+    if len(tokens) < 4 or tokens[0] not in _NETPBM_MAGIC or not all(t.isdigit() for t in tokens[1:]):
         raise ConfigError(f"{path}: not a supported netpbm image")
     mode, channels = _NETPBM_MAGIC[tokens[0]]
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if not 1 <= maxval <= 65535:
+        raise ConfigError(f"{path}: netpbm maxval {maxval} lies outside 1..65535")
     count = width * height * channels
     if mode == "raw":
-        # exactly one whitespace byte separates the maxval token from the pixels
+        # exactly one whitespace byte separates the maxval token from the pixels;
+        # above maxval 255 a sample takes two bytes, most significant first
         if pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
-        raw = data[pos : pos + count]
-        if len(raw) != count:
+        dtype = np.dtype(">u2" if maxval > 255 else "u1")
+        raw = data[pos : pos + count * dtype.itemsize]
+        if len(raw) != count * dtype.itemsize:
             raise ConfigError(f"{path}: truncated image data")
-        pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
+        pixels = np.frombuffer(raw, dtype=dtype).astype(np.float64)
     else:
-        pixels = np.array(data[pos:].split()[:count], dtype=np.float64)
-        if pixels.size != count:
+        samples = data[pos:].split()[:count]
+        if len(samples) != count:
             raise ConfigError(f"{path}: truncated image data")
+        if not all(s.isdigit() for s in samples):
+            raise ConfigError(f"{path}: netpbm sample is not a whole number in [0, {maxval}]")
+        pixels = np.array(samples, dtype=np.float64)
+    if (pixels > maxval).any():
+        raise ConfigError(f"{path}: netpbm sample is not a whole number in [0, {maxval}]")
     pixels = pixels.reshape(height, width, channels) / float(maxval)
     return np.moveaxis(pixels, -1, 0)
 
 
 def _read_feature_file(path: Path) -> np.ndarray:
-    """A single sample from a ``.npy`` / netpbm file.
+    """A single sample from a ``.npy`` / netpbm file found by ``_gather_files``.
 
     2-d arrays become (1, h, w); integer dtypes are scaled by 1/255.  A
     non-finite value is a :class:`ConfigError` naming the file.
     """
 
-    if path.suffix == ".npy":
-        arr = np.load(path, allow_pickle=False)
-        if np.issubdtype(arr.dtype, np.integer):
-            arr = arr.astype(np.float64) / 255.0
-        arr = np.asarray(arr, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise ConfigError(f"{path}: sample holds a non-finite value")
-        if arr.ndim == 2:
-            arr = arr[None, :, :]
-        return arr
-    if path.suffix in (".pgm", ".ppm"):
+    if path.suffix != ".npy":
         return _read_netpbm(path)
-    raise ConfigError(f"{path}: unsupported file type (expected .npy, .pgm or .ppm)")
+    arr = np.load(path, allow_pickle=False)
+    if np.issubdtype(arr.dtype, np.integer):
+        arr = arr.astype(np.float64) / 255.0
+    arr = np.asarray(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{path}: sample holds a non-finite value")
+    return arr[None] if arr.ndim == 2 else arr
 
 
 def _gather_files(root: Path) -> list[Path]:
     return sorted(
         p for p in root.rglob("*") if p.is_file() and p.suffix in (".npy", ".pgm", ".ppm")
     )
+
+
+def _read_samples(files: list[Path], what: str) -> np.ndarray:
+    """The samples in ``files``, stacked; ``what`` names them in a shape error."""
+
+    samples = [_read_feature_file(f) for f in files]
+    shapes = {s.shape for s in samples}
+    if len(shapes) != 1:
+        raise ConfigError(f"{what} disagree on shape: {sorted(shapes)}")
+    return np.stack(samples)
 
 
 def load_image_directory(path) -> LabeledDataset:
@@ -174,21 +196,13 @@ def load_image_directory(path) -> LabeledDataset:
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if len(class_dirs) < 2:
         raise ConfigError(f"{root}: need at least two class subdirectories")
-    features: list[np.ndarray] = []
-    labels: list[int] = []
-    for class_id, class_dir in enumerate(class_dirs):
-        files = _gather_files(class_dir)
+    per_class = [_gather_files(d) for d in class_dirs]
+    for class_dir, files in zip(class_dirs, per_class):
         if not files:
             raise ConfigError(f"{class_dir}: class directory has no samples")
-        for f in files:
-            features.append(_read_feature_file(f))
-            labels.append(class_id)
-    shapes = {f.shape for f in features}
-    if len(shapes) != 1:
-        raise ConfigError(f"{root}: samples disagree on shape: {sorted(shapes)}")
     return LabeledDataset(
-        np.stack(features),
-        np.array(labels),
+        _read_samples([f for files in per_class for f in files], f"{root}: samples"),
+        np.repeat(np.arange(len(class_dirs)), [len(files) for files in per_class]),
         len(class_dirs),
         tuple(d.name for d in class_dirs),
     )
@@ -273,20 +287,25 @@ def classes_named_in_prompts(
     return hits
 
 
-def _balanced_draw(rng, groups: list[np.ndarray], count: int) -> np.ndarray:
-    """Roughly ``count / len(groups)`` picks per group, without replacement."""
+def _draw(seed, groups: list[np.ndarray], count: int | None) -> np.ndarray:
+    """Sorted picks from ``groups``, ``count`` of them or, if None, every member.
 
-    quota = [count // len(groups)] * len(groups)
-    for i in range(count - sum(quota)):
-        quota[i] += 1
+    Each group gives ``count // len(groups)`` picks without replacement, the
+    first ``count % len(groups)`` groups one more, all from one generator, so
+    a single group is exactly ``rng.choice(group, count, replace=False)``.
+    """
+
+    if count is None:
+        return np.sort(np.concatenate(groups))
+    rng = np.random.default_rng(seed)
+    base, extra = divmod(count, len(groups))
     picks = []
-    for group, q in zip(groups, quota):
-        if q > group.size:
-            raise ConfigError(
-                f"distillation source needs {q} samples from a group of {group.size}"
-            )
-        picks.append(rng.choice(group, size=q, replace=False))
-    return np.concatenate(picks)
+    for i, group in enumerate(groups):
+        quota = base + (i < extra)
+        if quota > group.size:
+            raise ConfigError(f"distillation needs {quota} samples from a group of {group.size}")
+        picks.append(rng.choice(group, size=quota, replace=False))
+    return np.sort(np.concatenate(picks))
 
 
 def draw_from_holdout(
@@ -299,61 +318,36 @@ def draw_from_holdout(
     supply ``count`` distinct samples.
     """
 
-    rng = np.random.default_rng(seed)
     pool = np.asarray(pool)
     wanted = classes_named_in_prompts(prompts, dataset.class_names)
-    if wanted:
-        groups = [pool[dataset.labels[pool] == c] for c in wanted]
-        groups = [g for g in groups if g.size]
-        if not groups:
-            raise ConfigError("no holdout samples match the prompt classes")
-        chosen = _balanced_draw(rng, groups, count)
-    else:
-        if count > pool.size:
-            raise ConfigError(f"holdout has {pool.size} samples, distillation needs {count}")
-        chosen = rng.choice(pool, size=count, replace=False)
-    return dataset.features[np.sort(chosen)].copy()
+    groups = [g for g in (pool[dataset.labels[pool] == c] for c in wanted) if g.size]
+    if wanted and not groups:
+        raise ConfigError("no holdout samples match the prompt classes")
+    return dataset.features[_draw(seed, groups or [pool], count)]
 
 
 def draw_from_directory(directory, prompts: tuple[str, ...], count: int | None, seed) -> np.ndarray:
     """``count`` samples loaded from the files under ``directory`` (recursively).
 
     If prompts match file names, the draw is balanced across the matching
-    prompts; a file that matches several prompts belongs to the first.  With
-    ``count`` None, every file a draw can choose is loaded.
-    Raises :class:`~fedsim.errors.ConfigError` when the directory cannot
-    supply ``count`` distinct samples of one shape.
+    prompts; a file that matches several prompts belongs to the first, and
+    the samples come back prompt by prompt.  With ``count`` None, every file
+    a draw can choose is loaded.  Raises :class:`~fedsim.errors.ConfigError`
+    when the directory cannot supply ``count`` distinct samples of one shape.
     """
 
-    rng = np.random.default_rng(seed)
     root = Path(directory)
     if not root.is_dir():
         raise ConfigError(f"distillation directory {root} does not exist")
     files = _gather_files(root)
     if not files:
         raise ConfigError(f"{root}: no usable files for distillation")
-    first_prompt = {
-        f: next((i for i, p in enumerate(prompts) if p.lower() in f.name.lower()), None) for f in files
-    }
-    groups_files = [[f for f in files if first_prompt[f] == i] for i in range(len(prompts))]
-    groups_files = [g for g in groups_files if g]
-    if groups_files:
-        idx_groups = []
-        offset = 0
-        flat: list[Path] = []
-        for g in groups_files:
-            idx_groups.append(np.arange(offset, offset + len(g)))
-            flat.extend(g)
-            offset += len(g)
-        chosen_idx = np.arange(offset) if count is None else _balanced_draw(rng, idx_groups, count)
-        chosen_files = [flat[i] for i in np.sort(chosen_idx)]
-    else:
-        count = len(files) if count is None else count
-        if count > len(files):
-            raise ConfigError(f"{root}: has {len(files)} files, distillation needs {count}")
-        chosen_files = [files[i] for i in np.sort(rng.choice(len(files), count, replace=False))]
-    feats = [_read_feature_file(f) for f in chosen_files]
-    shapes = {f.shape for f in feats}
-    if len(shapes) != 1:
-        raise ConfigError(f"{root}: distillation samples disagree on shape: {sorted(shapes)}")
-    return np.stack(feats)
+    first_prompt = [
+        next((i for i, p in enumerate(prompts) if p.lower() in f.name.lower()), None) for f in files
+    ]
+    grouped = [[f for f, k in zip(files, first_prompt) if k == i] for i in range(len(prompts))]
+    grouped = [g for g in grouped if g] or [files]
+    flat = [f for g in grouped for f in g]
+    groups = np.split(np.arange(len(flat)), np.cumsum([len(g) for g in grouped])[:-1])
+    chosen = _draw(seed, groups, count)
+    return _read_samples([flat[i] for i in chosen], f"{root}: distillation samples")

@@ -78,6 +78,7 @@ _STREAM_PARTITION = 2
 _STREAM_HOLDOUT = 3
 _STREAM_DISTILL = 4  # (stream, round) when resampling, (stream, 0) otherwise
 _STREAM_PROFILE = 5
+_STREAM_DATASET = 6  # blobs generation, drawn by config.build_datasets
 
 
 def stream_seed(master_seed: int, *key: int) -> np.random.SeedSequence:

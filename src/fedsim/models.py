@@ -242,13 +242,6 @@ def infer_layer_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
     return shapes
 
 
-def _final_dense_index(layers: tuple[LayerSpec, ...]) -> int:
-    for i in range(len(layers) - 1, -1, -1):
-        if layers[i].kind == "dense":
-            return i
-    raise DimensionError("model has no dense output layer")
-
-
 def build_pruned_spec(base: ModelSpec, rate: float) -> ModelSpec:
     """A copy of ``base`` with every hidden width scaled by ``rate``.
 
@@ -260,7 +253,7 @@ def build_pruned_spec(base: ModelSpec, rate: float) -> ModelSpec:
 
     if not (0.0 < rate <= 1.0):
         raise DimensionError(f"pruning rate must be in (0, 1], got {rate}")
-    out_idx = _final_dense_index(base.layers)
+    out_idx = len(base.layers) - 1  # infer_layer_shapes requires the dense output last
     layers = []
     for i, layer in enumerate(base.layers):
         if layer.kind in ("dense", "conv") and i != out_idx:

@@ -225,6 +225,38 @@ class TestDistillationSources:
         with pytest.raises(ConfigError):
             draw_from_directory(tmp_path, ("cat", "small"), 4, seed=0)  # only 3 distinct files
 
+    @pytest.mark.parametrize("prompts", [(), ("a photo of a zebra",)])
+    def test_holdout_without_matching_prompts_is_one_uniform_choice(self, prompts):
+        train, _ = make_blobs(3, 20, 5, 4, seed=0)
+        held, _ = reserve_indices(len(train), 25, seed=1)
+        seed = np.random.SeedSequence(9, spawn_key=(4, 0))
+        rows = np.sort(np.random.default_rng(seed).choice(held, 11, replace=False))
+        np.testing.assert_array_equal(draw_from_holdout(train, held, prompts, 11, seed), train.features[rows])
+
+    @pytest.mark.parametrize("prompts", [(), ("zebra",)])
+    def test_directory_without_matching_prompts_is_one_uniform_choice(self, tmp_path, prompts):
+        names = ["cat_1", "cat_2", "dog_1", "dog_2", "dog_3", "owl_1", "owl_2"]
+        for i, name in enumerate(names):
+            np.save(tmp_path / f"{name}.npy", np.full(2, float(i)))
+        seed = np.random.SeedSequence(5, spawn_key=(4, 0))
+        picks = np.sort(np.random.default_rng(seed).choice(np.arange(len(names)), 4, replace=False))
+        batch = draw_from_directory(tmp_path, prompts, 4, seed)
+        np.testing.assert_array_equal(batch[:, 0], picks.astype(float))
+
+    def test_directory_prompts_return_their_samples_group_by_group(self, tmp_path):
+        names = ["cat_1", "cat_2", "cat_3", "dog_1", "dog_2", "dog_3", "dog_4"]
+        for i, name in enumerate(names):
+            np.save(tmp_path / f"{name}.npy", np.full(2, float(i)))
+        # files in prompt order: dogs (ids 3-6), then cats (ids 0-2)
+        flat = np.array([3, 4, 5, 6, 0, 1, 2], dtype=float)
+        np.testing.assert_array_equal(draw_from_directory(tmp_path, ("dog", "cat"), None, 0)[:, 0], flat)
+        # five picks: three from the first group, two from the second, one generator
+        rng = np.random.default_rng(7)
+        dogs = rng.choice(np.arange(4), 3, replace=False)
+        cats = rng.choice(np.arange(4, 7), 2, replace=False)
+        chosen = np.sort(np.concatenate([dogs, cats]))
+        np.testing.assert_array_equal(draw_from_directory(tmp_path, ("dog", "cat"), 5, 7)[:, 0], flat[chosen])
+
     def test_missing_directory_raises(self):
         with pytest.raises(ConfigError):
             draw_from_directory("/nonexistent/path", (), 2, seed=0)
@@ -275,6 +307,46 @@ class TestImageDirectory:
         np.testing.assert_allclose(
             ds.features[0, 0], np.array([[0, 128], [255, 64]]) / 255.0
         )
+
+    def test_sixteen_bit_binary_samples_are_big_endian(self, tmp_path):
+        pixels = np.array([1000, 2000, 30000, 65535])
+        (tmp_path / "grey.pgm").write_bytes(b"P5 2 2 65535\n" + pixels.astype(">u2").tobytes())
+        (grey,) = draw_from_directory(tmp_path, (), None, seed=0)
+        np.testing.assert_array_equal(grey, (pixels / 65535.0).reshape(1, 2, 2))
+
+    def test_sixteen_bit_colour_keeps_channels_apart(self, tmp_path):
+        rgb = np.array([[[300, 600, 900], [1200, 1500, 1800]]])  # (h, w, channel)
+        (tmp_path / "colour.ppm").write_bytes(b"P6 2 1 2000\n" + rgb.astype(">u2").tobytes())
+        (colour,) = draw_from_directory(tmp_path, (), None, seed=0)
+        np.testing.assert_array_equal(colour, np.moveaxis(rgb / 2000.0, -1, 0))
+
+    @pytest.mark.parametrize("maxval", [0, 65536])
+    def test_maxval_outside_the_format_is_rejected_by_name(self, tmp_path, maxval):
+        (tmp_path / "bad.pgm").write_text(f"P2 2 1 {maxval}\n0 0\n")
+        with pytest.raises(ConfigError, match=rf"bad\.pgm: netpbm maxval {maxval} lies outside"):
+            draw_from_directory(tmp_path, (), None, seed=0)
+
+    @pytest.mark.parametrize(
+        "image",
+        [
+            b"P2 2 1 255\n300 0\n",
+            b"P2 2 1 255\n0 -5\n",
+            b"P2 2 1 255\n0 1.5\n",
+            b"P2 2 1 255\n0 zz\n",
+            b"P5 2 1 100\n\xc8\x00",
+        ],
+    )
+    def test_sample_not_a_whole_number_up_to_maxval_is_rejected_by_name(self, tmp_path, image):
+        (tmp_path / "bad.pgm").write_bytes(image)
+        message = r"bad\.pgm: netpbm sample is not a whole number in \[0, (255|100)\]"
+        with pytest.raises(ConfigError, match=message):
+            draw_from_directory(tmp_path, (), None, seed=0)
+
+    @pytest.mark.parametrize("header", [b"P2 2 x 255", b"P2 -2 -1 255", b"P2 2 1 2.5e2"])
+    def test_header_that_is_not_whole_numbers_is_rejected_by_name(self, tmp_path, header):
+        (tmp_path / "bad.pgm").write_bytes(header + b"\n0 0\n")
+        with pytest.raises(ConfigError, match=r"bad\.pgm: not a supported netpbm image"):
+            draw_from_directory(tmp_path, (), None, seed=0)
 
     def test_shape_disagreement_rejected(self, tmp_path):
         (tmp_path / "x").mkdir()

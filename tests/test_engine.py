@@ -606,6 +606,12 @@ def make_states(rates, seed0=40, input_dim=6, classes=3):
     return states
 
 
+def test_every_random_stream_has_its_own_id():
+    ids = {k: v for k, v in vars(fedsim.engine).items() if k.startswith("_STREAM_")}
+    assert len(set(ids.values())) == len(ids)
+    assert ids["_STREAM_DATASET"] == 6  # blob generation; moving it re-draws every blobs dataset
+
+
 class TestStage2DML:
     def test_single_cluster_kl_only_is_exact_noop(self):
         states = make_states([1.0])

@@ -123,6 +123,19 @@ class TestPruning:
         full = build_pruned_spec(base, 1.0)
         assert [l.width for l in full.layers] == [l.width for l in base.layers]
 
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            (),
+            (LayerSpec(kind="relu"),),
+            (LayerSpec(kind="dense", width=4, base_width=4), LayerSpec(kind="relu")),
+        ],
+    )
+    def test_base_without_a_dense_output_last_is_rejected(self, layers):
+        base = ModelSpec(input_shape=(4,), layers=layers, class_count=4)
+        with pytest.raises(DimensionError):
+            build_pruned_spec(base, 0.5)
+
     def test_cnn_channels_prune_but_classifier_head_keeps_classes(self):
         base = cnn_spec((3, 8, 8), (16, 32), 10, dense_width=64)
         pruned = build_pruned_spec(base, 0.5)
