@@ -408,7 +408,8 @@ def heterofl_aggregate(global_params: ModelParams, contributions: list[ModelPara
     call per cell sorts and sums the values of those clients only, slab by
     slab through a scratch buffer of about 1 MiB.  When every client covers
     everything, every tensor is arithmetic-for-arithmetic the uniform Stage-1
-    average, one-coordinate tensors included.
+    average, one-coordinate tensors included.  The mean is always unweighted:
+    ``training.stage1_weighting`` does not apply to this merge.
     """
 
     if not contributions:

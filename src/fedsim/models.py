@@ -9,8 +9,12 @@ while the output layer always keeps ``class_count`` units.
 A model's parameters (:class:`ModelParams`) are one contiguous float64 vector
 plus its :class:`ParamLayout`, which places every named tensor in the vector
 as a C-ordered run.  ``tensors`` is a read-only mapping of views: a tensor can
-be written in place, and the vector sees it, but cannot be rebound.  A spec's
-layout (``spec.layout``, built once per spec) names the tensors
+be written in place, and the vector sees it, but cannot be rebound.
+
+A spec checks itself when it is built, from code or from a checkpoint
+header: every value, and that its layers fit together and end in the class
+dense layer.  The one walk over the layers that checks the chain also builds
+the spec's layout (``spec.layout``), which names the tensors
 ``layer{i}.weight`` / ``layer{i}.bias`` and is the only record of their
 shapes.  Because a pruned model keeps the *leading* units/channels of every
 hidden layer, each of its tensors is a prefix block of the matching
@@ -21,11 +25,10 @@ spec's layout.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -35,6 +38,11 @@ from fedsim.errors import DimensionError
 LAYER_KINDS = ("dense", "conv", "relu", "maxpool", "flatten")
 
 
+def _check_count(value, what: str, least: int = 1) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise DimensionError(f"{what} must be an integer of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """One layer of a model.
@@ -42,7 +50,9 @@ class LayerSpec:
     ``width`` is the resolved output size (dense units or conv channels) and
     is only meaningful for ``dense`` and ``conv`` layers.  ``base_width``
     remembers the width of the corresponding layer in the unpruned model so
-    pruning is always computed relative to the full-width reference.
+    pruning is always computed relative to the full-width reference.  Every
+    size is a Python ``int`` (never a ``bool``): widths and kernel and stride
+    at least 1, padding at least 0.
     """
 
     kind: str
@@ -55,34 +65,78 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise DimensionError(f"unknown layer kind {self.kind!r}")
+        for key in ("width", "base_width"):
+            if getattr(self, key) is not None:
+                _check_count(getattr(self, key), key)
+        for key, least in (("kernel", 1), ("stride", 1), ("padding", 0)):
+            _check_count(getattr(self, key), key, least)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A full model: input shape, layer sequence, class count, pruning rate."""
+    """A full model: input shape, layer sequence, class count, pruning rate.
+
+    Building a spec checks it: ``input_shape`` is a tuple of integers of at
+    least 1, ``class_count`` an integer of at least 1, ``pruning_rate`` a
+    number in (0, 1] (kept as a float), and the layers must fit together and
+    end in a dense layer of ``class_count`` units.  The walk over the layers
+    that checks the chain, and names the layer where it breaks, also builds
+    ``layout``.
+    """
 
     input_shape: tuple[int, ...]
     layers: tuple[LayerSpec, ...]
     class_count: int
     pruning_rate: float = 1.0
+    layout: "ParamLayout" = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def layout(self) -> "ParamLayout":
-        """Where this spec's parameters sit in a flat vector; built on first use."""
+    def __post_init__(self):
+        if not isinstance(self.input_shape, tuple):
+            raise DimensionError(f"input_shape must be a tuple of integers, got {self.input_shape!r}")
+        for dim in self.input_shape:
+            _check_count(dim, "an input_shape entry")
+        _check_count(self.class_count, "class_count")
+        rate = self.pruning_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 < rate <= 1.0:
+            raise DimensionError(f"pruning_rate must be a number in (0, 1], got {rate!r}")
+        object.__setattr__(self, "pruning_rate", float(rate))
 
         shapes: dict[str, tuple[int, ...]] = {}
         slots: list[tuple[str, str] | None] = []
-        inputs = [self.input_shape, *infer_layer_shapes(self)]
-        for i, (layer, (in_size, *_)) in enumerate(zip(self.layers, inputs)):
-            if layer.kind in ("dense", "conv"):
+        cur = self.input_shape  # each layer's input, then its output
+        widest = math.prod(cur)
+        for i, layer in enumerate(self.layers):
+            name, kind = f"layer{i}({layer.kind})", layer.kind
+            if kind == "dense" and len(cur) != 1:
+                raise DimensionError(f"{name}: dense layer needs a flat input, got shape {cur}")
+            if kind in ("conv", "maxpool") and len(cur) != 3:
+                raise DimensionError(f"{name}: {kind} needs a (channels, h, w) input, got shape {cur}")
+            if kind in ("dense", "conv"):
+                if layer.width is None:
+                    raise DimensionError(f"{name}: {kind} layer has no width")
                 weight, bias = f"layer{i}.weight", f"layer{i}.bias"
-                kernel = (layer.kernel, layer.kernel) if layer.kind == "conv" else ()
-                shapes[weight] = (layer.width, int(in_size), *kernel)
-                shapes[bias] = (layer.width,)
+                kernel = (layer.kernel, layer.kernel) if kind == "conv" else ()
+                shapes[weight], shapes[bias] = (layer.width, cur[0], *kernel), (layer.width,)
                 slots.append((weight, bias))
             else:
                 slots.append(None)
-        return ParamLayout(shapes, tuple(slots), self.input_shape, max(map(math.prod, inputs)))
+            if kind in ("conv", "maxpool"):
+                pad = layer.padding if kind == "conv" else 0
+                oh, ow = ((d + 2 * pad - layer.kernel) // layer.stride + 1 for d in cur[1:])
+                if oh < 1 or ow < 1:
+                    raise DimensionError(f"{name}: window {layer.kernel} does not fit input {cur}")
+                cur = (layer.width if kind == "conv" else cur[0], oh, ow)
+            elif kind == "dense":
+                cur = (layer.width,)
+            elif kind == "flatten":
+                cur = (math.prod(cur),)
+            widest = max(widest, math.prod(cur))
+        if not self.layers or self.layers[-1].kind != "dense" or cur != (self.class_count,):
+            raise DimensionError(
+                f"model must end in a dense layer with {self.class_count} units, "
+                f"got output shape {cur}"
+            )
+        object.__setattr__(self, "layout", ParamLayout(shapes, tuple(slots), self.input_shape, widest))
 
 
 class ParamLayout:
@@ -112,7 +166,7 @@ class ParamLayout:
         self.size = stop
         self.slots = slots
         self.first = next((i for i, slot in enumerate(slots) if slot is not None), 0)
-        self.input_shape = tuple(int(d) for d in input_shape)
+        self.input_shape = input_shape
         self.widest = widest
 
     def check(self, other: "ParamLayout") -> None:
@@ -164,10 +218,6 @@ class ModelParams:
         return ModelParams(self.layout, self.flat.copy())
 
 
-def layer_name(index: int, layer: LayerSpec) -> str:
-    return f"layer{index}({layer.kind})"
-
-
 def pruned_width(base_width: int, rate: float) -> int:
     """Width of a pruned layer: ``max(1, round(rate * base_width))``.
 
@@ -178,82 +228,17 @@ def pruned_width(base_width: int, rate: float) -> int:
     return max(1, int(math.floor(rate * base_width + 0.5)))
 
 
-def infer_layer_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
-    """Per-layer output shapes (excluding the batch axis).
-
-    Raises :class:`DimensionError` naming the offending layer whenever the
-    chain does not fit together (dense on unflattened input, pooling a map
-    smaller than the window, and so on).
-    """
-
-    shapes: list[tuple[int, ...]] = []
-    cur = tuple(int(d) for d in spec.input_shape)
-    for i, layer in enumerate(spec.layers):
-        name = layer_name(i, layer)
-        if layer.kind == "dense":
-            if len(cur) != 1:
-                raise DimensionError(
-                    f"{name}: dense layer needs a flat input, got shape {cur}"
-                )
-            if layer.width is None or layer.width < 1:
-                raise DimensionError(f"{name}: dense layer has no width")
-            cur = (layer.width,)
-        elif layer.kind == "conv":
-            if len(cur) != 3:
-                raise DimensionError(
-                    f"{name}: conv layer needs a (channels, h, w) input, got shape {cur}"
-                )
-            if layer.width is None or layer.width < 1:
-                raise DimensionError(f"{name}: conv layer has no width")
-            c, h, w = cur
-            oh = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            ow = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            if oh < 1 or ow < 1:
-                raise DimensionError(
-                    f"{name}: kernel {layer.kernel} does not fit input {cur}"
-                )
-            cur = (layer.width, oh, ow)
-        elif layer.kind == "maxpool":
-            if len(cur) != 3:
-                raise DimensionError(
-                    f"{name}: maxpool needs a (channels, h, w) input, got shape {cur}"
-                )
-            c, h, w = cur
-            oh = (h - layer.kernel) // layer.stride + 1
-            ow = (w - layer.kernel) // layer.stride + 1
-            if oh < 1 or ow < 1:
-                raise DimensionError(
-                    f"{name}: window {layer.kernel} does not fit input {cur}"
-                )
-            cur = (c, oh, ow)
-        elif layer.kind == "flatten":
-            cur = (int(np.prod(cur)),)
-        elif layer.kind == "relu":
-            pass
-        shapes.append(cur)
-    if not spec.layers:
-        raise DimensionError("model has no layers")
-    last = spec.layers[-1]
-    if last.kind != "dense" or cur != (spec.class_count,):
-        raise DimensionError(
-            f"model must end in a dense layer with {spec.class_count} units, "
-            f"got output shape {cur}"
-        )
-    return shapes
-
-
 def build_pruned_spec(base: ModelSpec, rate: float) -> ModelSpec:
     """A copy of ``base`` with every hidden width scaled by ``rate``.
 
-    ``rate`` must lie in (0, 1].  Widths are computed from each layer's
-    ``base_width`` (the unpruned reference), so re-pruning an already pruned
-    spec with rate 1.0 restores the full model.  The output layer is never
-    pruned: it always keeps ``class_count`` units.
+    ``rate`` must lie in (0, 1]; the new spec checks it when built.  Widths
+    are computed from each layer's ``base_width`` (the unpruned reference),
+    so re-pruning an already pruned spec with rate 1.0 restores the full
+    model.  The output layer is never pruned: it always keeps
+    ``class_count`` units.
     """
 
-    if not (0.0 < rate <= 1.0):
-        raise DimensionError(f"pruning rate must be in (0, 1], got {rate}")
-    out_idx = len(base.layers) - 1  # infer_layer_shapes requires the dense output last
+    out_idx = len(base.layers) - 1  # a spec checks itself when built: its dense output is last
     layers = []
     for i, layer in enumerate(base.layers):
         if layer.kind in ("dense", "conv") and i != out_idx:
@@ -261,14 +246,7 @@ def build_pruned_spec(base: ModelSpec, rate: float) -> ModelSpec:
             layers.append(replace(layer, width=pruned_width(base_w, rate), base_width=base_w))
         else:
             layers.append(layer)
-    spec = ModelSpec(
-        input_shape=base.input_shape,
-        layers=tuple(layers),
-        class_count=base.class_count,
-        pruning_rate=float(rate),
-    )
-    infer_layer_shapes(spec)  # validate eagerly
-    return spec
+    return ModelSpec(base.input_shape, tuple(layers), base.class_count, rate)
 
 
 def mlp_spec(input_shape: tuple[int, ...], hidden: tuple[int, ...], class_count: int) -> ModelSpec:
@@ -281,9 +259,7 @@ def mlp_spec(input_shape: tuple[int, ...], hidden: tuple[int, ...], class_count:
         layers.append(LayerSpec(kind="dense", width=int(h), base_width=int(h)))
         layers.append(LayerSpec(kind="relu"))
     layers.append(LayerSpec(kind="dense", width=class_count, base_width=class_count))
-    spec = ModelSpec(tuple(int(d) for d in input_shape), tuple(layers), class_count)
-    infer_layer_shapes(spec)
-    return spec
+    return ModelSpec(tuple(int(d) for d in input_shape), tuple(layers), class_count)
 
 
 def cnn_spec(
@@ -308,9 +284,7 @@ def cnn_spec(
     layers.append(LayerSpec(kind="dense", width=int(dense_width), base_width=int(dense_width)))
     layers.append(LayerSpec(kind="relu"))
     layers.append(LayerSpec(kind="dense", width=class_count, base_width=class_count))
-    spec = ModelSpec(tuple(int(d) for d in input_shape), tuple(layers), class_count)
-    infer_layer_shapes(spec)
-    return spec
+    return ModelSpec(tuple(int(d) for d in input_shape), tuple(layers), class_count)
 
 
 def init_params(spec: ModelSpec, seed) -> ModelParams:
@@ -382,44 +356,27 @@ def _require_keys(d, keys: list[str], what: str) -> None:
         raise DimensionError(f"{what} needs exactly the keys {', '.join(keys)}")
 
 
-def _check_count(value, what: str, least: int = 1) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise DimensionError(f"{what} must be an integer of at least {least}, got {value!r}")
-
-
 def spec_from_dict(d: dict) -> ModelSpec:
     """The spec :func:`spec_to_dict` wrote.
 
-    A missing or unknown key, a value of the wrong kind or out of range, or
-    a layer chain that does not fit together raises :class:`DimensionError`.
+    A missing or unknown key raises :class:`DimensionError`, as does any
+    value the constructors reject; a layer's error names its index.
     """
 
     _require_keys(d, ["input_shape", "class_count", "pruning_rate", "layers"], "a model spec")
-    shape, layers, rate = d["input_shape"], d["layers"], d["pruning_rate"]
+    shape, layers = d["input_shape"], d["layers"]
     if not isinstance(shape, list):
         raise DimensionError(f"input_shape must be a list of integers, got {shape!r}")
-    for dim in shape:
-        _check_count(dim, "an input_shape entry")
-    _check_count(d["class_count"], "class_count")
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 < rate <= 1.0:
-        raise DimensionError(f"pruning_rate must be a number in (0, 1], got {rate!r}")
     if not isinstance(layers, list):
         raise DimensionError(f"layers must be a list, got {layers!r}")
+    built = []
     for i, layer in enumerate(layers):
         _require_keys(layer, [f.name for f in fields(LayerSpec)], "a layer")
-        for key in ("width", "base_width"):
-            if layer[key] is not None:
-                _check_count(layer[key], f"layer {i} {key}")
-        for key, least in (("kernel", 1), ("stride", 1), ("padding", 0)):
-            _check_count(layer[key], f"layer {i} {key}", least)
-    spec = ModelSpec(
-        input_shape=tuple(shape),
-        layers=tuple(LayerSpec(**layer) for layer in layers),
-        class_count=d["class_count"],
-        pruning_rate=float(rate),
-    )
-    infer_layer_shapes(spec)  # validate eagerly
-    return spec
+        try:
+            built.append(LayerSpec(**layer))
+        except DimensionError as exc:
+            raise DimensionError(f"layer {i} {exc}") from exc
+    return ModelSpec(tuple(shape), tuple(built), d["class_count"], d["pruning_rate"])
 
 
 def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:

@@ -36,13 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from fedsim.errors import DimensionError
-from fedsim.models import (
-    LayerSpec,
-    ModelParams,
-    ModelSpec,
-    layer_name,
-    validate_params,
-)
+from fedsim.models import LayerSpec, ModelParams, ModelSpec, validate_params
 
 
 def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -196,22 +190,19 @@ def _forward(spec: ModelSpec, params: ModelParams, batch: np.ndarray, caches: li
     layout = spec.layout
     x = _check_batch(layout.input_shape, batch)
     tensors = params.tensors
-    for idx, (layer, slot) in enumerate(zip(spec.layers, layout.slots)):
-        try:
-            if layer.kind == "dense":
-                x, cache = _dense_forward(x, tensors[slot[0]], tensors[slot[1]])
-            elif layer.kind == "conv":
-                x, cache = _conv_forward(x, tensors[slot[0]], tensors[slot[1]], layer)
-            elif layer.kind == "relu":
-                cache = x > 0
-                x = x * cache
-            elif layer.kind == "maxpool":
-                x, cache = _maxpool_forward(x, layer)
-            elif layer.kind == "flatten":
-                cache = x.shape
-                x = x.reshape(x.shape[0], -1)
-        except ValueError as exc:  # pragma: no cover - guarded by spec validation
-            raise DimensionError(f"{layer_name(idx, layer)}: {exc}") from exc
+    for layer, slot in zip(spec.layers, layout.slots):
+        if layer.kind == "dense":
+            x, cache = _dense_forward(x, tensors[slot[0]], tensors[slot[1]])
+        elif layer.kind == "conv":
+            x, cache = _conv_forward(x, tensors[slot[0]], tensors[slot[1]], layer)
+        elif layer.kind == "relu":
+            cache = x > 0
+            x = x * cache
+        elif layer.kind == "maxpool":
+            x, cache = _maxpool_forward(x, layer)
+        elif layer.kind == "flatten":
+            cache = x.shape
+            x = x.reshape(x.shape[0], -1)
         if caches is not None:
             caches.append(cache)
     return x

@@ -1291,6 +1291,24 @@ class TestRunExperiment:
             assert params_equal(state.params, extract_overlap(result.global_params, state.spec))
         assert result.metrics[-1].client_weighted_accuracy > 0.8
 
+    def test_heterofl_ignores_stage1_weighting(self):
+        # the HeteroFL merge is an unweighted covering mean whatever the
+        # weighting; fedavg on the same skewed partition shows it would matter
+        runs = {}
+        for algorithm in ("heterofl", "fedavg"):
+            for weighting in ("uniform", "data_size"):
+                cfg = desk_config(algorithm=algorithm, stage1_weighting=weighting, rounds=3,
+                                  partition_mode="dirichlet", dirichlet_alpha=0.6)
+                runs[algorithm, weighting] = run_experiment(
+                    cfg, self.base, self.train, self.test, self.profiles
+                )
+        assert np.unique(runs["heterofl", "uniform"].partition.sizes()).size > 1
+        uniform, data_size = runs["heterofl", "uniform"], runs["heterofl", "data_size"]
+        assert [m.as_dict() for m in uniform.metrics] == [m.as_dict() for m in data_size.metrics]
+        assert uniform.global_params.flat.tobytes() == data_size.global_params.flat.tobytes()
+        assert not params_equal(runs["fedavg", "uniform"].states[0].params,
+                                runs["fedavg", "data_size"].states[0].params)
+
     @pytest.mark.parametrize("algorithm", ["fedtsa", "fedavg", "fedprox", "heterofl"])
     def test_trained_models_do_not_outlive_their_round(self, algorithm, monkeypatch):
         # weak references to every model local_update returns; at the first

@@ -22,6 +22,8 @@ from fedsim.models import (
     overlap_map,
     pruned_width,
     save_checkpoint,
+    spec_from_dict,
+    spec_to_dict,
 )
 
 
@@ -70,26 +72,79 @@ class TestShapeInference:
         assert shapes["layer9.weight"] == (5, 10)
 
     def test_pooling_too_large_is_rejected(self):
-        spec = ModelSpec(
-            input_shape=(1, 3, 3),
-            layers=(
-                LayerSpec(kind="maxpool", kernel=4, stride=4),
-                LayerSpec(kind="flatten"),
-                LayerSpec(kind="dense", width=2, base_width=2),
-            ),
-            class_count=2,
-        )
         with pytest.raises(DimensionError, match="layer0"):
-            spec.layout
+            ModelSpec(
+                input_shape=(1, 3, 3),
+                layers=(
+                    LayerSpec(kind="maxpool", kernel=4, stride=4),
+                    LayerSpec(kind="flatten"),
+                    LayerSpec(kind="dense", width=2, base_width=2),
+                ),
+                class_count=2,
+            )
 
     def test_model_must_end_in_class_dense(self):
-        spec = ModelSpec(
-            input_shape=(4,),
-            layers=(LayerSpec(kind="dense", width=3, base_width=3),),
-            class_count=5,
-        )
         with pytest.raises(DimensionError, match="dense"):
-            spec.layout
+            ModelSpec(
+                input_shape=(4,),
+                layers=(LayerSpec(kind="dense", width=3, base_width=3),),
+                class_count=5,
+            )
+
+
+def image_spec(middle, **spec_values):
+    """``middle`` between a 4-channel conv and the flatten and class dense
+    layers, on (1, 6, 6) inputs; ``spec_values`` override the spec's own."""
+
+    layers = (
+        LayerSpec(kind="conv", width=4, base_width=4),
+        middle,
+        LayerSpec(kind="flatten"),
+        LayerSpec(kind="dense", width=3, base_width=3),
+    )
+    return ModelSpec(layers=layers, **(dict(input_shape=(1, 6, 6), class_count=3) | spec_values))
+
+
+class TestSpecChecksItself:
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: image_spec(LayerSpec(kind="maxpool", kernel=2, stride=0)),
+             "stride must be an integer of at least 1, got 0"),
+            (lambda: image_spec(LayerSpec(kind="conv", width=2, base_width=2, kernel=0)),
+             "kernel must be an integer of at least 1, got 0"),
+            (lambda: image_spec(LayerSpec(kind="conv", width=2, base_width=2, padding=-1)),
+             "padding must be an integer of at least 0, got -1"),
+            (lambda: image_spec(LayerSpec(kind="relu"), pruning_rate=7.0),
+             r"pruning_rate must be a number in \(0, 1\], got 7.0"),
+            (lambda: mlp_spec((0,), (4,), 3), "an input_shape entry must be an integer of at least 1, got 0"),
+            (lambda: ModelSpec((4,), (LayerSpec(kind="dense", width=np.int64(3), base_width=3),), 3),
+             "width must be an integer of at least 1, got "),
+            (lambda: image_spec(LayerSpec(kind="conv", width=True, base_width=2)),
+             "width must be an integer of at least 1, got True"),
+            (lambda: image_spec(LayerSpec(kind="relu"), class_count=3.0),
+             "class_count must be an integer of at least 1, got 3.0"),
+            (lambda: image_spec(LayerSpec(kind="relu"), input_shape=[1, 6, 6]),
+             "input_shape must be a tuple of integers"),
+        ],
+        ids=["maxpool-stride-zero", "conv-kernel-zero", "conv-negative-padding", "rate-seven",
+             "input-dim-zero", "numpy-width", "bool-width", "float-class-count", "list-input-shape"],
+    )
+    def test_a_malformed_spec_is_rejected_when_built(self, build, message):
+        with pytest.raises(DimensionError, match=f"^{message}"):
+            build()
+
+    def test_a_spec_holds_its_layout_and_a_float_rate(self):
+        spec = image_spec(LayerSpec(kind="maxpool", kernel=2, stride=2), pruning_rate=1)
+        assert type(spec.pruning_rate) is float and spec.pruning_rate == 1.0
+        assert "layout" in vars(spec)
+        assert spec.layout.slots == (("layer0.weight", "layer0.bias"), None, None, ("layer3.weight", "layer3.bias"))
+        # 6x6 -> conv 4x4 -> pool 2x2; the conv output is the widest
+        assert spec.layout.spans["layer3.weight"][2] == (3, 4 * 2 * 2)
+        assert spec.layout.widest == 4 * 4 * 4
+        # the layout is derived, so it takes no part in equality or repr
+        assert spec == image_spec(LayerSpec(kind="maxpool", kernel=2, stride=2))
+        assert "layout" not in repr(spec)
 
 
 class TestPruning:
@@ -132,9 +187,8 @@ class TestPruning:
         ],
     )
     def test_base_without_a_dense_output_last_is_rejected(self, layers):
-        base = ModelSpec(input_shape=(4,), layers=layers, class_count=4)
         with pytest.raises(DimensionError):
-            build_pruned_spec(base, 0.5)
+            ModelSpec(input_shape=(4,), layers=layers, class_count=4)
 
     def test_cnn_channels_prune_but_classifier_head_keeps_classes(self):
         base = cnn_spec((3, 8, 8), (16, 32), 10, dense_width=64)
@@ -259,14 +313,32 @@ class TestFlatRepresentation:
 
 class TestFlattenAndCheckpoint:
     def test_checkpoint_roundtrip_preserves_bits(self, tmp_path):
-        spec = build_pruned_spec(mlp_spec((7,), (6, 5), 3), 0.8)
-        params = init_params(spec, 33)
-        path = tmp_path / "model.npz"
-        save_checkpoint(path, spec, params)
-        spec2, params2 = load_checkpoint(path)
-        assert spec2 == spec
-        for name in params.tensors:
-            np.testing.assert_array_equal(params2.tensors[name], params.tensors[name])
+        rng = np.random.default_rng(33)
+        specs = [build_pruned_spec(mlp_spec((7,), (6, 5), 3), 0.8)]
+        for _ in range(8):
+            classes = int(rng.integers(2, 6))
+            flat_shape = tuple(int(d) for d in rng.integers(1, 5, size=rng.integers(1, 4)))
+            mlp = mlp_spec(flat_shape, tuple(rng.integers(1, 9, size=rng.integers(0, 3))), classes)
+            side = int(rng.integers(4, 9))
+            cnn = cnn_spec(
+                (int(rng.integers(1, 4)), side, side),
+                tuple(rng.integers(1, 6, size=rng.integers(1, 3))),
+                classes,
+                kernel=int(rng.choice([1, 3])),
+                dense_width=int(rng.integers(1, 9)),
+            )
+            for base in (mlp, cnn):
+                specs += [base, build_pruned_spec(base, float(rng.uniform(0.05, 1.0)))]
+        for i, spec in enumerate(specs):
+            again = spec_from_dict(spec_to_dict(spec))
+            assert again == spec
+            assert again.layout.spans == spec.layout.spans
+            params = init_params(spec, i)
+            path = tmp_path / f"model{i}.npz"
+            save_checkpoint(path, spec, params)
+            spec2, params2 = load_checkpoint(path)
+            assert spec2 == spec
+            assert params2.flat.tobytes() == params.flat.tobytes()
 
     def test_checkpoint_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.npz"
@@ -307,7 +379,7 @@ class TestFlattenAndCheckpoint:
             (layer_update(0, kernel=True), "layer 0 kernel must be an integer"),
             (layer_update(1, stride=0), "layer 1 stride must be an integer of at least 1"),
             (layer_update(0, padding=-1), "layer 0 padding must be an integer of at least 0"),
-            (layer_update(1, kind="gelu"), "unknown layer kind 'gelu'"),
+            (layer_update(1, kind="gelu"), "layer 1 unknown layer kind 'gelu'"),
             (spec_update(input_shape="7"), "input_shape must be a list of integers"),
             (spec_update(input_shape=[0]), "an input_shape entry must be an integer of at least 1"),
             (spec_update(class_count=4), "model must end in a dense layer with 4 units"),

@@ -517,10 +517,9 @@ class TestShapeErrors:
             model_forward(spec, params, np.zeros((2, 5)))
 
     def test_dense_on_image_input_names_layer(self):
-        spec = ModelSpec(
-            input_shape=(1, 4, 4),
-            layers=(LayerSpec(kind="dense", width=2, base_width=2),),
-            class_count=2,
-        )
         with pytest.raises(DimensionError, match="layer0"):
-            init_params(spec, 0)
+            ModelSpec(
+                input_shape=(1, 4, 4),
+                layers=(LayerSpec(kind="dense", width=2, base_width=2),),
+                class_count=2,
+            )
