@@ -14,6 +14,17 @@ grouped and how their updates are merged:
 * ``heterofl`` -- duration-based clusters sharing one full-width global model;
   each coordinate is averaged over the clients whose submodel covers it.
 
+A round's local updates run in up to one process per CPU the process may
+use.  :func:`run_experiment` forks ``min(CPUs, clients) - 1`` helper
+processes before the first round; each keeps a fixed share of the client
+positions, balanced by estimated cost, and the parent trains the rest.  Each
+round the parent writes every cluster's start vector to each helper, and
+each helper sends back a loss (or the exception) and the raw trained vector
+per client of its share (see :func:`train_round`).  An update is a pure
+function of its start vector, its rows and its own ``(client, round)``
+stream, so no output byte depends on the number of processes.  Aggregation,
+Stage 2 and evaluation run in the parent.
+
 Every reduction over clients or clusters goes through one kernel,
 :func:`_sorted_mean`, which sorts the operands per coordinate and sums them
 one operand after another, slab by slab through a scratch buffer of about
@@ -330,8 +341,9 @@ def local_update(
     With ``prox_reference`` set, the proximal term ``(mu/2) * ||w - ref||^2``
     is added to every batch objective.  Zero epochs (or a zero learning rate)
     return the starting values; the reported loss is the mean over all batch
-    losses before their steps (NaN when no batch ran).  The first non-finite
-    batch loss raises :class:`EngineError` before its step, as does a
+    losses before their steps (NaN when no batch ran).  The first batch loss
+    above ``100 * ln(class_count)`` (a hundred times a uniform guess's loss)
+    or not finite raises :class:`EngineError` before its step, as does a
     non-finite final parameter.  ``params`` (and the proximal reference) and
     the label range are checked against ``spec`` once, on entry
     (:class:`DimensionError`); neither input is written.
@@ -348,6 +360,7 @@ def local_update(
         raise DimensionError(f"labels must lie in [0, {spec.class_count})")
     model = _Learner(spec, params, prox_reference, config.fedprox_mu)
     rng = np.random.default_rng(seed)
+    ceiling = 100 * math.log(spec.class_count)
     batch_losses: list[float] = []
     for _ in range(config.local_epochs):
         order = rng.permutation(n)
@@ -355,8 +368,8 @@ def local_update(
             take = order[start : start + config.batch_size]
             logits, caches = forward_cached(spec, model.params, features.take(take, axis=0))
             loss, logit_grad = cross_entropy(logits, labels.take(take))
-            if not math.isfinite(loss):
-                raise EngineError("local training diverged: non-finite loss")
+            if not loss <= ceiling:
+                raise EngineError(f"local training diverged: batch loss {loss:.4g} (ceiling {ceiling:.4g})")
             model.step(caches, logit_grad, config.learning_rate)
             batch_losses.append(loss)
     model.check_finite(batch_losses, "local training")
@@ -662,53 +675,263 @@ def prepare_run(
     )
 
 
-def train_members(run: RunState, state: ClusterState, t: int, losses: list[float]) -> list[ModelParams]:
-    """The local updates of a cluster's members in round ``t``, in member order.
+def _train_share(run: RunState, t: int, share: list[int], starts: list[ModelParams]) -> list:
+    """The local updates of round ``t`` of the clients at positions ``share``, in order.
 
-    Their losses join ``losses``.  The trained models are held only by the
-    returned list, so none of them outlives the aggregation it is passed to.
+    A member of cluster ``c`` starts from ``starts[c]``.  Each outcome is a
+    ``(params, loss)`` pair or the exception the update raised; the first
+    exception ends the share, as no later client of it can fail first.
     """
 
-    prox_reference = state.params if run.config.algorithm == "fedprox" else None
-    trained = []
-    for pos in run.assignment.members(state.cluster_id):
-        cid, idx = run.profiles[pos].client_id, run.partition.client_indices[pos]
+    config = run.config
+    outcomes = []
+    for pos in share:
+        c = run.assignment.cluster_of[pos]
+        idx = run.partition.client_indices[pos]
         try:
-            params, loss = local_update(
-                state.spec,
-                state.params,
-                run.train.features[idx],
-                run.train.labels[idx],
-                run.config,
-                stream_seed(run.config.master_seed, _STREAM_LOCAL, cid, t),
-                prox_reference=prox_reference,
+            outcomes.append(
+                local_update(
+                    run.states[c].spec,
+                    starts[c],
+                    run.train.features[idx],
+                    run.train.labels[idx],
+                    config,
+                    stream_seed(config.master_seed, _STREAM_LOCAL, run.profiles[pos].client_id, t),
+                    prox_reference=starts[c] if config.algorithm == "fedprox" else None,
+                )
             )
-        except FedsimError as exc:
-            raise EngineError(f"round {t}, cluster {state.cluster_id}, client {cid}: {exc}") from exc
-        trained.append(params)
-        losses.append(loss)
-    return trained
+        except Exception as exc:
+            outcomes.append(exc)
+            break
+    return outcomes
 
 
-def run_round(run: RunState, t: int) -> RoundMetrics:
-    """Advance ``run`` by round ``t``, append the round's metrics to it and return them."""
+def _shares(run: RunState, count: int) -> list[list[int]]:
+    """The client positions in ``count`` shares of about equal estimated cost.
+
+    A client costs its local batches times its cluster's model size.  Each
+    client, costliest first, joins the share with the least cost so far.
+    Each share lists its positions in training order: cluster order, then
+    member order.
+    """
+
+    config = run.config
+    cluster_of = run.assignment.cluster_of
+    batches = config.local_epochs * -(-run.partition.sizes() // config.batch_size)
+    cost = batches * np.array([run.states[c].spec.layout.size for c in cluster_of])
+    shares: list[list[int]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for pos in np.argsort(-cost, kind="stable").tolist():
+        least = loads.index(min(loads))
+        shares[least].append(pos)
+        loads[least] += cost[pos]
+    return [sorted(share, key=lambda pos: (cluster_of[pos], pos)) for share in shares]
+
+
+def _write(pipe, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[pipe.write(view) :]
+
+
+def _read(pipe, into) -> None:
+    """Fill the buffer ``into`` from ``pipe``; :class:`EOFError` if the pipe ends first."""
+
+    view = memoryview(into).cast("B")
+    while view:
+        count = pipe.readinto(view)
+        if not count:
+            raise EOFError("pipe closed")
+        view = view[count:]
+
+
+class _Helper:
+    """A forked process that trains one fixed share of the clients every round.
+
+    It inherits the run through the fork.  Each round the parent writes the
+    round index (8 bytes) and every cluster's start vector, raw.  The helper
+    trains its whole share with :func:`_train_share` before it replies, so a
+    reply larger than a pipe's buffer never stalls the training.  The reply
+    is the length (8 bytes) of a pickled list that holds each client's loss,
+    or the exception that ended the share; then that list; then each trained
+    vector, raw.
+
+    The helper ends only through ``os._exit``, so it never returns into the
+    caller or flushes the stdio it inherited.  It ends on any error of its
+    own, and when its command pipe reaches end of file: the parent closes the
+    pipe to stop it, and the pipe also ends if the parent dies.
+    """
+
+    def __init__(self, run: RunState, share: list[int], others: list[_Helper]):
+        import os
+
+        self.share = share
+        commands_r, commands_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (commands_r, commands_w, replies_r, replies_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            try:
+                os.close(commands_w)
+                os.close(replies_r)
+                for other in others:
+                    other.close()
+                _serve(run, share, open(commands_r, "rb", buffering=0), open(replies_w, "wb", buffering=0))
+            finally:
+                os._exit(0)
+        os.close(commands_r)
+        os.close(replies_w)
+        self.commands = open(commands_w, "wb", buffering=0)
+        self.replies = open(replies_r, "rb", buffering=0)
+
+    def send(self, t: int, starts: list[ModelParams]) -> None:
+        try:
+            _write(self.commands, t.to_bytes(8, "little"))
+            for start in starts:
+                _write(self.commands, start.flat)
+        except OSError as exc:
+            raise EngineError(f"round {t}: training helper {self.pid} has exited") from exc
+
+    def receive(self, run: RunState, t: int) -> list:
+        """The outcomes of this helper's share in round ``t``, as :func:`_train_share` gives them."""
+
+        import pickle
+
+        try:
+            size = bytearray(8)
+            _read(self.replies, size)
+            losses = bytearray(int.from_bytes(size, "little"))
+            _read(self.replies, losses)
+            outcomes = []
+            for pos, loss in zip(self.share, pickle.loads(losses)):
+                if isinstance(loss, BaseException):
+                    outcomes.append(loss)
+                    continue
+                params = ModelParams(run.states[run.assignment.cluster_of[pos]].spec.layout)
+                _read(self.replies, params.flat)
+                outcomes.append((params, loss))
+            return outcomes
+        except (OSError, EOFError) as exc:
+            raise EngineError(f"round {t}: training helper {self.pid} has exited") from exc
+
+    def close(self) -> None:
+        self.commands.close()
+        self.replies.close()
+
+
+def _serve(run: RunState, share: list[int], commands, replies) -> None:
+    """A helper's loop: train ``share`` in every round the parent sends, until the
+    command pipe ends (:class:`EOFError`)."""
+
+    import pickle
+
+    header = bytearray(8)
+    while True:
+        _read(commands, header)
+        starts = [ModelParams(state.spec.layout) for state in run.states]
+        for start in starts:
+            _read(commands, start.flat)
+        outcomes = _train_share(run, int.from_bytes(header, "little"), share, starts)
+        losses = pickle.dumps([o if isinstance(o, BaseException) else o[1] for o in outcomes])
+        _write(replies, len(losses).to_bytes(8, "little"))
+        _write(replies, losses)
+        for outcome in outcomes:
+            if not isinstance(outcome, BaseException):
+                _write(replies, outcome[0].flat)
+
+
+def _start_helpers(run: RunState, helpers: list[_Helper]) -> None:
+    """Fork ``min(CPUs, clients) - 1`` helpers into ``helpers``: none for a run
+    of no rounds, or where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
+
+    import os
+
+    if not run.config.rounds or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return
+    for share in _shares(run, min(len(os.sched_getaffinity(0)), len(run.profiles)))[1:]:
+        helpers.append(_Helper(run, share, helpers))
+
+
+def _stop_helpers(helpers: list[_Helper], kill: bool) -> None:
+    """Close every helper's pipes, which stops an idle one, kill each one if
+    ``kill``, and reap them all."""
+
+    import os
+
+    for helper in helpers:
+        helper.close()
+    for helper in helpers:
+        if kill:
+            import signal  # here, not above: a run that ends well never loads it
+
+            os.kill(helper.pid, signal.SIGKILL)
+        os.waitpid(helper.pid, 0)
+
+
+def train_round(
+    run: RunState, t: int, helpers: list[_Helper] | tuple = ()
+) -> tuple[list[list[ModelParams]], list[float]]:
+    """The local updates of round ``t``: each cluster's trained models in
+    member order, and their losses in cluster order, then member order.
+
+    ``helpers`` (see :func:`run_experiment`) train their shares while this
+    process trains every other client.  The first failure in member order is
+    raised, as in one process: a :class:`FedsimError` as an
+    :class:`EngineError` naming the round, the cluster and the client, any
+    other exception as it is.  The trained models are held only by the
+    returned lists, so none of them outlives the aggregation it is passed to.
+    """
+
+    starts = [state.params for state in run.states]
+    for helper in helpers:
+        helper.send(t, starts)
+    taken = {pos for helper in helpers for pos in helper.share}
+    order = np.argsort(run.assignment.cluster_of, kind="stable").tolist()  # cluster, then member order
+    own = [pos for pos in order if pos not in taken]
+    outcomes = dict(zip(own, _train_share(run, t, own, starts)))
+    for helper in helpers:
+        outcomes.update(zip(helper.share, helper.receive(run, t)))
+    trained, losses = [], []
+    for state in run.states:
+        models = []
+        for pos in run.assignment.members(state.cluster_id).tolist():
+            outcome = outcomes[pos]
+            if isinstance(outcome, FedsimError):
+                cid = run.profiles[pos].client_id
+                raise EngineError(f"round {t}, cluster {state.cluster_id}, client {cid}: {outcome}") from outcome
+            if isinstance(outcome, BaseException):
+                raise outcome
+            models.append(outcome[0])
+            losses.append(outcome[1])
+        trained.append(models)
+    return trained, losses
+
+
+def run_round(run: RunState, t: int, helpers: list[_Helper] | tuple = ()) -> RoundMetrics:
+    """Advance ``run`` by round ``t``, append the round's metrics to it and return them.
+
+    ``helpers`` train their shares of the clients (see :func:`train_round`).
+    """
 
     config = run.config
     cluster_of, sizes = run.assignment.cluster_of, run.partition.sizes()
-    losses: list[float] = []
+    trained, losses = train_round(run, t, helpers)
     if config.algorithm == "heterofl":
-        run.global_params = heterofl_aggregate(
-            run.global_params, [p for s in run.states for p in train_members(run, s, t, losses)]
-        )
+        run.global_params = heterofl_aggregate(run.global_params, [p for models in trained for p in models])
         for state in run.states:
             state.params = extract_overlap(run.global_params, state.spec)
     else:
         for state in run.states:
             state.params = stage1_aggregate(
-                train_members(run, state, t, losses),
+                trained[state.cluster_id],
                 data_sizes=sizes[cluster_of == state.cluster_id],
                 weighting=config.stage1_weighting,
             )
+    del trained  # no trained model outlives the aggregation
     mean_local_loss = float(np.mean(losses)) if losses else float("nan")
 
     stage2_kl = 0.0
@@ -751,11 +974,24 @@ def run_experiment(
     on_round=None,
 ) -> RunState:
     """:func:`prepare_run`, then :func:`run_round` once per configured round;
-    ``on_round`` (if set) is called with each round's :class:`RoundMetrics`."""
+    ``on_round`` (if set) is called with each round's :class:`RoundMetrics`.
+
+    Before the first round, ``min(CPUs, clients) - 1`` helper processes are
+    forked, where CPUs are those ``os.sched_getaffinity`` allows; each trains
+    one share of the clients every round (see :class:`_Helper`).  Every helper
+    is reaped before this returns or raises; on an error it is killed first.
+    """
 
     run = prepare_run(config, base_spec, train, test, profiles)
-    for t in range(config.rounds):
-        round_metrics = run_round(run, t)
-        if on_round is not None:
-            on_round(round_metrics)
+    helpers: list[_Helper] = []
+    finished = False
+    try:
+        _start_helpers(run, helpers)
+        for t in range(config.rounds):
+            round_metrics = run_round(run, t, helpers)
+            if on_round is not None:
+                on_round(round_metrics)
+        finished = True
+    finally:
+        _stop_helpers(helpers, kill=not finished)
     return run

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 from pathlib import Path
 
@@ -343,6 +344,22 @@ def test_a_config_that_picks_output_formats_is_rejected(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
     assert "config error: output.formats: unknown key" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("learning_rate", [1.0, 5.0, 50.0])
+def test_an_exploding_loss_stops_the_run_before_round_3(learning_rate, cpus, tmp_path, capsys, monkeypatch):
+    # finite batch losses far above 100 * ln(10) = 230 are divergence too; no
+    # errstate here, so an overflow warning (an error under this suite's
+    # filterwarnings) would fail the run before the ceiling stops it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    raw = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" / "quickstart.yaml").read_text())
+    raw["training"]["learning_rate"] = learning_rate
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"round [01], cluster \d+, client \d+: local training diverged: batch loss \S+ \(ceiling 230.3\)", err), err
+    assert len(read_metrics(out)) < 2
 
 
 def test_diverging_run_exits_2_and_keeps_earlier_rounds(tmp_path, capsys):

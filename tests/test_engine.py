@@ -9,6 +9,7 @@ bitwise.
 import contextlib
 import gc
 import math
+import os
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -798,6 +799,8 @@ def reference_local_update(spec, params, features, labels, config, seed, prox_re
             take = order[start : start + config.batch_size]
             logits, caches = forward_cached(spec, current, features[take])
             loss, logit_grad = cross_entropy(logits, labels[take])
+            if not loss <= 100 * math.log(spec.class_count):
+                return None, loss  # diverged: local_update raises before this step
             grads = reference_backward(spec, current, caches, logit_grad)
             if prox_reference is not None and config.fedprox_mu > 0:
                 for name in grads:
@@ -886,7 +889,7 @@ class TestFlatTrainingMatchesPerTensorLoops:
             want, want_loss = reference_local_update(
                 spec, params, features, labels, cfg, seed, prox_reference=reference
             )
-            if not all_finite(want, [want_loss] if epochs else []):
+            if want is None or not all_finite(want, [want_loss] if epochs else []):
                 with pytest.raises(EngineError, match="diverged"):
                     local_update(spec, params, features, labels, cfg, seed, prox_reference=reference)
                 return
@@ -929,7 +932,7 @@ class TestFlatTrainingMatchesPerTensorLoops:
 
     def test_local_update_leaves_its_inputs_unchanged(self):
         spec = cnn_spec((1, 6, 6), (2,), 3, dense_width=4)
-        params, reference = spread_params(spec, 1), spread_params(spec, 2)
+        params, reference = random_params(spec, 1), random_params(spec, 2)
         before, before_ref = snapshot(params), snapshot(reference)
         rng = np.random.default_rng(3)
         features, labels = rng.normal(size=(7, 1, 6, 6)), rng.integers(0, 3, size=7)
@@ -1361,7 +1364,9 @@ class TestRunExperiment:
 
     def test_clients_train_under_their_ids_on_the_rows_of_their_positions(self, monkeypatch):
         # ids out of order and with gaps: a client's random stream is keyed by
-        # its id, its rows are the shard of its position in the profile list
+        # its id, its rows are the shard of its position in the profile list.
+        # local_update is recorded in this process, so it trains every client:
+        # one CPU, no helper process
         ids = [40, 7, 13, 2, 25, 31]
         profiles = [ClientProfile(i, s) for i, s in zip(ids, [1.0, 2.5, 1.0, 1.0, 2.5, 1.0])]
         original, calls = fedsim.engine.local_update, []
@@ -1370,6 +1375,7 @@ class TestRunExperiment:
             calls.append((seed.spawn_key, features))
             return original(spec, params, features, labels, config, seed, **kwargs)
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(fedsim.engine, "local_update", recorded)
         run = run_experiment(desk_config(rounds=2), self.base, self.train, self.test, profiles)
         order = [pos for c in range(run.assignment.cluster_count) for pos in run.assignment.members(c)]
@@ -1389,6 +1395,16 @@ class TestRunExperiment:
         monkeypatch.setattr(fedsim.engine, "local_update", diverging)
         with pytest.raises(EngineError, match=r"^round 0, cluster 1, client 25: local training diverged$"):
             run_experiment(desk_config(rounds=1), self.base, self.train, self.test, profiles)
+
+        # helper processes train the same clients to the same bytes
+        monkeypatch.setattr(fedsim.engine, "local_update", original)
+        for cpus in (2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            forked = run_experiment(desk_config(rounds=2), self.base, self.train, self.test, profiles)
+            assert [m.as_dict() for m in forked.metrics] == [m.as_dict() for m in run.metrics]
+            assert [s.params.flat.tobytes() for s in forked.states] == [
+                s.params.flat.tobytes() for s in run.states
+            ]
 
     def test_a_run_holds_its_datasets_without_copying_them(self):
         run = prepare_run(desk_config(), self.base, self.train, self.test, self.profiles)
