@@ -712,7 +712,7 @@ def _shares(run: RunState, count: int) -> list[list[int]]:
     A client costs its local batches times its cluster's model size.  Each
     client, costliest first, joins the share with the least cost so far.
     Each share lists its positions in training order: cluster order, then
-    member order.
+    member order, so one share is every client in training order.
     """
 
     config = run.config
@@ -844,56 +844,73 @@ def _serve(run: RunState, share: list[int], commands, replies) -> None:
                 _write(replies, outcome[0].flat)
 
 
-def _start_helpers(run: RunState, helpers: list[_Helper]) -> None:
-    """Fork ``min(CPUs, clients) - 1`` helpers into ``helpers``: none for a run
-    of no rounds, or where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
+class _Helpers:
+    """A run's helper processes: one :class:`_Helper` per share of the clients
+    but the first, which the parent trains (:attr:`own`).
 
-    import os
+    There are ``min(CPUs, clients)`` shares, where CPUs are those
+    ``os.sched_getaffinity`` allows; there is one, and no helper, for a run of
+    no rounds or where ``os.fork`` or ``os.sched_getaffinity`` is missing.  On
+    leaving a ``with`` block every helper is reaped, and killed first if an
+    exception ends the block.
+    """
 
-    if not run.config.rounds or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return
-    for share in _shares(run, min(len(os.sched_getaffinity(0)), len(run.profiles)))[1:]:
-        helpers.append(_Helper(run, share, helpers))
+    def __init__(self, run: RunState):
+        import os
 
+        forks = run.config.rounds and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+        self.own, *shares = _shares(run, min(len(os.sched_getaffinity(0)), len(run.profiles)) if forks else 1)
+        self.processes: list[_Helper] = []
+        try:
+            for share in shares:
+                self.processes.append(_Helper(run, share, self.processes))
+        except BaseException:
+            self.stop(kill=True)
+            raise
 
-def _stop_helpers(helpers: list[_Helper], kill: bool) -> None:
-    """Close every helper's pipes, which stops an idle one, kill each one if
-    ``kill``, and reap them all."""
+    def __enter__(self) -> _Helpers:
+        return self
 
-    import os
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self.stop(kill=exc_type is not None)
 
-    for helper in helpers:
-        helper.close()
-    for helper in helpers:
-        if kill:
-            import signal  # here, not above: a run that ends well never loads it
+    def stop(self, kill: bool) -> None:
+        """Close every helper's pipes, which stops an idle one, kill each one
+        if ``kill``, and reap them all."""
 
-            os.kill(helper.pid, signal.SIGKILL)
-        os.waitpid(helper.pid, 0)
+        import os
+
+        for helper in self.processes:
+            helper.close()
+        for helper in self.processes:
+            if kill:
+                import signal  # here, not above: a run that ends well never loads it
+
+                os.kill(helper.pid, signal.SIGKILL)
+            os.waitpid(helper.pid, 0)
 
 
 def train_round(
-    run: RunState, t: int, helpers: list[_Helper] | tuple = ()
+    run: RunState, t: int, helpers: _Helpers | None = None
 ) -> tuple[list[list[ModelParams]], list[float]]:
     """The local updates of round ``t``: each cluster's trained models in
     member order, and their losses in cluster order, then member order.
 
     ``helpers`` (see :func:`run_experiment`) train their shares while this
-    process trains every other client.  The first failure in member order is
-    raised, as in one process: a :class:`FedsimError` as an
-    :class:`EngineError` naming the round, the cluster and the client, any
-    other exception as it is.  The trained models are held only by the
-    returned lists, so none of them outlives the aggregation it is passed to.
+    process trains its own; without them it trains every client.  The first
+    failure in member order is raised, as in one process: a
+    :class:`FedsimError` as an :class:`EngineError` naming the round, the
+    cluster and the client, any other exception as it is.  The trained models
+    are held only by the returned lists, so none of them outlives the
+    aggregation it is passed to.
     """
 
+    own, processes = (helpers.own, helpers.processes) if helpers is not None else (_shares(run, 1)[0], [])
     starts = [state.params for state in run.states]
-    for helper in helpers:
+    for helper in processes:
         helper.send(t, starts)
-    taken = {pos for helper in helpers for pos in helper.share}
-    order = np.argsort(run.assignment.cluster_of, kind="stable").tolist()  # cluster, then member order
-    own = [pos for pos in order if pos not in taken]
     outcomes = dict(zip(own, _train_share(run, t, own, starts)))
-    for helper in helpers:
+    for helper in processes:
         outcomes.update(zip(helper.share, helper.receive(run, t)))
     trained, losses = [], []
     for state in run.states:
@@ -911,7 +928,7 @@ def train_round(
     return trained, losses
 
 
-def run_round(run: RunState, t: int, helpers: list[_Helper] | tuple = ()) -> RoundMetrics:
+def run_round(run: RunState, t: int, helpers: _Helpers | None = None) -> RoundMetrics:
     """Advance ``run`` by round ``t``, append the round's metrics to it and return them.
 
     ``helpers`` train their shares of the clients (see :func:`train_round`).
@@ -978,20 +995,15 @@ def run_experiment(
 
     Before the first round, ``min(CPUs, clients) - 1`` helper processes are
     forked, where CPUs are those ``os.sched_getaffinity`` allows; each trains
-    one share of the clients every round (see :class:`_Helper`).  Every helper
-    is reaped before this returns or raises; on an error it is killed first.
+    one share of the clients every round (see :class:`_Helpers`).  Every
+    helper is reaped before this returns or raises; on an error it is killed
+    first.
     """
 
     run = prepare_run(config, base_spec, train, test, profiles)
-    helpers: list[_Helper] = []
-    finished = False
-    try:
-        _start_helpers(run, helpers)
+    with _Helpers(run) as helpers:
         for t in range(config.rounds):
             round_metrics = run_round(run, t, helpers)
             if on_round is not None:
                 on_round(round_metrics)
-        finished = True
-    finally:
-        _stop_helpers(helpers, kill=not finished)
     return run

@@ -159,6 +159,21 @@ def test_no_helper_outlives_the_run(on_round, lr, raised, cpus):
     assert_reaped(forked)
 
 
+def test_helpers_forked_before_a_failed_fork_are_reaped(cpus, monkeypatch):
+    forked, forking = cpus(3), os.fork
+
+    def fork():
+        if forked:
+            raise OSError("no more processes")
+        return forking()
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(OSError, match="^no more processes$"):
+        run_experiment(config(), BASE, TRAIN, TEST, PROFILES)
+    assert len(forked) == 1
+    assert_reaped(forked)
+
+
 def failing_from(first: int, make_error):
     """A ``local_update`` that raises ``make_error(client id)`` for every
     client from training position ``first`` on."""
