@@ -14,16 +14,25 @@ grouped and how their updates are merged:
 * ``heterofl`` -- duration-based clusters sharing one full-width global model;
   each coordinate is averaged over the clients whose submodel covers it.
 
-A round's local updates run in up to one process per CPU the process may
-use.  :func:`run_experiment` forks ``min(CPUs, clients) - 1`` helper
-processes before the first round; each keeps a fixed share of the client
-positions, balanced by estimated cost, and the parent trains the rest.  Each
-round the parent writes every cluster's start vector to each helper, and
-each helper sends back a loss (or the exception) and the raw trained vector
-per client of its share (see :func:`train_round`).  An update is a pure
-function of its start vector, its rows and its own ``(client, round)``
-stream, so no output byte depends on the number of processes.  Aggregation,
-Stage 2 and evaluation run in the parent.
+A round runs in up to one process per CPU the process may use.
+:func:`run_experiment` forks ``min(CPUs, clients) - 1`` helper processes
+before the first round, and each process keeps, for the whole run, a share
+of the client positions and a share of the clusters, each balanced by
+estimated cost (see :class:`_Helpers`).  Each round:
+
+* every process trains its clients: the parent writes every cluster's start
+  vector to each helper, and each helper sends back a loss (or the
+  exception) and the raw trained vector per client of its share (see
+  :func:`train_round`);
+* the parent alone runs Stage 1, or the HeteroFL merge, and writes each
+  helper the aggregated vectors of the clusters it owns;
+* every process runs Stage 2 on the clusters it owns, in lockstep: for each
+  batch the owners' logits are gathered in the parent and passed on, so every
+  process sees all of them (see :func:`stage2_dml`); then it evaluates them.
+
+An update is a pure function of its start vector, its rows and its own
+``(client, round)`` stream, and a Stage-2 step of the consensus and its own
+cluster's logits, so no output byte depends on the number of processes.
 
 Every reduction over clients or clusters goes through one kernel,
 :func:`_sorted_mean`, which sorts the operands per coordinate and sums them
@@ -35,8 +44,11 @@ and any slab size.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
+import pickle
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -462,6 +474,7 @@ def stage2_dml(
     states: list[ClusterState],
     batches: list[np.ndarray],
     config: FedConfig,
+    lockstep: _Lockstep | None = None,
 ) -> tuple[list[ClusterState], float]:
     """Deep mutual learning between cluster models on unlabeled inputs.
 
@@ -470,10 +483,19 @@ def stage2_dml(
     own logits unless configured otherwise), softened at the distillation
     temperature, and each cluster takes one SGD step toward it.  Batches are
     sequential: later batches see earlier steps.  Returns new states plus the
-    mean per-step KL value (0.0 with no batches).  A non-finite loss or
-    parameter after any step raises :class:`EngineError` naming the cluster.
-    Each cluster's parameters are checked against its spec once, on entry,
-    and trained in place on a private copy; the input states are not written.
+    mean per-step KL value (0.0 with no batches), summed in order of epoch,
+    batch, then cluster.  A non-finite loss or parameter after any step
+    raises :class:`EngineError` naming the cluster.  Each cluster's
+    parameters are checked against its spec once, on entry, and trained in
+    place on a private copy; the input states are not written.
+
+    ``lockstep`` spreads the clusters over processes (see :class:`_Helpers`):
+    this process steps only ``lockstep.owned``, and for each batch it gathers
+    the other clusters' logits from the processes that step them, so every
+    process builds the same consensus.  The first failure of any process, in
+    order of epoch, batch, then cluster, is raised, and the per-step KL
+    values of every process join the sum.  Without one, this process steps
+    every cluster and its gather does nothing.
 
     With a single cluster the consensus equals the cluster's own
     distribution, the gradient is exactly zero, and parameters come back
@@ -485,27 +507,60 @@ def stage2_dml(
     m = len(states)
     if m == 1 and not config.include_self_in_consensus:
         raise EngineError("consensus over zero peers: a single cluster must include itself")
-    models = [_Learner(s.spec, s.params) for s in states]
-    kl_sum = 0.0
-    kl_steps = 0
-    for _ in range(config.global_epochs):
-        for batch in batches:
-            # every cluster's forward pass runs before any cluster steps
-            forwards = [forward_cached(model.spec, model.params, batch) for model in models]
-            logits = [own for own, _ in forwards]
+    lockstep = lockstep or _Lockstep(range(m))
+    owned = lockstep.owned
+    steps = config.global_epochs * len(batches)
+    kl = np.zeros((steps, len(owned)))
+    # this process's first failure, ((step, phase, cluster), exception), in the
+    # order one process meets them: step -1 is the entry check, phase 0 the
+    # forward passes, phase 1 the steps, cluster -1 the shared consensus
+    failure = None
+    models = {}
+    try:
+        for c in owned:
+            where = (-1, 0, c)
+            models[c] = _Learner(states[c].spec, states[c].params)
+    except Exception as exc:
+        failure = where, exc
+    for step in range(steps):
+        batch = batches[step % len(batches)]
+        # every cluster's forward pass runs before any cluster steps
+        forwards = []
+        if failure is None:
+            try:
+                for c in owned:
+                    where = (step, 0, c)
+                    forwards.append(forward_cached(states[c].spec, models[c].params, batch))
+            except Exception as exc:
+                failure = where, exc
+        logits = lockstep.gather(
+            (len(batch), states[0].spec.class_count),
+            None if failure is not None else [own for own, _ in forwards],
+        )
+        if logits is None:
+            break
+        try:
+            where = (step, 1, -1)
             shared = _sorted_mean(logits) if config.include_self_in_consensus else None
-            for r, (state, model) in enumerate(zip(states, models)):
-                consensus = shared if shared is not None else _sorted_mean(logits[:r] + logits[r + 1 :])
-                own, caches = forwards[r]
-                kl_value, kl_grad = kl_divergence(
+            for i, c in enumerate(owned):
+                where = (step, 1, c)
+                consensus = shared if shared is not None else _sorted_mean(logits[:c] + logits[c + 1 :])
+                own, caches = forwards[i]
+                kl[step, i], kl_grad = kl_divergence(
                     softmax_with_temperature(consensus, config.temperature), own, config.temperature
                 )
-                kl_sum += kl_value
-                kl_steps += 1
-                model.step(caches, kl_grad, config.learning_rate)
-                model.check_finite([kl_value], f"cluster {state.cluster_id}: distillation")
-    new_states = [replace(s, params=model.params) for s, model in zip(states, models)]
-    return new_states, kl_sum / kl_steps if kl_steps else 0.0
+                models[c].step(caches, kl_grad, config.learning_rate)
+                models[c].check_finite([kl[step, i]], f"cluster {states[c].cluster_id}: distillation")
+        except Exception as exc:
+            failure = where, exc
+    kl, failure = lockstep.finish(kl, failure)
+    if failure is not None:
+        raise failure[1]
+    kl_sum = 0.0
+    for value in kl.ravel().tolist():
+        kl_sum += value
+    new_states = [replace(s, params=models[c].params) if c in models else s for c, s in enumerate(states)]
+    return new_states, kl_sum / kl.size if kl.size else 0.0
 
 
 def evaluate(spec: ModelSpec, params: ModelParams, features: np.ndarray, labels: np.ndarray) -> float:
@@ -675,6 +730,18 @@ def prepare_run(
     )
 
 
+def _round_batches(run: RunState, t: int) -> list[np.ndarray]:
+    """Round ``t``'s distillation batches: the draw of round 0, or, with
+    ``distillation.resample``, a draw from round ``t``'s own stream."""
+
+    config = run.config
+    if config.distill_resample and t > 0:
+        return distillation_batches(
+            config, run.train, run.holdout, stream_seed(config.master_seed, _STREAM_DISTILL, t)
+        )
+    return run.distill_batches
+
+
 def _train_share(run: RunState, t: int, share: list[int], starts: list[ModelParams]) -> list:
     """The local updates of round ``t`` of the clients at positions ``share``, in order.
 
@@ -706,26 +773,68 @@ def _train_share(run: RunState, t: int, share: list[int], starts: list[ModelPara
     return outcomes
 
 
-def _shares(run: RunState, count: int) -> list[list[int]]:
-    """The client positions in ``count`` shares of about equal estimated cost.
+def _server_half(run: RunState, t: int, lockstep: _Lockstep) -> tuple[float, list]:
+    """Stage 2 of round ``t`` (``fedtsa`` only), then the evaluation of each
+    cluster in ``lockstep.owned``.
 
-    A client costs its local batches times its cluster's model size.  Each
-    client, costliest first, joins the share with the least cost so far.
-    Each share lists its positions in training order: cluster order, then
-    member order, so one share is every client in training order.
+    Stage 2's models replace those in ``run.states``, and a
+    :class:`FedsimError` it raises becomes an :class:`EngineError` naming the
+    round.  Returns the mean Stage-2 KL value (0.0 without Stage 2) and, per
+    owned cluster in order, its accuracy or the exception the evaluation
+    raised; the first exception ends the list, as in :func:`_train_share`.
+    """
+
+    config = run.config
+    stage2_kl = 0.0
+    if config.algorithm == "fedtsa":
+        try:
+            run.states, stage2_kl = stage2_dml(run.states, _round_batches(run, t), config, lockstep)
+        except FedsimError as exc:
+            raise EngineError(f"round {t}, stage 2: {exc}") from exc
+    outcomes = []
+    for c in lockstep.owned:
+        state = run.states[c]
+        try:
+            outcomes.append(evaluate(state.spec, state.params, run.test.features, run.test.labels))
+        except Exception as exc:
+            outcomes.append(exc)
+            break
+    return stage2_kl, outcomes
+
+
+def _shares(cost: np.ndarray, count: int) -> list[list[int]]:
+    """The indices of ``cost`` in ``count`` shares of about equal total cost.
+
+    Each index, costliest first, joins the share with the least cost so far,
+    so share 0 holds the costliest.  Each share lists its indices in order.
+    """
+
+    shares: list[list[int]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for i in np.argsort(-cost, kind="stable").tolist():
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += cost[i]
+    return [sorted(share) for share in shares]
+
+
+def _split(run: RunState, count: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The client positions and the cluster ids of ``run``, each in ``count``
+    shares of about equal estimated cost (:func:`_shares`).
+
+    A client costs its local batches times its cluster's model size, and
+    each share lists its clients in training order: cluster order, then
+    member order.  A cluster's server half costs its model size, as every
+    cluster distils the same batches and is evaluated on the same test set.
     """
 
     config = run.config
     cluster_of = run.assignment.cluster_of
+    sizes = np.array([state.spec.layout.size for state in run.states])
+    order = np.argsort(cluster_of, kind="stable")  # training order
     batches = config.local_epochs * -(-run.partition.sizes() // config.batch_size)
-    cost = batches * np.array([run.states[c].spec.layout.size for c in cluster_of])
-    shares: list[list[int]] = [[] for _ in range(count)]
-    loads = [0] * count
-    for pos in np.argsort(-cost, kind="stable").tolist():
-        least = loads.index(min(loads))
-        shares[least].append(pos)
-        loads[least] += cost[pos]
-    return [sorted(share, key=lambda pos: (cluster_of[pos], pos)) for share in shares]
+    clients = _shares((batches * sizes[cluster_of])[order], count)
+    return [order[share].tolist() for share in clients], _shares(sizes, count)
 
 
 def _write(pipe, data) -> None:
@@ -745,16 +854,156 @@ def _read(pipe, into) -> None:
         view = view[count:]
 
 
+def _dump(pipe, obj) -> None:
+    """Write ``obj`` pickled, after its length (8 bytes)."""
+
+    data = pickle.dumps(obj)
+    _write(pipe, len(data).to_bytes(8, "little"))
+    _write(pipe, data)
+
+
+def _load(pipe):
+    """The next object :func:`_dump` wrote to ``pipe``."""
+
+    size = bytearray(8)
+    _read(pipe, size)
+    data = bytearray(int.from_bytes(size, "little"))
+    _read(pipe, data)
+    return pickle.loads(data)
+
+
+def _put_logits(pipe, logits: list[np.ndarray] | None) -> None:
+    """One batch's logits, a 1 byte and then each array raw, or a 0 byte for ``None``."""
+
+    _write(pipe, b"\x00" if logits is None else b"\x01" + b"".join(a.tobytes() for a in logits))
+
+
+def _get_logits(pipe, count: int, shape: tuple[int, int]) -> np.ndarray | None:
+    """``count`` arrays of ``shape`` as :func:`_put_logits` wrote them, or ``None``."""
+
+    flag = bytearray(1)
+    _read(pipe, flag)
+    if not flag[0]:
+        return None
+    logits = np.empty((count, *shape))
+    _read(pipe, logits)
+    return logits
+
+
+class _RemoteTraceback(Exception):
+    """A helper's formatted traceback: the ``__cause__`` of an exception it sent."""
+
+
+class _Sent:
+    """An exception as a helper sends it.  It unpickles as the exception
+    itself, type and message unchanged, with the helper's formatted traceback
+    as its ``__cause__``, as ``concurrent.futures`` does for its workers."""
+
+    def __init__(self, exc: BaseException):
+        import traceback  # here, not above: only a failure formats one
+
+        self.exc = exc
+        self.text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+
+    def __reduce__(self):
+        return _with_remote_cause, (self.exc, self.text)
+
+
+def _with_remote_cause(exc: BaseException, text: str) -> BaseException:
+    exc.__cause__ = _RemoteTraceback(f'\n"""\n{text}"""')
+    return exc
+
+
+def _reply(pipe, values: list, vectors) -> None:
+    """Write a helper's reply: ``values`` pickled, an exception among them as
+    :class:`_Sent`, then each of ``vectors`` raw."""
+
+    _dump(pipe, [_Sent(v) if isinstance(v, BaseException) else v for v in values])
+    for vector in vectors:
+        _write(pipe, vector)
+
+
+class _Lockstep:
+    """Stage 2 in one process alone: it steps every cluster in ``owned`` and
+    gathers nothing.
+
+    Spread over processes, each process steps the clusters it owns;
+    :class:`_Helpers` is the parent's side and :class:`_Peer` a helper's.
+    For each batch, :meth:`gather` takes the logits of this process's
+    clusters, in ``owned`` order (``None`` once it has failed), and returns
+    every cluster's in cluster order, or ``None`` when any process has
+    failed, which ends Stage 2 in all of them.  At the end, :meth:`finish`
+    takes this process's per-step KL values (one column per owned cluster)
+    and its first failure (``None`` if none), and returns the KL values of
+    every cluster and the first failure of any process.
+    """
+
+    def __init__(self, owned):
+        self.owned = list(owned)
+
+    def gather(self, shape: tuple[int, int], logits: list[np.ndarray] | None) -> list[np.ndarray] | None:
+        return logits
+
+    def finish(self, kl: np.ndarray, failure: tuple | None) -> tuple[np.ndarray, tuple | None]:
+        return kl, failure
+
+
+class _Reported(Exception):
+    """Stage 2 ended early in a helper, and the parent holds the failure that ended it."""
+
+
+class _Peer(_Lockstep):
+    """A helper's side of the Stage-2 lockstep, over its pipes to the parent.
+
+    For each batch it writes its clusters' logits to the parent and reads
+    the others' back (:func:`_put_logits`).  At the end it sends its KL
+    values, its first failure, or ``None`` when another process's failure
+    stopped it; in the last two cases it raises :class:`_Reported`, as the
+    parent raises the failure.
+    """
+
+    def __init__(self, owned: list[int], cluster_count: int, commands, replies):
+        super().__init__(owned)
+        self.others = [c for c in range(cluster_count) if c not in owned]
+        self.commands, self.replies = commands, replies
+        self.stopped = False
+
+    def gather(self, shape, logits):
+        _put_logits(self.replies, logits)
+        theirs = _get_logits(self.commands, len(self.others), shape)
+        if theirs is None:
+            self.stopped = True
+            return None
+        everyone = dict(zip(self.owned, logits)) | dict(zip(self.others, theirs))
+        return [everyone[c] for c in range(len(everyone))]
+
+    def finish(self, kl, failure):
+        stopped, self.stopped = self.stopped, False
+        if failure is not None:
+            reply = failure[0], _Sent(failure[1])
+        else:
+            reply = None if stopped else kl
+        _dump(self.replies, reply)
+        if reply is not kl:
+            raise _Reported
+        return kl, None
+
+
 class _Helper:
-    """A forked process that trains one fixed share of the clients every round.
+    """A forked process that trains one fixed share of the clients every
+    round and runs the server half (Stage 2 and evaluation) of the clusters
+    it owns, ``owned``.
 
     It inherits the run through the fork.  Each round the parent writes the
     round index (8 bytes) and every cluster's start vector, raw.  The helper
     trains its whole share with :func:`_train_share` before it replies, so a
-    reply larger than a pipe's buffer never stalls the training.  The reply
-    is the length (8 bytes) of a pickled list that holds each client's loss,
-    or the exception that ended the share; then that list; then each trained
-    vector, raw.
+    reply larger than a pipe's buffer never stalls the training; the reply
+    (:func:`_reply`) holds each client's loss, or the exception that ended
+    the share, then each trained vector.  A helper that owns clusters then
+    reads their aggregated vectors, runs :func:`_server_half` in lockstep with
+    the parent (:class:`_Peer`) and replies with each cluster's accuracy, or
+    the exception that ended them, then, when Stage 2 ran, each cluster's
+    final vector.
 
     The helper ends only through ``os._exit``, so it never returns into the
     caller or flushes the stdio it inherited.  It ends on any error of its
@@ -762,10 +1011,8 @@ class _Helper:
     pipe to stop it, and the pipe also ends if the parent dies.
     """
 
-    def __init__(self, run: RunState, share: list[int], others: list[_Helper]):
-        import os
-
-        self.share = share
+    def __init__(self, run: RunState, share: list[int], owned: list[int], others: list[_Helper]):
+        self.share, self.owned = share, owned
         commands_r, commands_w = os.pipe()
         replies_r, replies_w = os.pipe()
         try:
@@ -780,7 +1027,7 @@ class _Helper:
                 os.close(replies_r)
                 for other in others:
                     other.close()
-                _serve(run, share, open(commands_r, "rb", buffering=0), open(replies_w, "wb", buffering=0))
+                _serve(run, share, owned, open(commands_r, "rb", buffering=0), open(replies_w, "wb", buffering=0))
             finally:
                 os._exit(0)
         os.close(commands_r)
@@ -788,26 +1035,27 @@ class _Helper:
         self.commands = open(commands_w, "wb", buffering=0)
         self.replies = open(replies_r, "rb", buffering=0)
 
-    def send(self, t: int, starts: list[ModelParams]) -> None:
+    @contextlib.contextmanager
+    def talk(self, where: str = ""):
+        """A pipe error in the block as an :class:`EngineError`: ``{where}helper {pid} has exited``."""
+
         try:
+            yield
+        except (OSError, EOFError) as exc:
+            raise EngineError(f"{where}helper {self.pid} has exited") from exc
+
+    def send(self, t: int, starts: list[ModelParams]) -> None:
+        with self.talk(f"round {t}: training "):
             _write(self.commands, t.to_bytes(8, "little"))
             for start in starts:
                 _write(self.commands, start.flat)
-        except OSError as exc:
-            raise EngineError(f"round {t}: training helper {self.pid} has exited") from exc
 
     def receive(self, run: RunState, t: int) -> list:
         """The outcomes of this helper's share in round ``t``, as :func:`_train_share` gives them."""
 
-        import pickle
-
-        try:
-            size = bytearray(8)
-            _read(self.replies, size)
-            losses = bytearray(int.from_bytes(size, "little"))
-            _read(self.replies, losses)
+        with self.talk(f"round {t}: training "):
             outcomes = []
-            for pos, loss in zip(self.share, pickle.loads(losses)):
+            for pos, loss in zip(self.share, _load(self.replies)):
                 if isinstance(loss, BaseException):
                     outcomes.append(loss)
                     continue
@@ -815,58 +1063,97 @@ class _Helper:
                 _read(self.replies, params.flat)
                 outcomes.append((params, loss))
             return outcomes
-        except (OSError, EOFError) as exc:
-            raise EngineError(f"round {t}: training helper {self.pid} has exited") from exc
+
+    def serve(self, run: RunState, t: int) -> None:
+        """Start the server half of round ``t``: send the owned clusters' aggregated vectors."""
+
+        with self.talk(f"round {t}: "):
+            for c in self.owned:
+                _write(self.commands, run.states[c].params.flat)
+
+    def results(self, run: RunState, t: int) -> list:
+        """The evaluation outcomes of round ``t``, as :func:`_server_half` gives
+        them; the final vectors of Stage 2 replace those in ``run.states``."""
+
+        with self.talk(f"round {t}: "):
+            outcomes = _load(self.replies)
+            if run.config.algorithm == "fedtsa":
+                for c in self.owned:
+                    state = run.states[c]
+                    state.params = ModelParams(state.spec.layout)
+                    _read(self.replies, state.params.flat)
+            return outcomes
 
     def close(self) -> None:
         self.commands.close()
         self.replies.close()
 
 
-def _serve(run: RunState, share: list[int], commands, replies) -> None:
-    """A helper's loop: train ``share`` in every round the parent sends, until the
-    command pipe ends (:class:`EOFError`)."""
+def _serve(run: RunState, share: list[int], owned: list[int], commands, replies) -> None:
+    """A helper's loop: train ``share``, and run the server half of ``owned``,
+    in every round the parent sends, until the command pipe ends
+    (:class:`EOFError`)."""
 
-    import pickle
-
+    peer = _Peer(owned, run.assignment.cluster_count, commands, replies)
     header = bytearray(8)
     while True:
         _read(commands, header)
+        t = int.from_bytes(header, "little")
         starts = [ModelParams(state.spec.layout) for state in run.states]
         for start in starts:
             _read(commands, start.flat)
-        outcomes = _train_share(run, int.from_bytes(header, "little"), share, starts)
-        losses = pickle.dumps([o if isinstance(o, BaseException) else o[1] for o in outcomes])
-        _write(replies, len(losses).to_bytes(8, "little"))
-        _write(replies, losses)
-        for outcome in outcomes:
-            if not isinstance(outcome, BaseException):
-                _write(replies, outcome[0].flat)
+        outcomes = _train_share(run, t, share, starts)
+        trained = [o for o in outcomes if not isinstance(o, BaseException)]  # an exception comes last
+        _reply(replies, [loss for _, loss in trained] + outcomes[len(trained) :], [p.flat for p, _ in trained])
+        if not owned:
+            continue
+        for c in owned:
+            params = ModelParams(run.states[c].spec.layout)
+            _read(commands, params.flat)
+            run.states[c] = replace(run.states[c], params=params)
+        try:
+            _, outcomes = _server_half(run, t, peer)
+        except _Reported:
+            continue
+        distilled = run.config.algorithm == "fedtsa"
+        _reply(replies, outcomes, [run.states[c].params.flat for c in owned] if distilled else [])
 
 
-class _Helpers:
-    """A run's helper processes: one :class:`_Helper` per share of the clients
-    but the first, which the parent trains (:attr:`own`).
+class _Helpers(_Lockstep):
+    """A run's helper processes, and the parent's side of the Stage-2 lockstep.
 
-    There are ``min(CPUs, clients)`` shares, where CPUs are those
-    ``os.sched_getaffinity`` allows; there is one, and no helper, for a run of
-    no rounds or where ``os.fork`` or ``os.sched_getaffinity`` is missing.  On
-    leaving a ``with`` block every helper is reaped, and killed first if an
-    exception ends the block.
+    The clients and the clusters are each split into ``count`` shares
+    (:func:`_split`).  The parent keeps the first share of each: it trains
+    the clients ``own`` and runs the server half of the clusters ``owned``.
+    One :class:`_Helper` per further share takes the rest; ``serving`` lists
+    those that own a cluster, and only they take part in Stage 2.  By default
+    ``count`` is ``min(CPUs, clients)``, where CPUs are those
+    ``os.sched_getaffinity`` allows; it is one, and no helper is forked, for
+    a run of no rounds or where ``os.fork`` or ``os.sched_getaffinity`` is
+    missing.  On leaving a ``with`` block every helper is reaped, and killed
+    first if an exception ends the block.
+
+    For each Stage-2 batch the parent reads the logits of every serving
+    helper, then writes each one the logits of the clusters it does not own,
+    or a stop when any process has failed.  At the end it reads each serving
+    helper's KL values or first failure.
     """
 
-    def __init__(self, run: RunState):
-        import os
-
-        forks = run.config.rounds and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-        self.own, *shares = _shares(run, min(len(os.sched_getaffinity(0)), len(run.profiles)) if forks else 1)
+    def __init__(self, run: RunState, count: int | None = None):
+        if count is None:
+            forks = run.config.rounds and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            count = min(len(os.sched_getaffinity(0)), len(run.profiles)) if forks else 1
+        (self.own, *shares), (owned, *owners) = _split(run, count)
+        super().__init__(owned)
+        self.cluster_count = run.assignment.cluster_count
         self.processes: list[_Helper] = []
         try:
-            for share in shares:
-                self.processes.append(_Helper(run, share, self.processes))
+            for share, clusters in zip(shares, owners):
+                self.processes.append(_Helper(run, share, clusters, self.processes))
         except BaseException:
             self.stop(kill=True)
             raise
+        self.serving = [helper for helper in self.processes if helper.owned]
 
     def __enter__(self) -> _Helpers:
         return self
@@ -874,11 +1161,40 @@ class _Helpers:
     def __exit__(self, exc_type, exc, traceback) -> None:
         self.stop(kill=exc_type is not None)
 
+    def gather(self, shape, logits):
+        everyone = dict(zip(self.owned, logits or []))
+        stop = logits is None
+        for helper in self.serving:
+            with helper.talk():
+                theirs = _get_logits(helper.replies, len(helper.owned), shape)
+            if theirs is None:
+                stop = True
+            else:
+                everyone.update(zip(helper.owned, theirs))
+        for helper in self.serving:
+            with helper.talk():
+                _put_logits(
+                    helper.commands,
+                    None if stop else [everyone[c] for c in range(self.cluster_count) if c not in helper.owned],
+                )
+        return None if stop else [everyone[c] for c in range(self.cluster_count)]
+
+    def finish(self, kl, failure):
+        table = np.empty((kl.shape[0], self.cluster_count))
+        table[:, self.owned] = kl
+        failures = [] if failure is None else [failure]
+        for helper in self.serving:
+            with helper.talk():
+                theirs = _load(helper.replies)
+            if isinstance(theirs, np.ndarray):
+                table[:, helper.owned] = theirs
+            elif theirs is not None:
+                failures.append(theirs)
+        return table, min(failures, key=lambda f: f[0], default=None)
+
     def stop(self, kill: bool) -> None:
         """Close every helper's pipes, which stops an idle one, kill each one
         if ``kill``, and reap them all."""
-
-        import os
 
         for helper in self.processes:
             helper.close()
@@ -905,12 +1221,13 @@ def train_round(
     aggregation it is passed to.
     """
 
-    own, processes = (helpers.own, helpers.processes) if helpers is not None else (_shares(run, 1)[0], [])
+    if helpers is None:
+        helpers = _Helpers(run, 1)
     starts = [state.params for state in run.states]
-    for helper in processes:
+    for helper in helpers.processes:
         helper.send(t, starts)
-    outcomes = dict(zip(own, _train_share(run, t, own, starts)))
-    for helper in processes:
+    outcomes = dict(zip(helpers.own, _train_share(run, t, helpers.own, starts)))
+    for helper in helpers.processes:
         outcomes.update(zip(helper.share, helper.receive(run, t)))
     trained, losses = [], []
     for state in run.states:
@@ -931,10 +1248,15 @@ def train_round(
 def run_round(run: RunState, t: int, helpers: _Helpers | None = None) -> RoundMetrics:
     """Advance ``run`` by round ``t``, append the round's metrics to it and return them.
 
-    ``helpers`` train their shares of the clients (see :func:`train_round`).
+    ``helpers`` train their shares of the clients (see :func:`train_round`)
+    and run the server half of the clusters they own (see :class:`_Helpers`);
+    this process aggregates.  Without them it does everything.  The first
+    evaluation failure in cluster order is raised as it is.
     """
 
     config = run.config
+    if helpers is None:
+        helpers = _Helpers(run, 1)
     cluster_of, sizes = run.assignment.cluster_of, run.partition.sizes()
     trained, losses = train_round(run, t, helpers)
     if config.algorithm == "heterofl":
@@ -951,27 +1273,24 @@ def run_round(run: RunState, t: int, helpers: _Helpers | None = None) -> RoundMe
     del trained  # no trained model outlives the aggregation
     mean_local_loss = float(np.mean(losses)) if losses else float("nan")
 
-    stage2_kl = 0.0
-    if config.algorithm == "fedtsa":
-        batches = run.distill_batches  # the draw of round 0
-        if config.distill_resample and t > 0:
-            batches = distillation_batches(
-                config, run.train, run.holdout, stream_seed(config.master_seed, _STREAM_DISTILL, t)
-            )
-        try:
-            run.states, stage2_kl = stage2_dml(run.states, batches, config)
-        except FedsimError as exc:
-            raise EngineError(f"round {t}, stage 2: {exc}") from exc
-
-    accuracies = tuple(
-        evaluate(s.spec, s.params, run.test.features, run.test.labels) for s in run.states
-    )
+    for helper in helpers.serving:
+        helper.serve(run, t)
+    stage2_kl, own = _server_half(run, t, helpers)
+    outcomes = dict(zip(helpers.owned, own))
+    for helper in helpers.serving:
+        outcomes.update(zip(helper.owned, helper.results(run, t)))
+    accuracies = []
+    for state in run.states:
+        outcome = outcomes[state.cluster_id]
+        if isinstance(outcome, BaseException):
+            raise outcome
+        accuracies.append(outcome)
     acc = np.asarray(accuracies)
     member_counts = np.bincount(cluster_of, minlength=acc.size)
     member_data = np.bincount(cluster_of, weights=sizes, minlength=acc.size)
     round_metrics = RoundMetrics(
         round_index=t,
-        cluster_accuracy=accuracies,
+        cluster_accuracy=tuple(accuracies),
         client_weighted_accuracy=float(np.sum(acc * member_counts) / member_counts.sum()),
         data_weighted_accuracy=float(np.sum(acc * member_data) / member_data.sum()),
         unweighted_accuracy=float(acc.mean()),
@@ -994,10 +1313,11 @@ def run_experiment(
     ``on_round`` (if set) is called with each round's :class:`RoundMetrics`.
 
     Before the first round, ``min(CPUs, clients) - 1`` helper processes are
-    forked, where CPUs are those ``os.sched_getaffinity`` allows; each trains
-    one share of the clients every round (see :class:`_Helpers`).  Every
-    helper is reaped before this returns or raises; on an error it is killed
-    first.
+    forked, where CPUs are those ``os.sched_getaffinity`` allows.  Each one
+    trains a share of the clients every round, and runs Stage 2 and the
+    evaluation of the clusters it owns, if any (see :class:`_Helpers`).
+    Every helper is reaped before this returns or raises; on an error it is
+    killed first.
     """
 
     run = prepare_run(config, base_spec, train, test, profiles)

@@ -37,6 +37,15 @@ from fedsim.errors import DimensionError
 
 LAYER_KINDS = ("dense", "conv", "relu", "maxpool", "flatten")
 
+# The LayerSpec fields each kind reads; every other field keeps its default
+_FIELDS_READ = {
+    "dense": ("width", "base_width"),
+    "conv": ("width", "base_width", "kernel", "stride", "padding"),
+    "relu": (),
+    "maxpool": ("kernel", "stride"),
+    "flatten": (),
+}
+
 
 def _check_count(value, what: str, least: int = 1) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
@@ -52,7 +61,10 @@ class LayerSpec:
     remembers the width of the corresponding layer in the unpruned model so
     pruning is always computed relative to the full-width reference.  Every
     size is a Python ``int`` (never a ``bool``): widths and kernel and stride
-    at least 1, padding at least 0.
+    at least 1, padding at least 0.  A field the kind never reads keeps its
+    default (a maxpool pools unpadded, and only dense and conv layers have a
+    width), so a spec, and the checkpoint header written from it, says only
+    what the model does.
     """
 
     kind: str
@@ -70,6 +82,10 @@ class LayerSpec:
                 _check_count(getattr(self, key), key)
         for key, least in (("kernel", 1), ("stride", 1), ("padding", 0)):
             _check_count(getattr(self, key), key, least)
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name not in _FIELDS_READ[self.kind] and value != f.default:
+                raise DimensionError(f"{f.name} does not apply to a {self.kind} layer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -121,8 +137,7 @@ class ModelSpec:
             else:
                 slots.append(None)
             if kind in ("conv", "maxpool"):
-                pad = layer.padding if kind == "conv" else 0
-                oh, ow = ((d + 2 * pad - layer.kernel) // layer.stride + 1 for d in cur[1:])
+                oh, ow = ((d + 2 * layer.padding - layer.kernel) // layer.stride + 1 for d in cur[1:])
                 if oh < 1 or ow < 1:
                     raise DimensionError(f"{name}: window {layer.kernel} does not fit input {cur}")
                 cur = (layer.width if kind == "conv" else cur[0], oh, ow)

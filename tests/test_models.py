@@ -134,6 +134,25 @@ class TestSpecChecksItself:
         with pytest.raises(DimensionError, match=f"^{message}"):
             build()
 
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [("maxpool", "padding", 1)]
+        + [(kind, key, 4) for kind in ("relu", "maxpool", "flatten") for key in ("width", "base_width")]
+        + [(kind, key, value) for kind in ("dense", "relu", "flatten")
+           for key, value in (("kernel", 2), ("stride", 2), ("padding", 1))],
+    )
+    def test_a_value_the_layer_kind_never_reads_is_rejected(self, kind, key, value):
+        # the kind's own fields as the model uses them: a maxpool needs a
+        # kernel and a stride, a dense layer a width
+        own = {"maxpool": dict(kernel=2, stride=2), "dense": dict(width=3, base_width=3)}.get(kind, {})
+        LayerSpec(kind=kind, **own)
+        with pytest.raises(DimensionError, match=f"^{key} does not apply to a {kind} layer, got {value}$"):
+            LayerSpec(kind=kind, **own, **{key: value})
+
+    def test_a_maxpool_with_padding_is_no_model(self):
+        with pytest.raises(DimensionError, match="^padding does not apply to a maxpool layer, got 2$"):
+            image_spec(LayerSpec(kind="maxpool", kernel=2, stride=2, padding=2))
+
     def test_a_spec_holds_its_layout_and_a_float_rate(self):
         spec = image_spec(LayerSpec(kind="maxpool", kernel=2, stride=2), pruning_rate=1)
         assert type(spec.pruning_rate) is float and spec.pruning_rate == 1.0
@@ -380,6 +399,7 @@ class TestFlattenAndCheckpoint:
             (layer_update(1, stride=0), "layer 1 stride must be an integer of at least 1"),
             (layer_update(0, padding=-1), "layer 0 padding must be an integer of at least 0"),
             (layer_update(1, kind="gelu"), "layer 1 unknown layer kind 'gelu'"),
+            (layer_update(1, width=4), "layer 1 width does not apply to a relu layer, got 4"),
             (spec_update(input_shape="7"), "input_shape must be a list of integers"),
             (spec_update(input_shape=[0]), "an input_shape entry must be an integer of at least 1"),
             (spec_update(class_count=4), "model must end in a dense layer with 4 units"),
@@ -392,7 +412,7 @@ class TestFlattenAndCheckpoint:
         ids=[
             "no-spec", "spec-without-class-count", "layer-without-width", "layer-with-unknown-key",
             "layers-not-a-list", "width-a-string", "base-width-zero", "kernel-a-bool", "stride-zero",
-            "negative-padding", "unknown-kind", "input-shape-a-string", "input-shape-zero",
+            "negative-padding", "unknown-kind", "relu-with-width", "input-shape-a-string", "input-shape-zero",
             "wrong-class-count", "class-count-a-float", "rate-out-of-range", "no-header",
             "header-not-json", "header-a-list",
         ],

@@ -1,14 +1,17 @@
-"""Local updates trained in forked helper processes give the bytes of one process.
+"""Rounds run in forked helper processes give the bytes of one process.
 
 ``run_experiment`` forks ``min(CPUs, clients) - 1`` helpers before the first
-round, where CPUs is ``len(os.sched_getaffinity(0))``.  These tests set that
-count by patching ``os.sched_getaffinity``, so they fork up to two helpers on
-any Linux machine, and record every fork through a wrapper of ``os.fork``.
+round, where CPUs is ``len(os.sched_getaffinity(0))``.  Each helper trains a
+share of the clients, and runs Stage 2 and the evaluation of the clusters it
+owns.  These tests set that count by patching ``os.sched_getaffinity``, so
+they fork up to two helpers on any Linux machine, and record every fork
+through a wrapper of ``os.fork``.
 """
 
 import os
 import signal
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -23,6 +26,10 @@ from fedsim.models import mlp_spec
 BASE = mlp_spec((6,), (10,), 3)
 TRAIN, TEST = make_blobs(3, 40, 12, 6, seed=11)
 PROFILES = [ClientProfile(i, s) for i, s in enumerate([1.0, 1.0, 1.6, 1.6, 1.6, 2.5, 2.5])]
+# three clusters (rates 1.0, 0.5 and 0.25) under config(kde_bandwidth=1.0): at
+# two CPUs the parent owns cluster 0 and the helper clusters 1 and 2, at three
+# each process owns one
+THREE_TIERS = [ClientProfile(i, s) for i, s in enumerate([1.0, 1.0, 2.0, 2.0, 2.0, 4.0, 4.0])]
 
 
 def config(**overrides) -> FedConfig:
@@ -101,14 +108,59 @@ def test_shares_cover_every_client_once_and_balance_the_cost():
     run = fedsim.engine.prepare_run(config(partition_mode="dirichlet"), BASE, TRAIN, TEST, PROFILES)
     cluster_of = run.assignment.cluster_of
     for count in (1, 2, 3):
-        shares = fedsim.engine._shares(run, count)
+        shares = fedsim.engine._split(run, count)[0]
         assert sorted(pos for share in shares for pos in share) == list(range(len(PROFILES)))
         for share in shares:
             assert share == sorted(share, key=lambda pos: (cluster_of[pos], pos))
     batches = -(-run.partition.sizes() // 8) * 2
     cost = batches * np.array([run.states[c].spec.layout.size for c in cluster_of])
-    loads = [sum(cost[share]) for share in fedsim.engine._shares(run, 2)]
+    loads = [sum(cost[share]) for share in fedsim.engine._split(run, 2)[0]]
     assert abs(loads[0] - loads[1]) <= cost.max()
+
+
+def test_owners_cover_every_cluster_once_and_balance_the_cost():
+    run = fedsim.engine.prepare_run(config(kde_bandwidth=1.0), BASE, TRAIN, TEST, THREE_TIERS)
+    sizes = np.array([state.spec.layout.size for state in run.states])
+    assert sizes.size == 3
+    for count in (1, 2, 3, 4):
+        owners = fedsim.engine._split(run, count)[1]
+        assert len(owners) == count
+        assert sorted(c for share in owners for c in share) == [0, 1, 2]
+        assert all(share == sorted(share) for share in owners)
+        assert 0 in owners[0]  # the costliest cluster stays with the parent
+        loads = [sum(sizes[share]) for share in owners if share]
+        assert max(loads) - min(loads) <= sizes.max()
+    assert fedsim.engine._split(run, 2)[1] == [[0], [1, 2]]
+
+
+def test_a_helper_that_owns_no_cluster_stays_out_of_stage_2(cpus):
+    run = fedsim.engine.prepare_run(config(), BASE, TRAIN, TEST, PROFILES)
+    assert fedsim.engine._split(run, 3)[1] == [[0], [1], []]
+    runs = []
+    for count in (1, 3):
+        forked = cpus(count)
+        runs.append(outputs(run_experiment(config(global_epochs=2), BASE, TRAIN, TEST, PROFILES)))
+    assert runs[1] == runs[0]
+    assert len(forked) == 2
+    assert_reaped(forked)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(include_self_in_consensus=False), dict(distill_resample=True, holdout_count=30),
+     dict(global_epochs=2), dict(distill_kind="noise")],
+    ids=["include-self-false", "resample", "two-global-epochs", "noise-source"],
+)
+def test_the_server_half_gives_the_same_bytes_at_one_two_and_three_cpus(overrides, cpus):
+    cfg = config(kde_bandwidth=1.0, **overrides)
+    runs = []
+    for count in (1, 2, 3):
+        forked = cpus(count)
+        runs.append(outputs(run_experiment(cfg, BASE, TRAIN, TEST, THREE_TIERS)))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert len(runs[0][0][0]["cluster_accuracy"]) == 3
+    assert len(forked) == 3
+    assert_reaped(forked)
 
 
 def test_no_helper_is_forked_without_rounds_clients_or_fork(cpus, monkeypatch):
@@ -211,10 +263,88 @@ def test_other_exceptions_of_a_helper_are_raised_as_they_are(first, cpus, monkey
     # a RuntimeWarning, as a NumPy warning under filterwarnings = error raises
     update, _, client = failing_from(first, lambda c: RuntimeWarning(f"overflow in client {c}"))
     monkeypatch.setattr(fedsim.engine, "local_update", update)
+    run = fedsim.engine.prepare_run(config(), BASE, TRAIN, TEST, PROFILES)
+    pos = next(p for p, profile in enumerate(PROFILES) if profile.client_id == client)
     for count in (1, 2, 3):
         forked = cpus(count)
-        with pytest.raises(RuntimeWarning, match=f"^overflow in client {client}$"):
+        with pytest.raises(RuntimeWarning, match=f"^overflow in client {client}$") as caught:
             run_experiment(config(), BASE, TRAIN, TEST, PROFILES)
+        assert_names_the_update_frame(caught.value, pos not in fedsim.engine._split(run, count)[0][0])
+    assert_reaped(forked)
+
+
+def assert_names_the_update_frame(exc, in_helper):
+    """``exc`` came from a helper, with the helper's traceback as its cause,
+    or from this process, whose own traceback holds the frame."""
+
+    if in_helper:
+        assert isinstance(exc.__cause__, fedsim.engine._RemoteTraceback)
+        assert ", in update\n" in str(exc.__cause__)
+    else:
+        assert exc.__cause__ is None
+    assert "".join(traceback.format_exception(exc)).count(", in update\n") == 1
+
+
+def planted(positions, real=fedsim.engine._Learner.check_finite):
+    """A ``_Learner.check_finite`` that sees a NaN loss at each planted
+    ``(step, cluster)`` of Stage 2, counting steps per cluster from 0."""
+
+    steps = {}
+
+    def check_finite(self, losses, stage):
+        if stage.endswith(": distillation"):
+            c = int(stage.split()[1].rstrip(":"))
+            steps[c] = steps.get(c, -1) + 1
+            if (steps[c], c) in positions:
+                losses = [float("nan")]
+        return real(self, losses, stage)
+
+    return check_finite
+
+
+@pytest.mark.parametrize(
+    "positions, first",
+    [({(0, 0)}, 0), ({(0, 2)}, 2), ({(3, 1)}, 1), ({(1, 2), (1, 1)}, 1), ({(1, 0), (1, 2)}, 0),
+     ({(2, 1), (1, 2)}, 2)],
+    ids=["parent-first-step", "helper-first-step", "last-step", "two-helpers", "parent-and-helper",
+         "earlier-step-wins"],
+)
+def test_a_stage2_divergence_gives_the_serial_message_at_every_cpu_count(positions, first, cpus, monkeypatch):
+    # two batches and two global epochs: four steps per cluster
+    cfg = config(kde_bandwidth=1.0, global_epochs=2)
+    messages = []
+    for count in (1, 2, 3):
+        monkeypatch.setattr(fedsim.engine._Learner, "check_finite", planted(positions))  # counts from 0 again
+        forked = cpus(count)
+        with pytest.raises(EngineError) as caught:
+            run_experiment(cfg, BASE, TRAIN, TEST, THREE_TIERS)
+        messages.append(str(caught.value))
+    assert messages == [f"round 0, stage 2: cluster {first}: distillation diverged: non-finite loss"] * 3
+    assert_reaped(forked)
+
+
+@pytest.mark.parametrize("first", [0, 1, 2])
+def test_the_first_evaluation_failure_in_cluster_order_is_raised_at_every_cpu_count(first, cpus, monkeypatch):
+    # every cluster from ``first`` on fails to evaluate
+    cfg = config(kde_bandwidth=1.0)
+    run = fedsim.engine.prepare_run(cfg, BASE, TRAIN, TEST, THREE_TIERS)
+    rates = [state.spec.pruning_rate for state in run.states]
+    real = fedsim.engine.evaluate
+
+    def evaluate(spec, *args):
+        if spec.pruning_rate <= rates[first]:
+            raise RuntimeWarning(f"overflow at rate {spec.pruning_rate}")
+        return real(spec, *args)
+
+    monkeypatch.setattr(fedsim.engine, "evaluate", evaluate)
+    for count in (1, 2, 3):
+        forked = cpus(count)
+        with pytest.raises(RuntimeWarning, match=f"^overflow at rate {rates[first]}$") as caught:
+            run_experiment(cfg, BASE, TRAIN, TEST, THREE_TIERS)
+        in_helper = first not in fedsim.engine._split(run, count)[1][0]
+        assert isinstance(caught.value.__cause__, fedsim.engine._RemoteTraceback) == in_helper
+        if in_helper:
+            assert ", in evaluate\n" in str(caught.value.__cause__)
     assert_reaped(forked)
 
 
@@ -230,6 +360,29 @@ def test_a_helper_that_dies_is_an_engine_error_naming_the_round(cpus, monkeypatc
     forked = cpus(2)
     with pytest.raises(EngineError, match=r"^round 0: training helper \d+ has exited$"):
         run_experiment(config(), BASE, TRAIN, TEST, PROFILES)
+    assert_reaped(forked)
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [("kl_divergence", r"^round 0, stage 2: helper \d+ has exited$"), ("evaluate", r"^round 0: helper \d+ has exited$")],
+    ids=["stage-2", "evaluation"],
+)
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_helper_that_dies_in_the_server_half_is_an_engine_error_naming_the_round(where, message, count, cpus,
+                                                                                    monkeypatch):
+    parent, real = os.getpid(), getattr(fedsim.engine, where)
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fedsim.engine, where, dying)
+    forked = cpus(count)
+    with pytest.raises(EngineError, match=message):
+        run_experiment(config(kde_bandwidth=1.0), BASE, TRAIN, TEST, THREE_TIERS)
+    assert len(forked) == count - 1
     assert_reaped(forked)
 
 
