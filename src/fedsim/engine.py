@@ -18,13 +18,14 @@ A round runs in up to one process per CPU the process may use.
 :func:`run_experiment` forks ``min(CPUs, clients) - 1`` helper processes
 before the first round, and each process keeps, for the whole run, a share
 of the client positions and a share of the clusters, each balanced by
-estimated cost (see :class:`_Helpers`).  Each round:
+estimated cost (see :class:`_Helpers`); the processes talk only in
+:func:`_send` messages.  Each round:
 
-* every process trains its clients: the parent writes every cluster's start
-  vector to each helper, and each helper sends back a loss (or the
-  exception) and the raw trained vector per client of its share (see
+* every process trains its clients: the parent sends every cluster's start
+  vector to each helper, and each helper sends back the trained vector and
+  the loss (or the exception) of each client of its share (see
   :func:`train_round`);
-* the parent alone runs Stage 1, or the HeteroFL merge, and writes each
+* the parent alone runs Stage 1, or the HeteroFL merge, and sends each
   helper the aggregated vectors of the clusters it owns;
 * every process runs Stage 2 on the clusters it owns, in lockstep: for each
   batch the owners' logits are gathered in the parent and passed on, so every
@@ -44,7 +45,6 @@ and any slab size.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import os
@@ -533,10 +533,7 @@ def stage2_dml(
                     forwards.append(forward_cached(states[c].spec, models[c].params, batch))
             except Exception as exc:
                 failure = where, exc
-        logits = lockstep.gather(
-            (len(batch), states[0].spec.class_count),
-            None if failure is not None else [own for own, _ in forwards],
-        )
+        logits = lockstep.gather(None if failure is not None else [own for own, _ in forwards])
         if logits is None:
             break
         try:
@@ -746,7 +743,7 @@ def _train_share(run: RunState, t: int, share: list[int], starts: list[ModelPara
     """The local updates of round ``t`` of the clients at positions ``share``, in order.
 
     A member of cluster ``c`` starts from ``starts[c]``.  Each outcome is a
-    ``(params, loss)`` pair or the exception the update raised; the first
+    ``(flat, loss)`` pair or the exception the update raised; the first
     exception ends the share, as no later client of it can fail first.
     """
 
@@ -756,20 +753,19 @@ def _train_share(run: RunState, t: int, share: list[int], starts: list[ModelPara
         c = run.assignment.cluster_of[pos]
         idx = run.partition.client_indices[pos]
         try:
-            outcomes.append(
-                local_update(
-                    run.states[c].spec,
-                    starts[c],
-                    run.train.features[idx],
-                    run.train.labels[idx],
-                    config,
-                    stream_seed(config.master_seed, _STREAM_LOCAL, run.profiles[pos].client_id, t),
-                    prox_reference=starts[c] if config.algorithm == "fedprox" else None,
-                )
+            params, loss = local_update(
+                run.states[c].spec,
+                starts[c],
+                run.train.features[idx],
+                run.train.labels[idx],
+                config,
+                stream_seed(config.master_seed, _STREAM_LOCAL, run.profiles[pos].client_id, t),
+                prox_reference=starts[c] if config.algorithm == "fedprox" else None,
             )
         except Exception as exc:
             outcomes.append(exc)
             break
+        outcomes.append((params.flat, loss))
     return outcomes
 
 
@@ -854,40 +850,37 @@ def _read(pipe, into) -> None:
         view = view[count:]
 
 
-def _dump(pipe, obj) -> None:
-    """Write ``obj`` pickled, after its length (8 bytes)."""
+def _send(pipe, obj) -> None:
+    """Write ``obj`` to ``pipe`` as one message, which :func:`_recv` reads.
 
-    data = pickle.dumps(obj)
-    _write(pipe, len(data).to_bytes(8, "little"))
-    _write(pipe, data)
+    ``obj`` is pickled with protocol 5, each contiguous array in it out of
+    band.  The message is the number of arrays and the pickle's length, each
+    array's length in bytes (8 bytes each), the pickle, then each array's
+    bytes, so no array is copied on the way.
+    """
 
-
-def _load(pipe):
-    """The next object :func:`_dump` wrote to ``pipe``."""
-
-    size = bytearray(8)
-    _read(pipe, size)
-    data = bytearray(int.from_bytes(size, "little"))
-    _read(pipe, data)
-    return pickle.loads(data)
-
-
-def _put_logits(pipe, logits: list[np.ndarray] | None) -> None:
-    """One batch's logits, a 1 byte and then each array raw, or a 0 byte for ``None``."""
-
-    _write(pipe, b"\x00" if logits is None else b"\x01" + b"".join(a.tobytes() for a in logits))
+    buffers = []
+    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    arrays = [buffer.raw() for buffer in buffers]
+    sizes = np.array([len(arrays), len(data), *(a.nbytes for a in arrays)], dtype=np.uint64)
+    _write(pipe, sizes.tobytes() + data)
+    for array in arrays:
+        _write(pipe, array)
 
 
-def _get_logits(pipe, count: int, shape: tuple[int, int]) -> np.ndarray | None:
-    """``count`` arrays of ``shape`` as :func:`_put_logits` wrote them, or ``None``."""
+def _recv(pipe):
+    """The next object :func:`_send` wrote to ``pipe``.  Each array in it is
+    read straight into a new buffer of its own, which it keeps, writable."""
 
-    flag = bytearray(1)
-    _read(pipe, flag)
-    if not flag[0]:
-        return None
-    logits = np.empty((count, *shape))
-    _read(pipe, logits)
-    return logits
+    head = np.empty(2, dtype=np.uint64)
+    _read(pipe, head)
+    count, size = head.tolist()
+    rest = np.empty(8 * count + size, dtype=np.uint8)
+    _read(pipe, rest)
+    buffers = [np.empty(n, dtype=np.uint8) for n in rest[: 8 * count].view(np.uint64).tolist()]
+    for buffer in buffers:
+        _read(pipe, buffer)
+    return pickle.loads(rest[8 * count :], buffers=buffers)
 
 
 class _RemoteTraceback(Exception):
@@ -914,13 +907,10 @@ def _with_remote_cause(exc: BaseException, text: str) -> BaseException:
     return exc
 
 
-def _reply(pipe, values: list, vectors) -> None:
-    """Write a helper's reply: ``values`` pickled, an exception among them as
-    :class:`_Sent`, then each of ``vectors`` raw."""
+def _sendable(outcomes: list) -> list:
+    """``outcomes`` with each exception among them as :class:`_Sent`."""
 
-    _dump(pipe, [_Sent(v) if isinstance(v, BaseException) else v for v in values])
-    for vector in vectors:
-        _write(pipe, vector)
+    return [_Sent(o) if isinstance(o, BaseException) else o for o in outcomes]
 
 
 class _Lockstep:
@@ -941,51 +931,37 @@ class _Lockstep:
     def __init__(self, owned):
         self.owned = list(owned)
 
-    def gather(self, shape: tuple[int, int], logits: list[np.ndarray] | None) -> list[np.ndarray] | None:
+    def gather(self, logits: list[np.ndarray] | None) -> list[np.ndarray] | None:
         return logits
 
     def finish(self, kl: np.ndarray, failure: tuple | None) -> tuple[np.ndarray, tuple | None]:
         return kl, failure
 
 
-class _Reported(Exception):
-    """Stage 2 ended early in a helper, and the parent holds the failure that ended it."""
-
-
 class _Peer(_Lockstep):
     """A helper's side of the Stage-2 lockstep, over its pipes to the parent.
 
-    For each batch it writes its clusters' logits to the parent and reads
-    the others' back (:func:`_put_logits`).  At the end it sends its KL
-    values, its first failure, or ``None`` when another process's failure
-    stopped it; in the last two cases it raises :class:`_Reported`, as the
-    parent raises the failure.
+    For each batch it sends its clusters' logits to the parent and receives
+    every cluster's back, or ``None`` to stop.  At the end it sends its KL
+    values and its first failure.  A helper that failed or was stopped then
+    ends, as the parent raises the first failure and reaps it.
     """
 
-    def __init__(self, owned: list[int], cluster_count: int, commands, replies):
+    def __init__(self, owned: list[int], commands, replies):
         super().__init__(owned)
-        self.others = [c for c in range(cluster_count) if c not in owned]
         self.commands, self.replies = commands, replies
         self.stopped = False
 
-    def gather(self, shape, logits):
-        _put_logits(self.replies, logits)
-        theirs = _get_logits(self.commands, len(self.others), shape)
-        if theirs is None:
-            self.stopped = True
-            return None
-        everyone = dict(zip(self.owned, logits)) | dict(zip(self.others, theirs))
-        return [everyone[c] for c in range(len(everyone))]
+    def gather(self, logits):
+        _send(self.replies, logits)
+        everyone = _recv(self.commands)
+        self.stopped = everyone is None
+        return everyone
 
     def finish(self, kl, failure):
-        stopped, self.stopped = self.stopped, False
-        if failure is not None:
-            reply = failure[0], _Sent(failure[1])
-        else:
-            reply = None if stopped else kl
-        _dump(self.replies, reply)
-        if reply is not kl:
-            raise _Reported
+        _send(self.replies, (kl, None if failure is None else (failure[0], _Sent(failure[1]))))
+        if failure is not None or self.stopped:
+            os._exit(0)
         return kl, None
 
 
@@ -994,16 +970,16 @@ class _Helper:
     round and runs the server half (Stage 2 and evaluation) of the clusters
     it owns, ``owned``.
 
-    It inherits the run through the fork.  Each round the parent writes the
-    round index (8 bytes) and every cluster's start vector, raw.  The helper
-    trains its whole share with :func:`_train_share` before it replies, so a
-    reply larger than a pipe's buffer never stalls the training; the reply
-    (:func:`_reply`) holds each client's loss, or the exception that ended
-    the share, then each trained vector.  A helper that owns clusters then
-    reads their aggregated vectors, runs :func:`_server_half` in lockstep with
-    the parent (:class:`_Peer`) and replies with each cluster's accuracy, or
-    the exception that ended them, then, when Stage 2 ran, each cluster's
-    final vector.
+    It inherits the run through the fork, and it and the parent talk only in
+    :func:`_send` messages.  Each round the parent sends the round index and
+    every cluster's start vector.  The helper trains its whole share with
+    :func:`_train_share` before it replies, so a reply larger than a pipe's
+    buffer never stalls the training; the reply holds each client's trained
+    vector and loss, or the exception that ended the share.  A helper that
+    owns clusters then receives their aggregated vectors, runs
+    :func:`_server_half` in lockstep with the parent (:class:`_Peer`) and
+    replies with each cluster's accuracy, or the exception that ended them,
+    and, when Stage 2 ran, each cluster's final vector.
 
     The helper ends only through ``os._exit``, so it never returns into the
     caller or flushes the stdio it inherited.  It ends on any error of its
@@ -1035,54 +1011,21 @@ class _Helper:
         self.commands = open(commands_w, "wb", buffering=0)
         self.replies = open(replies_r, "rb", buffering=0)
 
-    @contextlib.contextmanager
-    def talk(self, where: str = ""):
-        """A pipe error in the block as an :class:`EngineError`: ``{where}helper {pid} has exited``."""
+    def send(self, obj, where: str = "") -> None:
+        """Send ``obj`` to the helper; a closed pipe is ``EngineError("{where}helper {pid} has exited")``."""
 
         try:
-            yield
-        except (OSError, EOFError) as exc:
+            _send(self.commands, obj)
+        except OSError as exc:
             raise EngineError(f"{where}helper {self.pid} has exited") from exc
 
-    def send(self, t: int, starts: list[ModelParams]) -> None:
-        with self.talk(f"round {t}: training "):
-            _write(self.commands, t.to_bytes(8, "little"))
-            for start in starts:
-                _write(self.commands, start.flat)
+    def recv(self, where: str = ""):
+        """The helper's next message; a closed pipe is an :class:`EngineError`, as in :meth:`send`."""
 
-    def receive(self, run: RunState, t: int) -> list:
-        """The outcomes of this helper's share in round ``t``, as :func:`_train_share` gives them."""
-
-        with self.talk(f"round {t}: training "):
-            outcomes = []
-            for pos, loss in zip(self.share, _load(self.replies)):
-                if isinstance(loss, BaseException):
-                    outcomes.append(loss)
-                    continue
-                params = ModelParams(run.states[run.assignment.cluster_of[pos]].spec.layout)
-                _read(self.replies, params.flat)
-                outcomes.append((params, loss))
-            return outcomes
-
-    def serve(self, run: RunState, t: int) -> None:
-        """Start the server half of round ``t``: send the owned clusters' aggregated vectors."""
-
-        with self.talk(f"round {t}: "):
-            for c in self.owned:
-                _write(self.commands, run.states[c].params.flat)
-
-    def results(self, run: RunState, t: int) -> list:
-        """The evaluation outcomes of round ``t``, as :func:`_server_half` gives
-        them; the final vectors of Stage 2 replace those in ``run.states``."""
-
-        with self.talk(f"round {t}: "):
-            outcomes = _load(self.replies)
-            if run.config.algorithm == "fedtsa":
-                for c in self.owned:
-                    state = run.states[c]
-                    state.params = ModelParams(state.spec.layout)
-                    _read(self.replies, state.params.flat)
-            return outcomes
+        try:
+            return _recv(self.replies)
+        except (OSError, EOFError) as exc:
+            raise EngineError(f"{where}helper {self.pid} has exited") from exc
 
     def close(self) -> None:
         self.commands.close()
@@ -1094,29 +1037,21 @@ def _serve(run: RunState, share: list[int], owned: list[int], commands, replies)
     in every round the parent sends, until the command pipe ends
     (:class:`EOFError`)."""
 
-    peer = _Peer(owned, run.assignment.cluster_count, commands, replies)
-    header = bytearray(8)
+    peer = _Peer(owned, commands, replies)
     while True:
-        _read(commands, header)
-        t = int.from_bytes(header, "little")
-        starts = [ModelParams(state.spec.layout) for state in run.states]
-        for start in starts:
-            _read(commands, start.flat)
+        t, flats = _recv(commands)
+        starts = [ModelParams(state.spec.layout, flat) for state, flat in zip(run.states, flats)]
+        # kept until the server half replaces them: freed right after the reply,
+        # the heap shrank and refaulted every round (heterofl-wide 9 % slower)
         outcomes = _train_share(run, t, share, starts)
-        trained = [o for o in outcomes if not isinstance(o, BaseException)]  # an exception comes last
-        _reply(replies, [loss for _, loss in trained] + outcomes[len(trained) :], [p.flat for p, _ in trained])
+        _send(replies, _sendable(outcomes))
         if not owned:
             continue
-        for c in owned:
-            params = ModelParams(run.states[c].spec.layout)
-            _read(commands, params.flat)
-            run.states[c] = replace(run.states[c], params=params)
-        try:
-            _, outcomes = _server_half(run, t, peer)
-        except _Reported:
-            continue
-        distilled = run.config.algorithm == "fedtsa"
-        _reply(replies, outcomes, [run.states[c].params.flat for c in owned] if distilled else [])
+        for c, flat in zip(owned, _recv(commands)):
+            run.states[c] = replace(run.states[c], params=ModelParams(run.states[c].spec.layout, flat))
+        _, outcomes = _server_half(run, t, peer)
+        finals = [run.states[c].params.flat for c in owned] if run.config.algorithm == "fedtsa" else None
+        _send(replies, (_sendable(outcomes), finals))
 
 
 class _Helpers(_Lockstep):
@@ -1133,10 +1068,10 @@ class _Helpers(_Lockstep):
     missing.  On leaving a ``with`` block every helper is reaped, and killed
     first if an exception ends the block.
 
-    For each Stage-2 batch the parent reads the logits of every serving
-    helper, then writes each one the logits of the clusters it does not own,
-    or a stop when any process has failed.  At the end it reads each serving
-    helper's KL values or first failure.
+    For each Stage-2 batch the parent receives the logits of every serving
+    helper, then sends each one every cluster's logits, or a stop (``None``)
+    when any process has failed.  At the end it receives each serving
+    helper's KL values and first failure.
     """
 
     def __init__(self, run: RunState, count: int | None = None):
@@ -1161,34 +1096,25 @@ class _Helpers(_Lockstep):
     def __exit__(self, exc_type, exc, traceback) -> None:
         self.stop(kill=exc_type is not None)
 
-    def gather(self, shape, logits):
+    def gather(self, logits):
         everyone = dict(zip(self.owned, logits or []))
         stop = logits is None
         for helper in self.serving:
-            with helper.talk():
-                theirs = _get_logits(helper.replies, len(helper.owned), shape)
-            if theirs is None:
-                stop = True
-            else:
-                everyone.update(zip(helper.owned, theirs))
+            theirs = helper.recv()
+            stop = stop or theirs is None
+            everyone.update(zip(helper.owned, theirs or []))
+        logits = None if stop else [everyone[c] for c in range(self.cluster_count)]
         for helper in self.serving:
-            with helper.talk():
-                _put_logits(
-                    helper.commands,
-                    None if stop else [everyone[c] for c in range(self.cluster_count) if c not in helper.owned],
-                )
-        return None if stop else [everyone[c] for c in range(self.cluster_count)]
+            helper.send(logits)
+        return logits
 
     def finish(self, kl, failure):
         table = np.empty((kl.shape[0], self.cluster_count))
         table[:, self.owned] = kl
         failures = [] if failure is None else [failure]
         for helper in self.serving:
-            with helper.talk():
-                theirs = _load(helper.replies)
-            if isinstance(theirs, np.ndarray):
-                table[:, helper.owned] = theirs
-            elif theirs is not None:
+            table[:, helper.owned], theirs = helper.recv()
+            if theirs is not None:
                 failures.append(theirs)
         return table, min(failures, key=lambda f: f[0], default=None)
 
@@ -1225,10 +1151,10 @@ def train_round(
         helpers = _Helpers(run, 1)
     starts = [state.params for state in run.states]
     for helper in helpers.processes:
-        helper.send(t, starts)
+        helper.send((t, [start.flat for start in starts]), f"round {t}: training ")
     outcomes = dict(zip(helpers.own, _train_share(run, t, helpers.own, starts)))
     for helper in helpers.processes:
-        outcomes.update(zip(helper.share, helper.receive(run, t)))
+        outcomes.update(zip(helper.share, helper.recv(f"round {t}: training ")))
     trained, losses = [], []
     for state in run.states:
         models = []
@@ -1239,7 +1165,7 @@ def train_round(
                 raise EngineError(f"round {t}, cluster {state.cluster_id}, client {cid}: {outcome}") from outcome
             if isinstance(outcome, BaseException):
                 raise outcome
-            models.append(outcome[0])
+            models.append(ModelParams(state.spec.layout, outcome[0]))
             losses.append(outcome[1])
         trained.append(models)
     return trained, losses
@@ -1274,11 +1200,14 @@ def run_round(run: RunState, t: int, helpers: _Helpers | None = None) -> RoundMe
     mean_local_loss = float(np.mean(losses)) if losses else float("nan")
 
     for helper in helpers.serving:
-        helper.serve(run, t)
+        helper.send([run.states[c].params.flat for c in helper.owned], f"round {t}: ")
     stage2_kl, own = _server_half(run, t, helpers)
     outcomes = dict(zip(helpers.owned, own))
     for helper in helpers.serving:
-        outcomes.update(zip(helper.owned, helper.results(run, t)))
+        theirs, finals = helper.recv(f"round {t}: ")
+        outcomes.update(zip(helper.owned, theirs))
+        for c, flat in zip(helper.owned, finals or []):  # the final vectors of Stage 2
+            run.states[c].params = ModelParams(run.states[c].spec.layout, flat)
     accuracies = []
     for state in run.states:
         outcome = outcomes[state.cluster_id]

@@ -348,7 +348,8 @@ def test_the_first_evaluation_failure_in_cluster_order_is_raised_at_every_cpu_co
     assert_reaped(forked)
 
 
-def test_a_helper_that_dies_is_an_engine_error_naming_the_round(cpus, monkeypatch):
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_helper_that_dies_is_an_engine_error_naming_the_round(count, cpus, monkeypatch):
     parent, real = os.getpid(), fedsim.engine.local_update
 
     def update(*args, **kwargs):
@@ -357,9 +358,40 @@ def test_a_helper_that_dies_is_an_engine_error_naming_the_round(cpus, monkeypatc
         return real(*args, **kwargs)
 
     monkeypatch.setattr(fedsim.engine, "local_update", update)
-    forked = cpus(2)
+    forked = cpus(count)
     with pytest.raises(EngineError, match=r"^round 0: training helper \d+ has exited$"):
         run_experiment(config(), BASE, TRAIN, TEST, PROFILES)
+    assert len(forked) == count - 1
+    assert_reaped(forked)
+
+
+@pytest.mark.parametrize("side, cause", [("write", BrokenPipeError), ("read", EOFError)])
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_helper_that_exits_between_rounds_is_an_engine_error_naming_the_next_round(side, cause, count, cpus,
+                                                                                     monkeypatch):
+    # "write": the parent kills the last helper after round 0 and waits for it
+    # to exit, unreaped, so its round-1 write finds no reader; "read": every
+    # helper exits once it has read round 1, so the parent's read ends first
+    forked = cpus(count)
+    parent, real = os.getpid(), fedsim.engine._train_share
+
+    def train_share(run, t, *args):
+        if side == "read" and t == 1 and os.getpid() != parent:
+            os._exit(3)
+        return real(run, t, *args)
+
+    def on_round(metrics):
+        if side == "write":
+            os.kill(forked[-1], signal.SIGKILL)
+            os.waitid(os.P_PID, forked[-1], os.WEXITED | os.WNOWAIT)
+
+    monkeypatch.setattr(fedsim.engine, "_train_share", train_share)
+    with pytest.raises(EngineError) as caught:
+        run_experiment(config(), BASE, TRAIN, TEST, PROFILES, on_round=on_round)
+    dead = forked[-1] if side == "write" else forked[0]
+    assert str(caught.value) == f"round 1: training helper {dead} has exited"
+    assert isinstance(caught.value.__cause__, cause)
+    assert len(forked) == count - 1
     assert_reaped(forked)
 
 
@@ -427,3 +459,67 @@ def running(pid) -> bool:
             return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
     except FileNotFoundError:
         return False
+
+
+def failed_here(exc):
+    """``exc`` raised and caught in this frame, so it carries a traceback."""
+
+    try:
+        raise exc
+    except Exception as caught:
+        return caught
+
+
+MESSAGES = [
+    np.arange(100_000, dtype=np.float64),  # larger than a pipe's 64 KB buffer
+    [float(i) / 7 for i in range(20_000)],  # so is the pickle itself
+    ((np.arange(3.0), 1.5), [(np.ones((2, 2)), -0.0, (np.full(4, np.nan), 2))], 3.25),
+    (np.empty(0), np.empty((0, 3)), np.arange(6.0).reshape(2, 3).T, np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+     np.arange(-3, 4, dtype=np.int64), np.array([True, False, True]), np.arange(10.0)[::3]),
+    None,
+    [],
+]
+
+
+def assert_same(got, want):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert got.flags.f_contiguous or not want.flags.f_contiguous  # a Fortran array keeps its order
+        assert got.flags.writeable
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    else:
+        assert type(got) is type(want) and repr(got) == repr(want)
+
+
+def test_every_message_crosses_a_pipe_from_a_forked_writer_unchanged():
+    reader, writer = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(reader)
+            with open(writer, "wb", buffering=0) as pipe:
+                for message in MESSAGES:
+                    fedsim.engine._send(pipe, message)
+                fedsim.engine._send(pipe, fedsim.engine._Sent(failed_here(ValueError("bad shard 3"))))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(writer)
+    with open(reader, "rb", buffering=0) as pipe:
+        received = [fedsim.engine._recv(pipe) for _ in MESSAGES]
+        sent = fedsim.engine._recv(pipe)
+        with pytest.raises(EOFError):
+            fedsim.engine._recv(pipe)
+    assert os.waitpid(pid, 0)[1] == 0
+    for got, want in zip(received, MESSAGES):
+        assert_same(got, want)
+    arrays = received[3]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
+    assert type(sent) is ValueError and str(sent) == "bad shard 3"
+    assert isinstance(sent.__cause__, fedsim.engine._RemoteTraceback)
+    assert ", in failed_here\n" in str(sent.__cause__)
