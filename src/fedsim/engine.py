@@ -15,25 +15,21 @@ grouped and how their updates are merged:
   each coordinate is averaged over the clients whose submodel covers it.
 
 A round runs in up to one process per CPU the process may use.
-:func:`run_experiment` forks ``min(CPUs, clients) - 1`` helper processes
-before the first round, and each process keeps, for the whole run, a share
-of the client positions and a share of the clusters, each balanced by
-estimated cost (see :class:`_Helpers`); the processes talk only in
-:func:`_send` messages.  Each round:
-
-* every process trains its clients: the parent sends every cluster's start
-  vector to each helper, and each helper sends back the trained vector and
-  the loss (or the exception) of each client of its share (see
-  :func:`train_round`);
-* the parent alone runs Stage 1, or the HeteroFL merge, and sends each
-  helper the aggregated vectors of the clusters it owns;
-* every process runs Stage 2 on the clusters it owns, in lockstep: for each
-  batch the owners' logits are gathered in the parent and passed on, so every
-  process sees all of them (see :func:`stage2_dml`); then it evaluates them.
+:func:`run_experiment` maps one shared region for every vector a round
+moves (:class:`_Slots`), then forks ``min(CPUs, clients) - 1`` helpers, and
+each process keeps, for the whole run, a share of the clients and of the
+clusters, each balanced by estimated cost (see :class:`_Helpers`).  The
+processes send each other only control, in :func:`_send` messages.  Each
+round (see :func:`run_round`) every process trains its clients, each into
+its own slot, then merges its part of the rows of every tensor (Stage 1 or
+the HeteroFL merge), then runs Stage 2 on the clusters it owns, in
+lockstep, each step's logits in slots of their own (see :func:`stage2_dml`),
+and evaluates them.
 
 An update is a pure function of its start vector, its rows and its own
-``(client, round)`` stream, and a Stage-2 step of the consensus and its own
-cluster's logits, so no output byte depends on the number of processes.
+``(client, round)`` stream, a Stage-2 step of the consensus and its own
+cluster's logits, and a part of a merge of the same coordinates that the
+whole merge reads, so no output byte depends on the number of processes.
 
 Every reduction over clients or clusters goes through one kernel,
 :func:`_sorted_mean`, which sorts the operands per coordinate and sums them
@@ -250,7 +246,7 @@ _SLAB_ELEMENTS = 1 << 17
 
 
 def _sorted_mean(
-    operands: list[np.ndarray], out: np.ndarray | None = None, weights: np.ndarray | None = None
+    operands: list[np.ndarray], out: np.ndarray | None = None, weights: np.ndarray | None = None, part=(0, 1)
 ) -> np.ndarray:
     """Per-coordinate mean of same-shaped arrays in a canonical summation order.
 
@@ -261,25 +257,27 @@ def _sorted_mean(
     lone ``(m, 1)`` column pairwise once ``m >= 8``, so a slab of exactly one
     coordinate is widened to two columns.  With ``weights`` (one per
     operand) each slab is scaled before the sort and the sum is not divided.
-    The result is written into ``out`` (new when omitted), which is returned.
+    The result is written into ``out`` (new when omitted), which is returned;
+    ``part = (k, n)`` writes only run ``k`` of ``n`` equal runs of rows.
     """
 
-    m = len(operands)
+    m, (k, n) = len(operands), part
     if out is None:
         out = np.empty_like(operands[0])
-    rows = out.shape[0]
+    first, stop = out.shape[0] * k // n, out.shape[0] * (k + 1) // n
     row = math.prod(out.shape[1:])
     step = max(1, _SLAB_ELEMENTS // (m * row))
-    scratch = np.empty(m * max(min(step, rows) * row, 2))
-    for lo in range(0, rows, step):
-        block = out[lo : lo + step]
+    scratch = np.empty(m * max(min(step, stop - first) * row, 2))
+    for lo in range(first, stop, step):
+        hi = min(lo + step, stop)
+        block = out[lo:hi]
         if block.size == 1:
             stack = scratch[: 2 * m].reshape(m, 2)
-            np.stack([op[lo : lo + 1].reshape(1) for op in operands], out=stack[:, :1])
+            np.stack([op[lo:hi].reshape(1) for op in operands], out=stack[:, :1])
             stack[:, 1] = stack[:, 0]
         else:
             stack = scratch[: m * block.size].reshape(m, block.size)
-            np.stack([op[lo : lo + step] for op in operands], out=stack.reshape(m, *block.shape))
+            np.stack([op[lo:hi] for op in operands], out=stack.reshape(m, *block.shape))
         if weights is not None:
             stack *= weights[:, None]
         stack.sort(axis=0)
@@ -294,12 +292,12 @@ def _sorted_mean(
 class _Learner:
     """One model trained in place: the step that local SGD and Stage 2 share.
 
-    On entry ``params`` is checked against ``spec`` and copied; the copy's
-    flat vector is trained in place, each step writing the gradients into a
-    second :class:`ModelParams` of the same layout.  The caller's parameters
-    are never written.  With a proximal reference and ``mu > 0``,
-    ``(mu/2) * ||w - ref||^2`` joins each step's objective; the reference's
-    flat vector is read, not copied.
+    On entry ``params`` is checked against ``spec`` and copied into ``out``
+    (a new vector when omitted; no copy when it is ``params`` itself), which
+    is then trained in place, each step writing the gradients into a second
+    :class:`ModelParams` of the same layout.  With a proximal reference and
+    ``mu > 0``, ``(mu/2) * ||w - ref||^2`` joins each step's objective; the
+    reference's flat vector is read, not copied.
     """
 
     def __init__(
@@ -308,10 +306,15 @@ class _Learner:
         params: ModelParams,
         prox_reference: ModelParams | None = None,
         mu: float = 0.0,
+        out: ModelParams | None = None,
     ):
         validate_params(spec, params)
         self.spec = spec
-        self.params = params.copy()
+        if out is None:
+            out = params.copy()
+        elif out is not params:
+            out.flat[...] = params.flat
+        self.params = out
         self.grad = ModelParams(params.layout)
         self.prox = None
         if prox_reference is not None and mu > 0:
@@ -346,6 +349,7 @@ def local_update(
     config: FedConfig,
     seed,
     prox_reference: ModelParams | None = None,
+    out: ModelParams | None = None,
 ) -> tuple[ModelParams, float]:
     """``local_epochs`` epochs of minibatch SGD on cross-entropy.
 
@@ -358,7 +362,9 @@ def local_update(
     or not finite raises :class:`EngineError` before its step, as does a
     non-finite final parameter.  ``params`` (and the proximal reference) and
     the label range are checked against ``spec`` once, on entry
-    (:class:`DimensionError`); neither input is written.
+    (:class:`DimensionError`); neither input is written.  The model is
+    trained in ``out`` (a vector of ``spec``'s layout, new when omitted),
+    which is returned.
     """
 
     features = np.asarray(features, dtype=np.float64)
@@ -370,7 +376,7 @@ def local_update(
         raise DimensionError(f"labels shape {labels.shape} does not match {n} samples")
     if labels.min() < 0 or labels.max() >= spec.class_count:
         raise DimensionError(f"labels must lie in [0, {spec.class_count})")
-    model = _Learner(spec, params, prox_reference, config.fedprox_mu)
+    model = _Learner(spec, params, prox_reference, config.fedprox_mu, out)
     rng = np.random.default_rng(seed)
     ceiling = 100 * math.log(spec.class_count)
     batch_losses: list[float] = []
@@ -393,6 +399,8 @@ def stage1_aggregate(
     params_list: list[ModelParams],
     data_sizes: list[int] | None = None,
     weighting: str = "uniform",
+    part=(0, 1),
+    out: ModelParams | None = None,
 ) -> ModelParams:
     """Average client parameters inside one cluster (all of one layout).
 
@@ -401,7 +409,8 @@ def stage1_aggregate(
     ``uniform`` sums in sorted order and divides by the count; ``data_size``
     scales each slab by the clients' shares of the cluster's samples before
     the sort and does not divide.  Either way the result is bit-identical
-    under permutation of the clients.
+    under permutation of the clients, and it is written into ``out`` (new
+    when omitted), only its part ``part`` (see :func:`_sorted_mean`).
     """
 
     if not params_list:
@@ -417,50 +426,56 @@ def stage1_aggregate(
         if np.any(sizes <= 0):
             raise EngineError("data_size weighting needs positive sample counts")
         weights = sizes / sizes.sum()
-    return ModelParams(layout, _sorted_mean([p.flat for p in params_list], weights=weights))
+    out = ModelParams(layout) if out is None else out
+    _sorted_mean([p.flat for p in params_list], out.flat, weights, part)
+    return out
 
 
-def heterofl_aggregate(global_params: ModelParams, contributions: list[ModelParams]) -> ModelParams:
+def heterofl_aggregate(
+    global_params: ModelParams, contributions: list[ModelParams], part=(0, 1), out: ModelParams | None = None
+) -> ModelParams:
     """Per-coordinate covering mean over heterogeneous submodels.
 
     Each client contributes to exactly the leading block its submodel covers,
     so a tensor's shape is its extent in the global tensor; every global
     coordinate becomes the mean of the clients covering it, and
     coordinates nobody covers keep their previous value.  The merge writes
-    into a copy of the global vector cell by cell: on each axis the block
+    into the global vector cell by cell: on each axis the block
     stops of all clients cut a tensor into a grid of cells, every coordinate
     of a cell is covered by the same clients, and one :func:`_sorted_mean`
     call per cell sorts and sums the values of those clients only, slab by
     slab through a scratch buffer of about 1 MiB.  When every client covers
     everything, every tensor is arithmetic-for-arithmetic the uniform Stage-1
     average, one-coordinate tensors included.  The mean is always unweighted:
-    ``training.stage1_weighting`` does not apply to this merge.
+    ``training.stage1_weighting`` does not apply to this merge.  ``out``
+    (``global_params`` itself, or a copy when omitted) receives it, only
+    the part ``part`` of each cell's rows (see :func:`_sorted_mean`).
     """
 
     if not contributions:
         raise EngineError("cannot aggregate an empty client set")
-    merged = global_params.copy()
-    for name, out in merged.tensors.items():
+    merged = global_params.copy() if out is None else out
+    for name, tensor in merged.tensors.items():
         blocks = []
         for params in contributions:
             block = params.tensors.get(name)
             if block is None:
                 raise DimensionError(f"{name}: contribution is missing the tensor")
-            if block.ndim != out.ndim or any(b > g for b, g in zip(block.shape, out.shape)):
+            if block.ndim != tensor.ndim or any(b > g for b, g in zip(block.shape, tensor.shape)):
                 raise DimensionError(
-                    f"{name}: contribution shape {block.shape} does not fit {out.shape}"
+                    f"{name}: contribution shape {block.shape} does not fit {tensor.shape}"
                 )
             blocks.append(block)
         cuts = [
             sorted({0, size, *(b.shape[axis] for b in blocks)})
-            for axis, size in enumerate(out.shape)
+            for axis, size in enumerate(tensor.shape)
         ]
         for bounds in itertools.product(*(zip(c[:-1], c[1:]) for c in cuts)):
             covering = [b for b in blocks if all(hi <= stop for (_, hi), stop in zip(bounds, b.shape))]
             if not covering:
                 continue
             cell = tuple(slice(lo, hi) for lo, hi in bounds)
-            _sorted_mean([b[cell] for b in covering], out[cell])
+            _sorted_mean([b[cell] for b in covering], tensor[cell], part=part)
     return merged
 
 
@@ -492,10 +507,12 @@ def stage2_dml(
     ``lockstep`` spreads the clusters over processes (see :class:`_Helpers`):
     this process steps only ``lockstep.owned``, and for each batch it gathers
     the other clusters' logits from the processes that step them, so every
-    process builds the same consensus.  The first failure of any process, in
-    order of epoch, batch, then cluster, is raised, and the per-step KL
-    values of every process join the sum.  Without one, this process steps
-    every cluster and its gather does nothing.
+    process builds the same consensus; with shared ``slots``, each owned
+    cluster trains in place, in the vector its state holds.  The first
+    failure of any process, in order of epoch, batch, then cluster, is
+    raised, and the per-step KL values of every process join the sum.
+    Without one, this process steps every cluster and its gather does
+    nothing.
 
     With a single cluster the consensus equals the cluster's own
     distribution, the gradient is exactly zero, and parameters come back
@@ -519,7 +536,7 @@ def stage2_dml(
     try:
         for c in owned:
             where = (-1, 0, c)
-            models[c] = _Learner(states[c].spec, states[c].params)
+            models[c] = _Learner(states[c].spec, states[c].params, out=states[c].params if lockstep.slots else None)
     except Exception as exc:
         failure = where, exc
     for step in range(steps):
@@ -533,7 +550,7 @@ def stage2_dml(
                     forwards.append(forward_cached(states[c].spec, models[c].params, batch))
             except Exception as exc:
                 failure = where, exc
-        logits = lockstep.gather(None if failure is not None else [own for own, _ in forwards])
+        logits = lockstep.gather(step, None if failure is not None else [own for own, _ in forwards])
         if logits is None:
             break
         try:
@@ -739,34 +756,50 @@ def _round_batches(run: RunState, t: int) -> list[np.ndarray]:
     return run.distill_batches
 
 
-def _train_share(run: RunState, t: int, share: list[int], starts: list[ModelParams]) -> list:
+def _train_share(run: RunState, t: int, share: list[int], trained: list[ModelParams]) -> list:
     """The local updates of round ``t`` of the clients at positions ``share``, in order.
 
-    A member of cluster ``c`` starts from ``starts[c]``.  Each outcome is a
-    ``(flat, loss)`` pair or the exception the update raised; the first
-    exception ends the share, as no later client of it can fail first.
+    A member of cluster ``c`` starts from ``run.states[c].params`` and is
+    trained in ``trained[pos]``.  Each outcome is its loss or the exception
+    it raised; the first exception ends the share, as no later client of it
+    can fail first.
     """
 
     config = run.config
     outcomes = []
     for pos in share:
-        c = run.assignment.cluster_of[pos]
+        state = run.states[run.assignment.cluster_of[pos]]
         idx = run.partition.client_indices[pos]
         try:
-            params, loss = local_update(
-                run.states[c].spec,
-                starts[c],
+            _, loss = local_update(
+                state.spec,
+                state.params,
                 run.train.features[idx],
                 run.train.labels[idx],
                 config,
                 stream_seed(config.master_seed, _STREAM_LOCAL, run.profiles[pos].client_id, t),
-                prox_reference=starts[c] if config.algorithm == "fedprox" else None,
+                prox_reference=state.params if config.algorithm == "fedprox" else None,
+                out=trained[pos],
             )
         except Exception as exc:
             outcomes.append(exc)
             break
-        outcomes.append((params.flat, loss))
+        outcomes.append(loss)
     return outcomes
+
+
+def _aggregate(run: RunState, trained: list[ModelParams], part) -> None:
+    """Part ``part`` of the Stage-1 average of each cluster's members'
+    ``trained`` models (one per position), or of the HeteroFL merge of every
+    member's, written in place into the run's models."""
+
+    members = [run.assignment.members(c) for c in range(len(run.states))]
+    if run.config.algorithm == "heterofl":
+        heterofl_aggregate(run.global_params, [trained[p] for p in np.concatenate(members)], part, run.global_params)
+        return
+    for state, positions in zip(run.states, members):
+        models = [trained[p] for p in positions]
+        stage1_aggregate(models, run.partition.sizes()[positions], run.config.stage1_weighting, part, state.params)
 
 
 def _server_half(run: RunState, t: int, lockstep: _Lockstep) -> tuple[float, list]:
@@ -818,69 +851,48 @@ def _split(run: RunState, count: int) -> tuple[list[list[int]], list[list[int]]]
     """The client positions and the cluster ids of ``run``, each in ``count``
     shares of about equal estimated cost (:func:`_shares`).
 
-    A client costs its local batches times its cluster's model size, and
-    each share lists its clients in training order: cluster order, then
-    member order.  A cluster's server half costs its model size, as every
-    cluster distils the same batches and is evaluated on the same test set.
+    A client costs its local samples (epochs times its rows) times its
+    cluster's model size, and each share lists its clients in training
+    order: cluster order, then member order.  A cluster's server half costs
+    its model size, as every cluster distils the same batches and is
+    evaluated on the same test set.
     """
 
-    config = run.config
     cluster_of = run.assignment.cluster_of
     sizes = np.array([state.spec.layout.size for state in run.states])
     order = np.argsort(cluster_of, kind="stable")  # training order
-    batches = config.local_epochs * -(-run.partition.sizes() // config.batch_size)
-    clients = _shares((batches * sizes[cluster_of])[order], count)
+    samples = run.config.local_epochs * run.partition.sizes()
+    clients = _shares((samples * sizes[cluster_of])[order], count)
     return [order[share].tolist() for share in clients], _shares(sizes, count)
 
 
-def _write(pipe, data) -> None:
-    view = memoryview(data).cast("B")
+def _send(pipe, obj) -> None:
+    """Write ``obj`` to ``pipe`` as one message, which :func:`_recv` reads:
+    the length of its pickle (8 bytes), then the pickle."""
+
+    data = pickle.dumps(obj, protocol=5)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
     while view:
         view = view[pipe.write(view) :]
 
 
-def _read(pipe, into) -> None:
-    """Fill the buffer ``into`` from ``pipe``; :class:`EOFError` if the pipe ends first."""
+def _read(pipe, size: int) -> bytearray:
+    """The next ``size`` bytes of ``pipe``; :class:`EOFError` if it ends first."""
 
-    view = memoryview(into).cast("B")
+    data = bytearray(size)
+    view = memoryview(data)
     while view:
         count = pipe.readinto(view)
         if not count:
             raise EOFError("pipe closed")
         view = view[count:]
-
-
-def _send(pipe, obj) -> None:
-    """Write ``obj`` to ``pipe`` as one message, which :func:`_recv` reads.
-
-    ``obj`` is pickled with protocol 5, each contiguous array in it out of
-    band.  The message is the number of arrays and the pickle's length, each
-    array's length in bytes (8 bytes each), the pickle, then each array's
-    bytes, so no array is copied on the way.
-    """
-
-    buffers = []
-    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    arrays = [buffer.raw() for buffer in buffers]
-    sizes = np.array([len(arrays), len(data), *(a.nbytes for a in arrays)], dtype=np.uint64)
-    _write(pipe, sizes.tobytes() + data)
-    for array in arrays:
-        _write(pipe, array)
+    return data
 
 
 def _recv(pipe):
-    """The next object :func:`_send` wrote to ``pipe``.  Each array in it is
-    read straight into a new buffer of its own, which it keeps, writable."""
+    """The next object :func:`_send` wrote to ``pipe``."""
 
-    head = np.empty(2, dtype=np.uint64)
-    _read(pipe, head)
-    count, size = head.tolist()
-    rest = np.empty(8 * count + size, dtype=np.uint8)
-    _read(pipe, rest)
-    buffers = [np.empty(n, dtype=np.uint8) for n in rest[: 8 * count].view(np.uint64).tolist()]
-    for buffer in buffers:
-        _read(pipe, buffer)
-    return pickle.loads(rest[8 * count :], buffers=buffers)
+    return pickle.loads(_read(pipe, int.from_bytes(_read(pipe, 8), "little")))
 
 
 class _RemoteTraceback(Exception):
@@ -913,26 +925,61 @@ def _sendable(outcomes: list) -> list:
     return [_Sent(o) if isinstance(o, BaseException) else o for o in outcomes]
 
 
-class _Lockstep:
-    """Stage 2 in one process alone: it steps every cluster in ``owned`` and
-    gathers nothing.
+class _Slots:
+    """Every vector a round moves, in one anonymous shared mapping made
+    before the helpers fork, so no vector travels in a message: the client
+    at position ``pos`` in ``trained[pos]``; each cluster's model (its
+    start, aggregate and Stage-2 model) and heterofl's global one, copied in
+    and rebound in ``run``; and every cluster's Stage-2 logits at ``step``
+    of a round in ``logits[step]``, never reused within the round, so no
+    process overwrites logits another may still read.  The mapping lives as
+    long as any view of it; a killed process leaves nothing of it behind."""
 
-    Spread over processes, each process steps the clusters it owns;
-    :class:`_Helpers` is the parent's side and :class:`_Peer` a helper's.
-    For each batch, :meth:`gather` takes the logits of this process's
-    clusters, in ``owned`` order (``None`` once it has failed), and returns
-    every cluster's in cluster order, or ``None`` when any process has
-    failed, which ends Stage 2 in all of them.  At the end, :meth:`finish`
-    takes this process's per-step KL values (one column per owned cluster)
-    and its first failure (``None`` if none), and returns the KL values of
-    every cluster and the first failure of any process.
+    def __init__(self, run: RunState):
+        import mmap  # here, not above: a run of no rounds maps nothing
+
+        states, n = run.states, len(run.profiles)
+        held = [s.params for s in states] + [run.global_params] * (run.global_params is not None)
+        layouts = [states[c].spec.layout for c in run.assignment.cluster_of] + [p.layout for p in held]
+        batches = run.distill_batches * run.config.global_epochs
+        shapes = [(len(states), len(batch), states[0].spec.class_count) for batch in batches]
+        sizes = [layout.size for layout in layouts] + [math.prod(shape) for shape in shapes]
+        # one float64 more than the slots, so the mapping is never empty
+        views = iter(np.split(np.frombuffer(mmap.mmap(-1, 8 * sum(sizes) + 8)), np.cumsum(sizes)))
+        slots = [ModelParams(layout, next(views)) for layout in layouts]
+        self.trained, self.logits = slots[:n], [next(views).reshape(shape) for shape in shapes]
+        for slot, params in zip(slots[n:], held):
+            slot.flat[...] = params.flat
+        for state, slot in zip(states, slots[n:]):
+            state.params = slot
+        if run.global_params is not None:
+            run.global_params = slots[-1]
+
+
+class _Lockstep:
+    """Stage 2 in one process alone: it steps every cluster in ``owned``.
+
+    Spread over processes, each steps the clusters it owns; :class:`_Helpers`
+    is the parent's side and :class:`_Peer` a helper's, both with the run's
+    ``slots``.  For each step, :meth:`gather` writes the logits of this
+    process's clusters (``None`` once it has failed) to their slots and,
+    once :meth:`agree` says every process is ok, returns every cluster's in
+    cluster order, else ``None``, which ends Stage 2 in all of them.  At the
+    end, :meth:`finish` takes this process's per-step KL values (one column
+    per owned cluster) and first failure (``None`` if none), and returns
+    those of every cluster and the first failure of any process.
     """
 
-    def __init__(self, owned):
+    def __init__(self, owned, slots: _Slots | None = None):
         self.owned = list(owned)
+        self.slots = slots
 
-    def gather(self, logits: list[np.ndarray] | None) -> list[np.ndarray] | None:
-        return logits
+    def gather(self, step: int, logits: list[np.ndarray] | None) -> list[np.ndarray] | None:
+        if self.slots is None:
+            return logits
+        if logits is not None:
+            self.slots.logits[step][self.owned] = logits
+        return list(self.slots.logits[step]) if self.agree(logits is not None) else None
 
     def finish(self, kl: np.ndarray, failure: tuple | None) -> tuple[np.ndarray, tuple | None]:
         return kl, failure
@@ -941,22 +988,21 @@ class _Lockstep:
 class _Peer(_Lockstep):
     """A helper's side of the Stage-2 lockstep, over its pipes to the parent.
 
-    For each batch it sends its clusters' logits to the parent and receives
-    every cluster's back, or ``None`` to stop.  At the end it sends its KL
-    values and its first failure.  A helper that failed or was stopped then
-    ends, as the parent raises the first failure and reaps it.
+    For each step it tells the parent whether it is ok and hears whether
+    every process is.  At the end it sends its KL values and its first
+    failure; a helper that failed or was stopped then ends, as the parent
+    raises the first failure and reaps it.
     """
 
-    def __init__(self, owned: list[int], commands, replies):
-        super().__init__(owned)
+    def __init__(self, owned: list[int], slots: _Slots, commands, replies):
+        super().__init__(owned, slots)
         self.commands, self.replies = commands, replies
         self.stopped = False
 
-    def gather(self, logits):
-        _send(self.replies, logits)
-        everyone = _recv(self.commands)
-        self.stopped = everyone is None
-        return everyone
+    def agree(self, ok):
+        _send(self.replies, ok)
+        self.stopped = not _recv(self.commands)
+        return not self.stopped
 
     def finish(self, kl, failure):
         _send(self.replies, (kl, None if failure is None else (failure[0], _Sent(failure[1]))))
@@ -966,20 +1012,10 @@ class _Peer(_Lockstep):
 
 
 class _Helper:
-    """A forked process that trains one fixed share of the clients every
-    round and runs the server half (Stage 2 and evaluation) of the clusters
-    it owns, ``owned``.
-
-    It inherits the run through the fork, and it and the parent talk only in
-    :func:`_send` messages.  Each round the parent sends the round index and
-    every cluster's start vector.  The helper trains its whole share with
-    :func:`_train_share` before it replies, so a reply larger than a pipe's
-    buffer never stalls the training; the reply holds each client's trained
-    vector and loss, or the exception that ended the share.  A helper that
-    owns clusters then receives their aggregated vectors, runs
-    :func:`_server_half` in lockstep with the parent (:class:`_Peer`) and
-    replies with each cluster's accuracy, or the exception that ended them,
-    and, when Stage 2 ran, each cluster's final vector.
+    """A forked process that, every round, trains one fixed share of the
+    clients, merges part ``part`` of every vector, and runs the server half
+    (Stage 2 and evaluation) of the clusters it owns, ``owned``.  It
+    inherits the run and its ``slots`` through the fork (see :func:`_serve`).
 
     The helper ends only through ``os._exit``, so it never returns into the
     caller or flushes the stdio it inherited.  It ends on any error of its
@@ -987,7 +1023,9 @@ class _Helper:
     pipe to stop it, and the pipe also ends if the parent dies.
     """
 
-    def __init__(self, run: RunState, share: list[int], owned: list[int], others: list[_Helper]):
+    def __init__(
+        self, run: RunState, share: list[int], owned: list[int], slots: _Slots, part: tuple, others: list[_Helper]
+    ):
         self.share, self.owned = share, owned
         commands_r, commands_w = os.pipe()
         replies_r, replies_w = os.pipe()
@@ -1003,7 +1041,8 @@ class _Helper:
                 os.close(replies_r)
                 for other in others:
                     other.close()
-                _serve(run, share, owned, open(commands_r, "rb", buffering=0), open(replies_w, "wb", buffering=0))
+                commands, replies = open(commands_r, "rb", buffering=0), open(replies_w, "wb", buffering=0)
+                _serve(run, share, part, _Peer(owned, slots, commands, replies))
             finally:
                 os._exit(0)
         os.close(commands_r)
@@ -1032,59 +1071,51 @@ class _Helper:
         self.replies.close()
 
 
-def _serve(run: RunState, share: list[int], owned: list[int], commands, replies) -> None:
-    """A helper's loop: train ``share``, and run the server half of ``owned``,
-    in every round the parent sends, until the command pipe ends
-    (:class:`EOFError`)."""
+def _serve(run: RunState, share: list[int], part: tuple[int, int], peer: _Peer) -> None:
+    """A helper's loop over the rounds the parent sends, until the command
+    pipe ends (:class:`EOFError`); the messages of a round are those of
+    :func:`run_round`, each sent once the slots it speaks of are written."""
 
-    peer = _Peer(owned, commands, replies)
+    commands, replies, slots = peer.commands, peer.replies, peer.slots
     while True:
-        t, flats = _recv(commands)
-        starts = [ModelParams(state.spec.layout, flat) for state, flat in zip(run.states, flats)]
-        # kept until the server half replaces them: freed right after the reply,
-        # the heap shrank and refaulted every round (heterofl-wide 9 % slower)
-        outcomes = _train_share(run, t, share, starts)
-        _send(replies, _sendable(outcomes))
-        if not owned:
-            continue
-        for c, flat in zip(owned, _recv(commands)):
-            run.states[c] = replace(run.states[c], params=ModelParams(run.states[c].spec.layout, flat))
-        _, outcomes = _server_half(run, t, peer)
-        finals = [run.states[c].params.flat for c in owned] if run.config.algorithm == "fedtsa" else None
-        _send(replies, (_sendable(outcomes), finals))
+        t = _recv(commands)
+        _send(replies, _sendable(_train_share(run, t, share, slots.trained)))
+        _recv(commands)  # every process has trained
+        _aggregate(run, slots.trained, part)
+        _send(replies, None)
+        if peer.owned:
+            _recv(commands)  # every part is merged
+            _send(replies, _sendable(_server_half(run, t, peer)[1]))
 
 
 class _Helpers(_Lockstep):
-    """A run's helper processes, and the parent's side of the Stage-2 lockstep.
+    """A run's helpers and slots, and the parent's side of the Stage-2 lockstep.
 
     The clients and the clusters are each split into ``count`` shares
     (:func:`_split`).  The parent keeps the first share of each: it trains
     the clients ``own`` and runs the server half of the clusters ``owned``.
     One :class:`_Helper` per further share takes the rest; ``serving`` lists
-    those that own a cluster, and only they take part in Stage 2.  By default
-    ``count`` is ``min(CPUs, clients)``, where CPUs are those
-    ``os.sched_getaffinity`` allows; it is one, and no helper is forked, for
-    a run of no rounds or where ``os.fork`` or ``os.sched_getaffinity`` is
-    missing.  On leaving a ``with`` block every helper is reaped, and killed
-    first if an exception ends the block.
-
-    For each Stage-2 batch the parent receives the logits of every serving
-    helper, then sends each one every cluster's logits, or a stop (``None``)
-    when any process has failed.  At the end it receives each serving
-    helper's KL values and first failure.
+    those that own a cluster, and only they take part in Stage 2.  Process
+    ``k`` (the parent is 0) merges part ``(k, count)`` of every vector.
+    ``count`` is by default ``min(CPUs, clients)`` (CPUs: those
+    ``os.sched_getaffinity`` allows), or one where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing.  The :class:`_Slots` are mapped
+    before the first fork.  Leaving a ``with`` block reaps every helper,
+    killing it first if an exception ends the block.
     """
 
     def __init__(self, run: RunState, count: int | None = None):
         if count is None:
-            forks = run.config.rounds and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             count = min(len(os.sched_getaffinity(0)), len(run.profiles)) if forks else 1
         (self.own, *shares), (owned, *owners) = _split(run, count)
-        super().__init__(owned)
+        super().__init__(owned, _Slots(run))
+        self.count = count
         self.cluster_count = run.assignment.cluster_count
         self.processes: list[_Helper] = []
         try:
-            for share, clusters in zip(shares, owners):
-                self.processes.append(_Helper(run, share, clusters, self.processes))
+            for k, (share, clusters) in enumerate(zip(shares, owners), 1):
+                self.processes.append(_Helper(run, share, clusters, self.slots, (k, count), self.processes))
         except BaseException:
             self.stop(kill=True)
             raise
@@ -1096,17 +1127,12 @@ class _Helpers(_Lockstep):
     def __exit__(self, exc_type, exc, traceback) -> None:
         self.stop(kill=exc_type is not None)
 
-    def gather(self, logits):
-        everyone = dict(zip(self.owned, logits or []))
-        stop = logits is None
+    def agree(self, ok):
         for helper in self.serving:
-            theirs = helper.recv()
-            stop = stop or theirs is None
-            everyone.update(zip(helper.owned, theirs or []))
-        logits = None if stop else [everyone[c] for c in range(self.cluster_count)]
+            ok = helper.recv() and ok
         for helper in self.serving:
-            helper.send(logits)
-        return logits
+            helper.send(ok)
+        return ok
 
     def finish(self, kl, failure):
         table = np.empty((kl.shape[0], self.cluster_count))
@@ -1132,82 +1158,55 @@ class _Helpers(_Lockstep):
             os.waitpid(helper.pid, 0)
 
 
-def train_round(
-    run: RunState, t: int, helpers: _Helpers | None = None
-) -> tuple[list[list[ModelParams]], list[float]]:
-    """The local updates of round ``t``: each cluster's trained models in
-    member order, and their losses in cluster order, then member order.
-
-    ``helpers`` (see :func:`run_experiment`) train their shares while this
-    process trains its own; without them it trains every client.  The first
-    failure in member order is raised, as in one process: a
-    :class:`FedsimError` as an :class:`EngineError` naming the round, the
-    cluster and the client, any other exception as it is.  The trained models
-    are held only by the returned lists, so none of them outlives the
-    aggregation it is passed to.
-    """
-
-    if helpers is None:
-        helpers = _Helpers(run, 1)
-    starts = [state.params for state in run.states]
-    for helper in helpers.processes:
-        helper.send((t, [start.flat for start in starts]), f"round {t}: training ")
-    outcomes = dict(zip(helpers.own, _train_share(run, t, helpers.own, starts)))
-    for helper in helpers.processes:
-        outcomes.update(zip(helper.share, helper.recv(f"round {t}: training ")))
-    trained, losses = [], []
-    for state in run.states:
-        models = []
-        for pos in run.assignment.members(state.cluster_id).tolist():
-            outcome = outcomes[pos]
-            if isinstance(outcome, FedsimError):
-                cid = run.profiles[pos].client_id
-                raise EngineError(f"round {t}, cluster {state.cluster_id}, client {cid}: {outcome}") from outcome
-            if isinstance(outcome, BaseException):
-                raise outcome
-            models.append(ModelParams(state.spec.layout, outcome[0]))
-            losses.append(outcome[1])
-        trained.append(models)
-    return trained, losses
-
-
 def run_round(run: RunState, t: int, helpers: _Helpers | None = None) -> RoundMetrics:
     """Advance ``run`` by round ``t``, append the round's metrics to it and return them.
 
-    ``helpers`` train their shares of the clients (see :func:`train_round`)
-    and run the server half of the clusters they own (see :class:`_Helpers`);
-    this process aggregates.  Without them it does everything.  The first
-    evaluation failure in cluster order is raised as it is.
+    With ``helpers`` (:class:`_Helpers`; without, this process does all)
+    the processes send only control; the vectors stay in the slots.  Each
+    process trains its clients, each helper replying with their losses or
+    the exception that ended its share, and the first failure in member
+    order is raised as in one process: a :class:`FedsimError` as an
+    :class:`EngineError` naming the round, cluster and client, any other as
+    it is.  On a go, each process merges its part (:func:`_aggregate`; the
+    parts check the same inputs, so this process fails first) and replies.
+    After heterofl's extraction, a second go starts :func:`_server_half`
+    in each owner, and the first evaluation failure in cluster order is
+    raised as it is.
     """
 
     config = run.config
-    if helpers is None:
-        helpers = _Helpers(run, 1)
+    helpers = helpers or _Helpers(run, 1)
     cluster_of, sizes = run.assignment.cluster_of, run.partition.sizes()
-    trained, losses = train_round(run, t, helpers)
+    for helper in helpers.processes:
+        helper.send(t, f"round {t}: training ")
+    outcomes = dict(zip(helpers.own, _train_share(run, t, helpers.own, helpers.slots.trained)))
+    for helper in helpers.processes:
+        outcomes.update(zip(helper.share, helper.recv(f"round {t}: training ")))
+    losses = []
+    for pos in np.argsort(cluster_of, kind="stable").tolist():  # member order
+        outcome = outcomes[pos]
+        if isinstance(outcome, FedsimError):
+            cid = run.profiles[pos].client_id
+            raise EngineError(f"round {t}, cluster {cluster_of[pos]}, client {cid}: {outcome}") from outcome
+        if isinstance(outcome, BaseException):
+            raise outcome
+        losses.append(outcome)
+    for helper in helpers.processes:
+        helper.send(True, f"round {t}: ")  # every process has trained
+    _aggregate(run, helpers.slots.trained, (0, helpers.count))
+    for helper in helpers.processes:
+        helper.recv(f"round {t}: ")
     if config.algorithm == "heterofl":
-        run.global_params = heterofl_aggregate(run.global_params, [p for models in trained for p in models])
         for state in run.states:
-            state.params = extract_overlap(run.global_params, state.spec)
-    else:
-        for state in run.states:
-            state.params = stage1_aggregate(
-                trained[state.cluster_id],
-                data_sizes=sizes[cluster_of == state.cluster_id],
-                weighting=config.stage1_weighting,
-            )
-    del trained  # no trained model outlives the aggregation
+            extract_overlap(run.global_params, state.spec, state.params)
     mean_local_loss = float(np.mean(losses)) if losses else float("nan")
 
     for helper in helpers.serving:
-        helper.send([run.states[c].params.flat for c in helper.owned], f"round {t}: ")
+        helper.send(True, f"round {t}: ")  # every part is merged
     stage2_kl, own = _server_half(run, t, helpers)
     outcomes = dict(zip(helpers.owned, own))
     for helper in helpers.serving:
-        theirs, finals = helper.recv(f"round {t}: ")
-        outcomes.update(zip(helper.owned, theirs))
-        for c, flat in zip(helper.owned, finals or []):  # the final vectors of Stage 2
-            run.states[c].params = ModelParams(run.states[c].spec.layout, flat)
+        outcomes.update(zip(helper.owned, helper.recv(f"round {t}: ")))
     accuracies = []
     for state in run.states:
         outcome = outcomes[state.cluster_id]
@@ -1250,9 +1249,10 @@ def run_experiment(
     """
 
     run = prepare_run(config, base_spec, train, test, profiles)
-    with _Helpers(run) as helpers:
-        for t in range(config.rounds):
-            round_metrics = run_round(run, t, helpers)
-            if on_round is not None:
-                on_round(round_metrics)
+    if config.rounds:  # a run of no rounds forks nothing and maps nothing
+        with _Helpers(run) as helpers:
+            for t in range(config.rounds):
+                round_metrics = run_round(run, t, helpers)
+                if on_round is not None:
+                    on_round(round_metrics)
     return run

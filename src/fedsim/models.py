@@ -348,10 +348,10 @@ def overlap_map(large: ModelSpec, small: ModelSpec) -> None:
                 )
 
 
-def extract_overlap(params: ModelParams, small: ModelSpec) -> ModelParams:
-    """The leading block of each tensor, copied into ``small``'s layout."""
+def extract_overlap(params: ModelParams, small: ModelSpec, out: ModelParams | None = None) -> ModelParams:
+    """The leading block of each tensor, copied into ``out`` (new when omitted), of ``small``'s layout."""
 
-    out = ModelParams(small.layout)
+    out = ModelParams(small.layout) if out is None else out
     for name, block in out.tensors.items():
         block[...] = params.tensors[name][tuple(map(slice, block.shape))]
     return out

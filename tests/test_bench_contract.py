@@ -123,9 +123,9 @@ def test_a_heterofl_run_merges_every_member_once_per_round(monkeypatch):
     # traced call, so every round must merge the same set: each member's model
     merged = []
 
-    def recorded(global_params, contributions, real=fedsim.engine.heterofl_aggregate):
+    def recorded(global_params, contributions, *args, real=fedsim.engine.heterofl_aggregate, **kwargs):
         merged.append([p.layout.spans for p in contributions])
-        return real(global_params, contributions)
+        return real(global_params, contributions, *args, **kwargs)
 
     monkeypatch.setattr(fedsim.engine, "heterofl_aggregate", recorded)
     rounds = 3

@@ -7,11 +7,10 @@ bitwise.
 """
 
 import contextlib
-import gc
 import math
+import mmap
 import os
 import tracemalloc
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -1145,6 +1144,108 @@ def evaluation_peak(spec, params, features, labels):
         tracemalloc.stop()
 
 
+def bits(params: ModelParams) -> np.ndarray:
+    return params.flat.view(np.int64)
+
+
+def heterofl_in_parts(global_params, contributions, n, order=None):
+    """The merge written part by part into one copy of the global model, as
+    the ``n`` processes of a run write it.  Each part alone changes nothing
+    but coordinates of the whole merge."""
+
+    whole = heterofl_aggregate(global_params, contributions)
+    merged = global_params.copy()
+    for k in order or range(n):
+        alone = heterofl_aggregate(global_params, contributions, (k, n))
+        assert np.all((bits(alone) == bits(global_params)) | (bits(alone) == bits(whole)))
+        assert heterofl_aggregate(global_params, contributions, (k, n), merged) is merged
+    return merged
+
+
+def stage1_in_parts(params, sizes, weighting, n):
+    """Stage 1 written part by part into one vector of NaNs, so a coordinate
+    that no part writes shows."""
+
+    merged = ModelParams(params[0].layout, np.full(params[0].layout.size, np.nan))
+    for k in range(n):
+        assert stage1_aggregate(params, sizes, weighting, (k, n), merged) is merged
+    return merged
+
+
+class TestPartsMatchTheWholeReduction:
+    """The processes of a run each write one part of the rows of every
+    reduction; together the parts give the bytes of one process."""
+
+    @given(seed=st.integers(0, 10**6), parts=st.integers(1, 5), budget=slab_budgets)
+    @settings(max_examples=60, deadline=None)
+    def test_heterofl_random_mlp_specs(self, seed, parts, budget):
+        rng = np.random.default_rng(seed)
+        hidden = tuple(int(h) for h in rng.integers(1, 10, size=rng.integers(1, 3)))
+        base = mlp_spec((int(rng.integers(1, 6)),), hidden, int(rng.integers(2, 5)))
+        global_params = spread_params(base, seed)
+        contributions = [with_signed_zeros(p, rng) for p in random_contributions(base, rng, int(rng.integers(1, 20)))]
+        with slab_budget(budget):
+            merged = heterofl_in_parts(global_params, contributions, parts, rng.permutation(parts).tolist())
+            assert_same_bytes(merged, heterofl_aggregate(global_params, contributions))
+
+    @given(seed=st.integers(0, 10**6), parts=st.integers(1, 5), budget=slab_budgets)
+    @settings(max_examples=25, deadline=None)
+    def test_heterofl_random_cnn_specs(self, seed, parts, budget):
+        rng = np.random.default_rng(seed)
+        channels = tuple(int(c) for c in rng.integers(1, 7, size=rng.integers(1, 3)))
+        base = cnn_spec((int(rng.integers(1, 3)), 6, 6), channels, int(rng.integers(2, 4)),
+                        dense_width=int(rng.integers(2, 9)))
+        global_params = spread_params(base, seed)
+        contributions = [with_signed_zeros(p, rng) for p in random_contributions(base, rng, int(rng.integers(1, 10)))]
+        assert any(t.ndim == 4 for t in global_params.tensors.values())
+        with slab_budget(budget):
+            merged = heterofl_in_parts(global_params, contributions, parts)
+            assert_same_bytes(merged, heterofl_aggregate(global_params, contributions))
+
+    @given(
+        spec=model_specs(),
+        members=st.integers(1, 13),
+        weighting=st.sampled_from(STAGE1_WEIGHTINGS),
+        parts=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+        budget=slab_budgets,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stage1_random_specs(self, spec, members, weighting, parts, seed, budget):
+        rng = np.random.default_rng(seed)
+        params = [with_signed_zeros(spread_params(spec, seed + i), rng) for i in range(members)]
+        sizes = [int(n) for n in rng.integers(1, 200, size=members)]
+        with slab_budget(budget):
+            merged = stage1_in_parts(params, sizes, weighting, parts)
+            assert_same_bytes(merged, stage1_aggregate(params, data_sizes=sizes, weighting=weighting))
+
+    @pytest.mark.parametrize("parts", range(1, 6))
+    def test_a_part_of_one_row_sums_in_sorted_order(self, parts):
+        # the data of test_lone_coordinate_sums_in_sorted_order: the cell of
+        # rows 0-2 has nine clients, so three parts make one-coordinate slabs
+        # of nine operands, which NumPy would sum pairwise; five parts leave
+        # some parts of the cells of four and of one row empty
+        values = [-1e16] + [1.0] * 6 + [1e16]
+        global_params = ModelParams.from_tensors({"b": np.zeros(4)})
+        contributions = [ModelParams.from_tensors({"b": np.full(3, 7.0)})]
+        contributions += [ModelParams.from_tensors({"b": np.full(4, v)}) for v in values]
+        merged = heterofl_in_parts(global_params, contributions, parts)
+        assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
+        assert merged.tensors["b"][3] == 0.0
+        nine = contributions[1:] + [ModelParams.from_tensors({"b": np.full(4, 2.0)})]
+        assert_same_bytes(stage1_in_parts(nine, [1] * 9, "uniform", parts), stage1_aggregate(nine))
+
+    @pytest.mark.parametrize("parts", range(1, 6))
+    def test_negative_zeros_in_parts(self, parts):
+        global_params = ModelParams.from_tensors({"b": np.ones(4)})
+        contributions = [ModelParams.from_tensors({"b": np.full(n, -0.0)}) for n in (2, 3, 4, 4)]
+        merged = heterofl_in_parts(global_params, contributions, parts)
+        assert_same_bytes(merged, heterofl_canvas(global_params, contributions))
+        assert not np.any(np.signbit(merged.tensors["b"]))
+        zeros = [ModelParams.from_tensors({"b": np.full(4, -0.0)}) for _ in range(3)]
+        assert not np.any(np.signbit(stage1_in_parts(zeros, [1, 2, 3], "data_size", parts).flat))
+
+
 class TestEvaluate:
     def test_matches_naive_argmax_across_chunks(self):
         spec = small_spec(hidden=(512,))
@@ -1240,6 +1341,15 @@ def desk_config(**overrides):
     )
     defaults.update(overrides)
     return FedConfig(**defaults)
+
+
+def mapping_of(array: np.ndarray) -> mmap.mmap:
+    """The shared mapping whose memory ``array`` views."""
+
+    while isinstance(array, np.ndarray):
+        array = array.base
+    assert isinstance(array.obj, mmap.mmap)
+    return array.obj
 
 
 class TestRunExperiment:
@@ -1347,29 +1457,28 @@ class TestRunExperiment:
                                 runs["fedavg", "data_size"].states[0].params)
 
     @pytest.mark.parametrize("algorithm", ["fedtsa", "fedavg", "fedprox", "heterofl"])
-    def test_trained_models_do_not_outlive_their_round(self, algorithm, monkeypatch):
-        # weak references to every model local_update returns; at the first
-        # update of each later round, none from the round before is alive
-        this_round, last_round, alive_at_next_round = [], [], []
+    def test_each_client_trains_in_the_same_slot_of_one_mapping_every_round(self, algorithm, monkeypatch):
+        # every vector local_update trains, in every round, is the client's
+        # own slot of the one shared mapping, so no round allocates another
+        slots = {}  # client id -> the addresses its model was trained at
+        mappings = set()
         original = fedsim.engine.local_update
 
-        def tracked(*args, **kwargs):
-            if last_round:
-                gc.collect()
-                alive_at_next_round.append(sum(ref() is not None for ref in last_round))
-                last_round.clear()
-            result = original(*args, **kwargs)
-            this_round.append(weakref.ref(result[0]))
+        def tracked(spec, params, features, labels, config, seed, **kwargs):
+            result = original(spec, params, features, labels, config, seed, **kwargs)
+            slots.setdefault(seed.spawn_key[1], set()).add(result[0].flat.ctypes.data)
+            mappings.add(id(mapping_of(result[0].flat)))
             return result
 
-        def round_ended(_metrics):
-            last_round.extend(this_round)
-            this_round.clear()
-
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every update in this process
         monkeypatch.setattr(fedsim.engine, "local_update", tracked)
-        cfg = desk_config(algorithm=algorithm, rounds=3)
-        run_experiment(cfg, self.base, self.train, self.test, self.profiles, on_round=round_ended)
-        assert alive_at_next_round == [0, 0]
+        run = run_experiment(desk_config(algorithm=algorithm, rounds=3), self.base, self.train, self.test,
+                             self.profiles)
+        assert sorted(slots) == sorted(p.client_id for p in self.profiles)
+        assert all(len(addresses) == 1 for addresses in slots.values())
+        assert len({address for addresses in slots.values() for address in addresses}) == len(slots)
+        assert len(mappings) == 1
+        assert id(mapping_of(run.states[0].params.flat)) in mappings
 
     @pytest.mark.parametrize(
         "overrides",
