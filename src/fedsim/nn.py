@@ -12,14 +12,15 @@ them by the weights with BLAS.  Its weight gradient is one BLAS product per
 sample, ``dy[s] @ cols[s].T``, added up in sample order, so ``dw`` does not
 depend on how a gather laid out its memory.  The maxpool copies the windows
 offset-major and keeps, with strict ``>`` comparisons in row-major offset
-order, the first maximum of each window: a tie of -0.0 and +0.0 keeps the
-one that comes first, and a NaN, once taken, stays, as with ``argmax``.  Both
-backward passes scatter window values back with one strided slice add per
-window offset (col2im): the conv its column gradients, the maxpool the
-upstream gradient routed to each window's maximum.  Offsets are added in a
-fixed order, so results are deterministic for fixed inputs.  Evaluation
-(:func:`model_forward`) drops each layer's cache as soon as the next layer
-has run.
+order, the first maximum of each window and the offset it sits at: a tie of
+-0.0 and +0.0 keeps the one that comes first, and a NaN, once taken, stays,
+as with ``argmax``.  Both backward passes sum window values back onto a
+zeroed map with one ``np.add.at`` over flat pixel positions (col2im): the
+conv its column gradients, the maxpool the upstream gradient of each window
+at its maximum.  The positions are ordered so that every pixel adds its
+addends in ascending window offset, so results are deterministic for fixed
+inputs.  Evaluation (:func:`model_forward`) drops each layer's cache as soon
+as the next layer has run.
 
 Training runs on flat vectors: a :class:`fedsim.models.ModelParams` is one
 contiguous float64 vector laid out by ``spec.layout``, with a read-only
@@ -32,6 +33,8 @@ parameters and the input shape.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -56,27 +59,41 @@ def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     )
 
 
-def _col2im(parts, k: int, stride: int, shape) -> np.ndarray:
-    """Sum window values back onto a zeroed ``(n, c, h, w)`` map.
+@functools.lru_cache(maxsize=256)
+def _window_pixels(c: int, h: int, w: int, k: int, stride: int) -> np.ndarray:
+    """Flat position, in one sample's C-ordered ``(c, h, w)`` map, of pixel
+    ``(di, dj)`` of every ``k x k`` window, read-only ``(c, k*k, out_h, out_w)``
+    with ``kk = di*k + dj``: ``[:, 0]`` holds each window's origin and
+    ``[0, :, 0, 0]`` each offset's distance from it."""
 
-    ``parts`` yields, for each window offset ``kk = di*k + dj`` in ascending
-    order, the ``(n, c, out_h*out_w)`` values at that offset.  Each offset is
-    one strided slice add, so every pixel sums its addends in ascending
-    ``kk``, the order ``np.add.at`` over the windows would take.
+    out_h = (h - k) // stride + 1
+    out_w = (w - k) // stride + 1
+    pixels = (
+        np.arange(c, dtype=np.intp).reshape(c, 1, 1, 1) * (h * w)
+        + (np.arange(k, dtype=np.intp)[:, None] * w + np.arange(k)).reshape(1, k * k, 1, 1)
+        + np.arange(out_h, dtype=np.intp)[:, None] * (stride * w)
+        + np.arange(out_w, dtype=np.intp) * stride
+    )
+    pixels.flags.writeable = False
+    return pixels
+
+
+def _sample_starts(shape) -> np.ndarray:
+    """Flat offset of each sample's ``(c, h, w)`` map in an ``(n, c, h, w)`` one."""
+
+    n, c, h, w = shape
+    return np.arange(0, n * c * h * w, c * h * w, dtype=np.intp)
+
+
+def _col2im(values: np.ndarray, index: np.ndarray, shape) -> np.ndarray:
+    """Sum ``values`` onto a zeroed ``shape`` map at the flat positions ``index``.
+
+    One ``np.add.at`` over a 1-D operand and a 1-D index, which adds in index
+    order: a pixel sums its addends onto +0.0 in the order they are listed.
     """
 
-    n, c, h, wid = shape
-    out_h = (h - k) // stride + 1
-    out_w = (wid - k) // stride + 1
     out = np.zeros(shape, dtype=np.float64)
-    for kk, part in enumerate(parts):
-        di, dj = divmod(kk, k)
-        out[
-            :,
-            :,
-            di : di + stride * (out_h - 1) + 1 : stride,
-            dj : dj + stride * (out_w - 1) + 1 : stride,
-        ] += part.reshape(n, c, out_h, out_w)
+    np.add.at(out.reshape(-1), index, values.reshape(-1))
     return out
 
 
@@ -128,9 +145,12 @@ def _conv_backward(dy, w, layer: LayerSpec, cache, dw, db, need_dx=True):
     np.add.reduce(dyl, axis=(0, 2), out=db)
     if not need_dx:
         return None
-    wm = w.reshape(w.shape[0], -1)
-    dcols = np.matmul(wm.T, dyl).reshape(n, c, k * k, -1)
-    xp_grad = _col2im(dcols.transpose(2, 0, 1, 3), k, s, (n, c, h + 2 * p, wid + 2 * p))
+    # (n, c, k*k, L) column gradients, scattered in that order: each pixel
+    # adds its addends in ascending window offset
+    dcols = np.matmul(w.reshape(w.shape[0], -1).T, dyl)
+    shape = (n, c, h + 2 * p, wid + 2 * p)
+    pixels = _window_pixels(c, shape[2], shape[3], k, s).reshape(-1)
+    xp_grad = _col2im(dcols, (_sample_starts(shape)[:, None] + pixels).reshape(-1), shape)
     return xp_grad[:, :, p : p + h, p : p + wid] if p else xp_grad
 
 
@@ -140,35 +160,44 @@ def _maxpool_forward(x, layer: LayerSpec):
     The window offsets are copied offset-major, then visited in row-major
     order; an offset replaces the running maximum only where it is larger, so
     a tie keeps the first, whichever zero it is.  A NaN counts as larger and,
-    once taken, is never replaced, as with ``argmax``.  The cache holds, for
-    each offset after the first, where it was taken.
+    once taken, is never replaced, as with ``argmax``.  The cache holds each
+    window's winning offset ``kk = di*k + dj``, in the narrowest unsigned
+    type that holds ``k*k - 1``.
     """
 
     k = layer.kernel
     windows = np.ascontiguousarray(_windows(x, k, layer.stride).transpose(2, 3, 0, 1, 4, 5))
     windows = windows.reshape(k * k, *windows.shape[2:])  # (k*k, n, c, out_h, out_w)
     y = windows[0]
-    taken = np.empty((k * k - 1, *y.shape), dtype=bool)
+    won = np.zeros(y.shape, dtype=np.min_scalar_type(k * k - 1))
+    take = np.empty(y.shape, dtype=bool)
+    mark = np.empty(y.shape, dtype=won.dtype)
     for kk in range(1, k * k):
-        take = np.less_equal(windows[kk], y, out=taken[kk - 1])
+        np.less_equal(windows[kk], y, out=take)
         np.logical_not(take, out=take)  # larger, or a NaN on either side
         take &= y == y  # but a NaN already taken stays
         y = np.where(take, windows[kk], y)
-    return y, (x.shape, taken)
+        # offsets rise, so the last one taken is the largest
+        np.maximum(won, np.multiply(take, won.dtype.type(kk), out=mark), out=won)
+    return y, (x.shape, won)
 
 
 def _maxpool_backward(dy, layer: LayerSpec, cache):
-    x_shape, taken = cache
-    # an offset won where it was taken and no later offset was; offset 0
-    # won where none was
-    won = []
-    later = np.zeros(dy.shape, dtype=bool)
-    for take in taken[::-1]:
-        won.append(take & ~later)
-        later |= take
-    won.append(~later)
-    parts = (np.where(mask, dy, 0.0) for mask in reversed(won))
-    return _col2im(parts, layer.kernel, layer.stride, x_shape)
+    """``dy`` summed onto each window's winning pixel.
+
+    Windows are scattered in reverse order: within one plane a later window
+    reaches a shared pixel from an earlier offset, so every pixel adds its
+    addends in ascending offset, whatever the stride.
+    """
+
+    x_shape, won = cache
+    _, c, h, wid = x_shape
+    pixels = _window_pixels(c, h, wid, layer.kernel, layer.stride)
+    # positions in np.intp: the offset table, not the narrow winner, is scaled
+    at = pixels[0, :, 0, 0].take(won)
+    at += pixels[:, 0]
+    at += _sample_starts(x_shape).reshape(-1, 1, 1, 1)
+    return _col2im(dy.reshape(-1)[::-1], at.reshape(-1)[::-1], x_shape)
 
 
 def _check_batch(expected: tuple[int, ...], batch: np.ndarray) -> np.ndarray:

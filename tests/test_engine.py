@@ -50,6 +50,7 @@ from fedsim.models import (
     validate_params,
 )
 from fedsim.nn import forward_cached, model_backward, model_forward, sgd_step
+from test_nn import slice_add_conv_dx
 
 
 def small_spec(rate=1.0, input_dim=6, hidden=(8,), classes=3):
@@ -752,10 +753,7 @@ def reference_backward(spec, params, caches, logit_grad):
                 dw = dw + dyl[sample] @ cols[sample].T
             grads[f"layer{idx}.weight"] = dw.reshape(w.shape)
             grads[f"layer{idx}.bias"] = dyl.sum(axis=(0, 2))
-            dcols = np.matmul(w.reshape(w.shape[0], -1).T, dyl).reshape(n, c, k * k, -1)
-            shape = (n, c, h + 2 * p, wid + 2 * p)
-            padded = fedsim.nn._col2im(dcols.transpose(2, 0, 1, 3), k, s, shape)
-            grad = padded[:, :, p : p + h, p : p + wid] if p else padded
+            grad = slice_add_conv_dx(w, k, s, p, (n, c, h, wid), grad)
         elif layer.kind == "relu":
             grad = grad * cache
         elif layer.kind == "maxpool":

@@ -1,4 +1,4 @@
-"""Finite-difference, brute-force and ``np.add.at`` oracles for the network kernel."""
+"""Finite-difference, brute-force, ``np.add.at`` and slice-add oracles for the network kernel."""
 
 import numpy as np
 import pytest
@@ -142,6 +142,55 @@ def add_at_maxpool(x, k, stride, dy):
     return y.reshape(n, c, out_h, out_w), dx
 
 
+def slice_add_col2im(parts, k, stride, shape):
+    """Sum window values back onto a zeroed ``(n, c, h, w)`` map.
+
+    ``parts`` yields, for each window offset ``kk = di*k + dj`` in ascending
+    order, the ``(n, c, out_h*out_w)`` values at that offset.  Each offset is
+    one strided slice add, so every pixel sums its addends in ascending
+    ``kk``.
+    """
+
+    n, c, h, wid = shape
+    out_h = (h - k) // stride + 1
+    out_w = (wid - k) // stride + 1
+    out = np.zeros(shape, dtype=np.float64)
+    for kk, part in enumerate(parts):
+        di, dj = divmod(kk, k)
+        out[
+            :,
+            :,
+            di : di + stride * (out_h - 1) + 1 : stride,
+            dj : dj + stride * (out_w - 1) + 1 : stride,
+        ] += part.reshape(n, c, out_h, out_w)
+    return out
+
+
+def slice_add_conv_dx(w, k, stride, padding, x_shape, dy):
+    """The conv input gradient through :func:`slice_add_col2im`."""
+
+    n, c, h, wid = x_shape
+    dyl = dy.reshape(n, dy.shape[1], -1)
+    dcols = np.matmul(w.reshape(w.shape[0], -1).T, dyl).reshape(n, c, k * k, -1)
+    shape = (n, c, h + 2 * padding, wid + 2 * padding)
+    padded = slice_add_col2im(dcols.transpose(2, 0, 1, 3), k, stride, shape)
+    return padded[:, :, padding : padding + h, padding : padding + wid]
+
+
+def slice_add_maxpool_dx(x, k, stride, dy):
+    """The maxpool input gradient through :func:`slice_add_col2im`: each
+    window's ``dy`` at its ``argmax``, zero at its other offsets."""
+
+    n, c, h, wid = x.shape
+    out_h = (h - k) // stride + 1
+    out_w = (wid - k) // stride + 1
+    i, j = gather_indices(k, stride, out_h, out_w)
+    amax = x[:, :, i, j].argmax(axis=2)
+    dyl = dy.reshape(n, c, -1)
+    parts = (np.where(amax == kk, dyl, 0.0) for kk in range(k * k))
+    return slice_add_col2im(parts, k, stride, x.shape)
+
+
 def with_zeros(rng, a):
     """``a`` with about a tenth of its entries set to -0.0 and a tenth to +0.0."""
 
@@ -158,7 +207,7 @@ def assert_same_bytes(got, expected):
 
 
 class TestKernelsAgainstAddAt:
-    """The slice-add col2im and maxpool backward against ``np.add.at``."""
+    """The conv and maxpool kernels against ``np.add.at`` over 4-d indices."""
 
     @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize("padding", [0, 1])
@@ -227,6 +276,55 @@ class TestKernelsAgainstAddAt:
         np.testing.assert_array_equal(np.isnan(y), nan_windows == np.inf)
         dx = _maxpool_backward(np.ones(y.shape), layer, cache)
         np.testing.assert_array_equal(dx, expected_dx)
+
+
+def with_nans(rng, a, share=0.05):
+    a[rng.random(a.shape) < share] = np.nan
+    return a
+
+
+class TestBackwardAgainstSliceAdds:
+    """Both col2im backwards against one strided slice add per window offset,
+    byte for byte: every pixel sums its addends onto +0.0 in ascending offset."""
+
+    @pytest.mark.parametrize("shape", [(3, 2, 8, 9), (2, 3, 7, 10)])
+    @pytest.mark.parametrize("k, stride", [(3, 1), (2, 1), (3, 2), (2, 3), (2, 2), (3, 3)])
+    def test_pool_is_bitwise_equal(self, shape, k, stride):
+        rng = np.random.default_rng(100 * k + 10 * stride + shape[-1])
+        z = rng.normal(size=shape)
+        x = with_nans(rng, with_zeros(rng, z * (z > 0)))
+        layer = LayerSpec(kind="maxpool", kernel=k, stride=stride)
+        y, cache = _maxpool_forward(x, layer)
+        dy = with_nans(rng, with_zeros(rng, rng.normal(size=y.shape)))
+        dx = _maxpool_backward(dy, layer, cache)
+        assert_same_bytes((dx,), (slice_add_maxpool_dx(x, k, stride, dy),))
+
+    # the wide map has rows of 300 pixels: a narrow position type would wrap
+    @pytest.mark.parametrize("shape", [(3, 2, 9, 8), (2, 2, 4, 300)])
+    @pytest.mark.parametrize("k, stride, padding", [(3, 2, 1), (3, 1, 1), (2, 3, 0), (1, 2, 2)])
+    def test_conv_is_bitwise_equal(self, shape, k, stride, padding):
+        rng = np.random.default_rng(100 * k + 10 * stride + padding + shape[-1])
+        x = with_nans(rng, with_zeros(rng, rng.normal(size=shape)))
+        w = with_zeros(rng, rng.normal(size=(4, shape[1], k, k)))
+        layer = LayerSpec(kind="conv", width=4, base_width=4, kernel=k, stride=stride,
+                          padding=padding)
+        y, cache = _conv_forward(x, w, rng.normal(size=4), layer)
+        dy = with_nans(rng, with_zeros(rng, rng.normal(size=y.shape)))
+        dx = _conv_backward(dy, w, layer, cache, np.empty(w.shape), np.empty(4))
+        assert_same_bytes((dx,), (slice_add_conv_dx(w, k, stride, padding, shape, dy),))
+
+    @pytest.mark.parametrize("k, stride", [(2, 1), (17, 2)])
+    def test_pool_positions_do_not_wrap_on_wide_maps(self, k, stride):
+        # rows of 300 pixels, and with k = 17 winning offsets up to 288,
+        # which need two bytes: a narrow position type would wrap
+        rng = np.random.default_rng(k)
+        x = rng.normal(size=(2, 2, 20, 300))
+        layer = LayerSpec(kind="maxpool", kernel=k, stride=stride)
+        y, cache = _maxpool_forward(x, layer)
+        dy = rng.normal(size=y.shape)
+        assert_same_bytes((y, _maxpool_backward(dy, layer, cache)),
+                          (brute_force_maxpool(x, k, stride),
+                           slice_add_maxpool_dx(x, k, stride, dy)))
 
 
 class TestForwardAgainstBruteForce:
@@ -424,9 +522,9 @@ class TestBackwardAgainstFiniteDifferences:
     def test_first_layer_computes_no_input_gradient(self, monkeypatch):
         calls = []
 
-        def counted(parts, k, stride, shape, real=fedsim.nn._col2im):
+        def counted(values, index, shape, real=fedsim.nn._col2im):
             calls.append(shape)
-            return real(parts, k, stride, shape)
+            return real(values, index, shape)
 
         monkeypatch.setattr("fedsim.nn._col2im", counted)
         spec = cnn_spec((1, 8, 8), (2, 3), 3, dense_width=4)
