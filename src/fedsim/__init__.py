@@ -16,6 +16,8 @@ The package is organised around a handful of small, pure modules:
   density-valley clustering with pruning-rate assignment.
 * :mod:`fedsim.engine` -- local updates, the two aggregation stages, baseline
   aggregators, and a run as ``prepare_run`` then one ``run_round`` per round.
+* :mod:`fedsim.procs` -- the helper processes a run forks, and the one call
+  that runs a phase of a round in every process.
 * :mod:`fedsim.settings` / :mod:`fedsim.config` / :mod:`fedsim.cli` -- config
   settings declared once each, strict YAML configuration and the command
   line harness.

@@ -14,17 +14,11 @@ grouped and how their updates are merged:
 * ``heterofl`` -- duration-based clusters sharing one full-width global model;
   each coordinate is averaged over the clients whose submodel covers it.
 
-A round runs in up to one process per CPU the process may use.
-:func:`run_experiment` maps one shared region for every vector a round
-moves (:class:`_Slots`), then forks ``min(CPUs, clients) - 1`` helpers, and
-each process keeps, for the whole run, a share of the clients and of the
-clusters, each balanced by estimated cost (see :class:`_Helpers`).  The
-processes send each other only control, in :func:`_send` messages.  Each
-round (see :func:`run_round`) every process trains its clients, each into
-its own slot, then merges its part of the rows of every tensor (Stage 1 or
-the HeteroFL merge), then runs Stage 2 on the clusters it owns, in
-lockstep, each step's logits in slots of their own (see :func:`stage2_dml`),
-and evaluates them.
+A round runs in up to one process per CPU the process may use, as three
+phases run in every process (:func:`_train_share`, :func:`_aggregate` and
+:func:`_server_half`), over one shared region that holds every vector a
+round moves (:class:`_Slots`); :mod:`fedsim.procs` forks the helpers and
+runs each phase in all of them.
 
 An update is a pure function of its start vector, its rows and its own
 ``(client, round)`` stream, a Stage-2 step of the consensus and its own
@@ -43,8 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import pickle
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -82,6 +74,7 @@ from fedsim.models import (
     validate_params,
 )
 from fedsim.nn import backward_from_cache, forward_cached, model_forward, sgd_step
+from fedsim.procs import Helpers, Lockstep, cpus
 from fedsim.settings import coerce, setting
 
 ALGORITHMS = ("fedtsa", "fedavg", "fedprox", "heterofl")
@@ -489,7 +482,7 @@ def stage2_dml(
     states: list[ClusterState],
     batches: list[np.ndarray],
     config: FedConfig,
-    lockstep: _Lockstep | None = None,
+    lockstep: Lockstep | None = None,
 ) -> tuple[list[ClusterState], float]:
     """Deep mutual learning between cluster models on unlabeled inputs.
 
@@ -504,7 +497,7 @@ def stage2_dml(
     parameters are checked against its spec once, on entry, and trained in
     place on a private copy; the input states are not written.
 
-    ``lockstep`` spreads the clusters over processes (see :class:`_Helpers`):
+    ``lockstep`` spreads the clusters over processes (see :mod:`fedsim.procs`):
     this process steps only ``lockstep.owned``, and for each batch it gathers
     the other clusters' logits from the processes that step them, so every
     process builds the same consensus; with shared ``slots``, each owned
@@ -524,7 +517,7 @@ def stage2_dml(
     m = len(states)
     if m == 1 and not config.include_self_in_consensus:
         raise EngineError("consensus over zero peers: a single cluster must include itself")
-    lockstep = lockstep or _Lockstep(range(m))
+    lockstep = lockstep or Lockstep(range(m))
     owned = lockstep.owned
     steps = config.global_epochs * len(batches)
     kl = np.zeros((steps, len(owned)))
@@ -756,18 +749,20 @@ def _round_batches(run: RunState, t: int) -> list[np.ndarray]:
     return run.distill_batches
 
 
-def _train_share(run: RunState, t: int, share: list[int], trained: list[ModelParams]) -> list:
-    """The local updates of round ``t`` of the clients at positions ``share``, in order.
+def _train_share(run: RunState, t: int, me) -> list:
+    """The local updates of round ``t`` of the clients at positions
+    ``me.share``, in order: the first phase of a round.
 
-    A member of cluster ``c`` starts from ``run.states[c].params`` and is
-    trained in ``trained[pos]``.  Each outcome is its loss or the exception
-    it raised; the first exception ends the share, as no later client of it
-    can fail first.
+    ``me`` is the running process's own side (see :mod:`fedsim.procs`), as
+    in every phase.  A member of cluster ``c`` starts from
+    ``run.states[c].params`` and is trained in ``me.slots.trained[pos]``.
+    Each outcome is its loss or the exception it raised; the first exception
+    ends the share, as no later client of it can fail first.
     """
 
     config = run.config
     outcomes = []
-    for pos in share:
+    for pos in me.share:
         state = run.states[run.assignment.cluster_of[pos]]
         idx = run.partition.client_indices[pos]
         try:
@@ -779,7 +774,7 @@ def _train_share(run: RunState, t: int, share: list[int], trained: list[ModelPar
                 config,
                 stream_seed(config.master_seed, _STREAM_LOCAL, run.profiles[pos].client_id, t),
                 prox_reference=state.params if config.algorithm == "fedprox" else None,
-                out=trained[pos],
+                out=me.slots.trained[pos],
             )
         except Exception as exc:
             outcomes.append(exc)
@@ -788,11 +783,12 @@ def _train_share(run: RunState, t: int, share: list[int], trained: list[ModelPar
     return outcomes
 
 
-def _aggregate(run: RunState, trained: list[ModelParams], part) -> None:
-    """Part ``part`` of the Stage-1 average of each cluster's members'
-    ``trained`` models (one per position), or of the HeteroFL merge of every
-    member's, written in place into the run's models."""
+def _aggregate(run: RunState, me) -> None:
+    """Part ``me.part`` of the Stage-1 average of each cluster's members'
+    trained models, or of the HeteroFL merge of every member's, written in
+    place into the run's models: the second phase of a round."""
 
+    trained, part = me.slots.trained, me.part
     members = [run.assignment.members(c) for c in range(len(run.states))]
     if run.config.algorithm == "heterofl":
         heterofl_aggregate(run.global_params, [trained[p] for p in np.concatenate(members)], part, run.global_params)
@@ -802,9 +798,9 @@ def _aggregate(run: RunState, trained: list[ModelParams], part) -> None:
         stage1_aggregate(models, run.partition.sizes()[positions], run.config.stage1_weighting, part, state.params)
 
 
-def _server_half(run: RunState, t: int, lockstep: _Lockstep) -> tuple[float, list]:
-    """Stage 2 of round ``t`` (``fedtsa`` only), then the evaluation of each
-    cluster in ``lockstep.owned``.
+def _server_half(run: RunState, t: int, me: Lockstep) -> tuple[float, list]:
+    """Stage 2 of round ``t`` (``fedtsa`` only), in lockstep ``me``, then the
+    evaluation of each cluster in ``me.owned``: the third phase of a round.
 
     Stage 2's models replace those in ``run.states``, and a
     :class:`FedsimError` it raises becomes an :class:`EngineError` naming the
@@ -817,11 +813,11 @@ def _server_half(run: RunState, t: int, lockstep: _Lockstep) -> tuple[float, lis
     stage2_kl = 0.0
     if config.algorithm == "fedtsa":
         try:
-            run.states, stage2_kl = stage2_dml(run.states, _round_batches(run, t), config, lockstep)
+            run.states, stage2_kl = stage2_dml(run.states, _round_batches(run, t), config, me)
         except FedsimError as exc:
             raise EngineError(f"round {t}, stage 2: {exc}") from exc
     outcomes = []
-    for c in lockstep.owned:
+    for c in me.owned:
         state = run.states[c]
         try:
             outcomes.append(evaluate(state.spec, state.params, run.test.features, run.test.labels))
@@ -866,65 +862,6 @@ def _split(run: RunState, count: int) -> tuple[list[list[int]], list[list[int]]]
     return [order[share].tolist() for share in clients], _shares(sizes, count)
 
 
-def _send(pipe, obj) -> None:
-    """Write ``obj`` to ``pipe`` as one message, which :func:`_recv` reads:
-    the length of its pickle (8 bytes), then the pickle."""
-
-    data = pickle.dumps(obj, protocol=5)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[pipe.write(view) :]
-
-
-def _read(pipe, size: int) -> bytearray:
-    """The next ``size`` bytes of ``pipe``; :class:`EOFError` if it ends first."""
-
-    data = bytearray(size)
-    view = memoryview(data)
-    while view:
-        count = pipe.readinto(view)
-        if not count:
-            raise EOFError("pipe closed")
-        view = view[count:]
-    return data
-
-
-def _recv(pipe):
-    """The next object :func:`_send` wrote to ``pipe``."""
-
-    return pickle.loads(_read(pipe, int.from_bytes(_read(pipe, 8), "little")))
-
-
-class _RemoteTraceback(Exception):
-    """A helper's formatted traceback: the ``__cause__`` of an exception it sent."""
-
-
-class _Sent:
-    """An exception as a helper sends it.  It unpickles as the exception
-    itself, type and message unchanged, with the helper's formatted traceback
-    as its ``__cause__``, as ``concurrent.futures`` does for its workers."""
-
-    def __init__(self, exc: BaseException):
-        import traceback  # here, not above: only a failure formats one
-
-        self.exc = exc
-        self.text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-
-    def __reduce__(self):
-        return _with_remote_cause, (self.exc, self.text)
-
-
-def _with_remote_cause(exc: BaseException, text: str) -> BaseException:
-    exc.__cause__ = _RemoteTraceback(f'\n"""\n{text}"""')
-    return exc
-
-
-def _sendable(outcomes: list) -> list:
-    """``outcomes`` with each exception among them as :class:`_Sent`."""
-
-    return [_Sent(o) if isinstance(o, BaseException) else o for o in outcomes]
-
-
 class _Slots:
     """Every vector a round moves, in one anonymous shared mapping made
     before the helpers fork, so no vector travels in a message: the client
@@ -956,232 +893,39 @@ class _Slots:
             run.global_params = slots[-1]
 
 
-class _Lockstep:
-    """Stage 2 in one process alone: it steps every cluster in ``owned``.
+def _helpers(run: RunState, count: int | None = None) -> Helpers:
+    """``count`` processes for ``run``'s rounds, this one and ``count - 1``
+    forked helpers, each with a share of the clients and of the clusters
+    (:func:`_split`) and the run's :class:`_Slots`, mapped before the first
+    fork.  ``count`` is by default ``min(CPUs, clients)``
+    (:func:`fedsim.procs.cpus`)."""
 
-    Spread over processes, each steps the clusters it owns; :class:`_Helpers`
-    is the parent's side and :class:`_Peer` a helper's, both with the run's
-    ``slots``.  For each step, :meth:`gather` writes the logits of this
-    process's clusters (``None`` once it has failed) to their slots and,
-    once :meth:`agree` says every process is ok, returns every cluster's in
-    cluster order, else ``None``, which ends Stage 2 in all of them.  At the
-    end, :meth:`finish` takes this process's per-step KL values (one column
-    per owned cluster) and first failure (``None`` if none), and returns
-    those of every cluster and the first failure of any process.
-    """
-
-    def __init__(self, owned, slots: _Slots | None = None):
-        self.owned = list(owned)
-        self.slots = slots
-
-    def gather(self, step: int, logits: list[np.ndarray] | None) -> list[np.ndarray] | None:
-        if self.slots is None:
-            return logits
-        if logits is not None:
-            self.slots.logits[step][self.owned] = logits
-        return list(self.slots.logits[step]) if self.agree(logits is not None) else None
-
-    def finish(self, kl: np.ndarray, failure: tuple | None) -> tuple[np.ndarray, tuple | None]:
-        return kl, failure
+    shares, owners = _split(run, min(cpus(), len(run.profiles)) if count is None else count)
+    return Helpers(run, shares, owners, _Slots(run), (_train_share, _aggregate, _server_half))
 
 
-class _Peer(_Lockstep):
-    """A helper's side of the Stage-2 lockstep, over its pipes to the parent.
-
-    For each step it tells the parent whether it is ok and hears whether
-    every process is.  At the end it sends its KL values and its first
-    failure; a helper that failed or was stopped then ends, as the parent
-    raises the first failure and reaps it.
-    """
-
-    def __init__(self, owned: list[int], slots: _Slots, commands, replies):
-        super().__init__(owned, slots)
-        self.commands, self.replies = commands, replies
-        self.stopped = False
-
-    def agree(self, ok):
-        _send(self.replies, ok)
-        self.stopped = not _recv(self.commands)
-        return not self.stopped
-
-    def finish(self, kl, failure):
-        _send(self.replies, (kl, None if failure is None else (failure[0], _Sent(failure[1]))))
-        if failure is not None or self.stopped:
-            os._exit(0)
-        return kl, None
-
-
-class _Helper:
-    """A forked process that, every round, trains one fixed share of the
-    clients, merges part ``part`` of every vector, and runs the server half
-    (Stage 2 and evaluation) of the clusters it owns, ``owned``.  It
-    inherits the run and its ``slots`` through the fork (see :func:`_serve`).
-
-    The helper ends only through ``os._exit``, so it never returns into the
-    caller or flushes the stdio it inherited.  It ends on any error of its
-    own, and when its command pipe reaches end of file: the parent closes the
-    pipe to stop it, and the pipe also ends if the parent dies.
-    """
-
-    def __init__(
-        self, run: RunState, share: list[int], owned: list[int], slots: _Slots, part: tuple, others: list[_Helper]
-    ):
-        self.share, self.owned = share, owned
-        commands_r, commands_w = os.pipe()
-        replies_r, replies_w = os.pipe()
-        try:
-            self.pid = os.fork()
-        except BaseException:
-            for fd in (commands_r, commands_w, replies_r, replies_w):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            try:
-                os.close(commands_w)
-                os.close(replies_r)
-                for other in others:
-                    other.close()
-                commands, replies = open(commands_r, "rb", buffering=0), open(replies_w, "wb", buffering=0)
-                _serve(run, share, part, _Peer(owned, slots, commands, replies))
-            finally:
-                os._exit(0)
-        os.close(commands_r)
-        os.close(replies_w)
-        self.commands = open(commands_w, "wb", buffering=0)
-        self.replies = open(replies_r, "rb", buffering=0)
-
-    def send(self, obj, where: str = "") -> None:
-        """Send ``obj`` to the helper; a closed pipe is ``EngineError("{where}helper {pid} has exited")``."""
-
-        try:
-            _send(self.commands, obj)
-        except OSError as exc:
-            raise EngineError(f"{where}helper {self.pid} has exited") from exc
-
-    def recv(self, where: str = ""):
-        """The helper's next message; a closed pipe is an :class:`EngineError`, as in :meth:`send`."""
-
-        try:
-            return _recv(self.replies)
-        except (OSError, EOFError) as exc:
-            raise EngineError(f"{where}helper {self.pid} has exited") from exc
-
-    def close(self) -> None:
-        self.commands.close()
-        self.replies.close()
-
-
-def _serve(run: RunState, share: list[int], part: tuple[int, int], peer: _Peer) -> None:
-    """A helper's loop over the rounds the parent sends, until the command
-    pipe ends (:class:`EOFError`); the messages of a round are those of
-    :func:`run_round`, each sent once the slots it speaks of are written."""
-
-    commands, replies, slots = peer.commands, peer.replies, peer.slots
-    while True:
-        t = _recv(commands)
-        _send(replies, _sendable(_train_share(run, t, share, slots.trained)))
-        _recv(commands)  # every process has trained
-        _aggregate(run, slots.trained, part)
-        _send(replies, None)
-        if peer.owned:
-            _recv(commands)  # every part is merged
-            _send(replies, _sendable(_server_half(run, t, peer)[1]))
-
-
-class _Helpers(_Lockstep):
-    """A run's helpers and slots, and the parent's side of the Stage-2 lockstep.
-
-    The clients and the clusters are each split into ``count`` shares
-    (:func:`_split`).  The parent keeps the first share of each: it trains
-    the clients ``own`` and runs the server half of the clusters ``owned``.
-    One :class:`_Helper` per further share takes the rest; ``serving`` lists
-    those that own a cluster, and only they take part in Stage 2.  Process
-    ``k`` (the parent is 0) merges part ``(k, count)`` of every vector.
-    ``count`` is by default ``min(CPUs, clients)`` (CPUs: those
-    ``os.sched_getaffinity`` allows), or one where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing.  The :class:`_Slots` are mapped
-    before the first fork.  Leaving a ``with`` block reaps every helper,
-    killing it first if an exception ends the block.
-    """
-
-    def __init__(self, run: RunState, count: int | None = None):
-        if count is None:
-            forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            count = min(len(os.sched_getaffinity(0)), len(run.profiles)) if forks else 1
-        (self.own, *shares), (owned, *owners) = _split(run, count)
-        super().__init__(owned, _Slots(run))
-        self.count = count
-        self.cluster_count = run.assignment.cluster_count
-        self.processes: list[_Helper] = []
-        try:
-            for k, (share, clusters) in enumerate(zip(shares, owners), 1):
-                self.processes.append(_Helper(run, share, clusters, self.slots, (k, count), self.processes))
-        except BaseException:
-            self.stop(kill=True)
-            raise
-        self.serving = [helper for helper in self.processes if helper.owned]
-
-    def __enter__(self) -> _Helpers:
-        return self
-
-    def __exit__(self, exc_type, exc, traceback) -> None:
-        self.stop(kill=exc_type is not None)
-
-    def agree(self, ok):
-        for helper in self.serving:
-            ok = helper.recv() and ok
-        for helper in self.serving:
-            helper.send(ok)
-        return ok
-
-    def finish(self, kl, failure):
-        table = np.empty((kl.shape[0], self.cluster_count))
-        table[:, self.owned] = kl
-        failures = [] if failure is None else [failure]
-        for helper in self.serving:
-            table[:, helper.owned], theirs = helper.recv()
-            if theirs is not None:
-                failures.append(theirs)
-        return table, min(failures, key=lambda f: f[0], default=None)
-
-    def stop(self, kill: bool) -> None:
-        """Close every helper's pipes, which stops an idle one, kill each one
-        if ``kill``, and reap them all."""
-
-        for helper in self.processes:
-            helper.close()
-        for helper in self.processes:
-            if kill:
-                import signal  # here, not above: a run that ends well never loads it
-
-                os.kill(helper.pid, signal.SIGKILL)
-            os.waitpid(helper.pid, 0)
-
-
-def run_round(run: RunState, t: int, helpers: _Helpers | None = None) -> RoundMetrics:
+def run_round(run: RunState, t: int, helpers: Helpers | None = None) -> RoundMetrics:
     """Advance ``run`` by round ``t``, append the round's metrics to it and return them.
 
-    With ``helpers`` (:class:`_Helpers`; without, this process does all)
-    the processes send only control; the vectors stay in the slots.  Each
-    process trains its clients, each helper replying with their losses or
-    the exception that ended its share, and the first failure in member
+    A round is three phases, each run in every process of ``helpers`` by
+    one :meth:`~fedsim.procs.Helpers.each` call (without ``helpers``, this
+    process does all); the vectors stay in the slots.  Each process trains
+    its clients (:func:`_train_share`), and the first failure in member
     order is raised as in one process: a :class:`FedsimError` as an
     :class:`EngineError` naming the round, cluster and client, any other as
-    it is.  On a go, each process merges its part (:func:`_aggregate`; the
-    parts check the same inputs, so this process fails first) and replies.
-    After heterofl's extraction, a second go starts :func:`_server_half`
-    in each owner, and the first evaluation failure in cluster order is
-    raised as it is.
+    it is.  Then each process merges its part (:func:`_aggregate`; the
+    parts check the same inputs, so this process fails first).  After
+    heterofl's extraction, each owner of a cluster runs
+    :func:`_server_half`, and the first evaluation failure in cluster order
+    is raised as it is.
     """
 
     config = run.config
-    helpers = helpers or _Helpers(run, 1)
+    helpers = helpers or _helpers(run, 1)
     cluster_of, sizes = run.assignment.cluster_of, run.partition.sizes()
-    for helper in helpers.processes:
-        helper.send(t, f"round {t}: training ")
-    outcomes = dict(zip(helpers.own, _train_share(run, t, helpers.own, helpers.slots.trained)))
-    for helper in helpers.processes:
-        outcomes.update(zip(helper.share, helper.recv(f"round {t}: training ")))
+    outcomes = {}
+    for process, reply in helpers.each(_train_share, t, where=f"round {t}: training "):
+        outcomes.update(zip(process.share, reply))
     losses = []
     for pos in np.argsort(cluster_of, kind="stable").tolist():  # member order
         outcome = outcomes[pos]
@@ -1191,22 +935,17 @@ def run_round(run: RunState, t: int, helpers: _Helpers | None = None) -> RoundMe
         if isinstance(outcome, BaseException):
             raise outcome
         losses.append(outcome)
-    for helper in helpers.processes:
-        helper.send(True, f"round {t}: ")  # every process has trained
-    _aggregate(run, helpers.slots.trained, (0, helpers.count))
-    for helper in helpers.processes:
-        helper.recv(f"round {t}: ")
+    helpers.each(_aggregate, where=f"round {t}: ")
     if config.algorithm == "heterofl":
         for state in run.states:
             extract_overlap(run.global_params, state.spec, state.params)
     mean_local_loss = float(np.mean(losses)) if losses else float("nan")
 
-    for helper in helpers.serving:
-        helper.send(True, f"round {t}: ")  # every part is merged
-    stage2_kl, own = _server_half(run, t, helpers)
-    outcomes = dict(zip(helpers.owned, own))
-    for helper in helpers.serving:
-        outcomes.update(zip(helper.owned, helper.recv(f"round {t}: ")))
+    replies = helpers.each(_server_half, t, where=f"round {t}: ", serving=True)
+    stage2_kl = replies[0][1][0]  # this process's: its lockstep sums every cluster's KL values
+    outcomes = {}
+    for process, (_, reply) in replies:
+        outcomes.update(zip(process.owned, reply))
     accuracies = []
     for state in run.states:
         outcome = outcomes[state.cluster_id]
@@ -1241,16 +980,16 @@ def run_experiment(
     ``on_round`` (if set) is called with each round's :class:`RoundMetrics`.
 
     Before the first round, ``min(CPUs, clients) - 1`` helper processes are
-    forked, where CPUs are those ``os.sched_getaffinity`` allows.  Each one
-    trains a share of the clients every round, and runs Stage 2 and the
-    evaluation of the clusters it owns, if any (see :class:`_Helpers`).
-    Every helper is reaped before this returns or raises; on an error it is
-    killed first.
+    forked (:func:`_helpers`), where CPUs are those ``os.sched_getaffinity``
+    allows.  Each one runs every phase of every round: it trains a share of
+    the clients, merges its part, and runs Stage 2 and the evaluation of the
+    clusters it owns, if any.  Every helper is reaped before this returns or
+    raises; on an error it is killed first.
     """
 
     run = prepare_run(config, base_spec, train, test, profiles)
     if config.rounds:  # a run of no rounds forks nothing and maps nothing
-        with _Helpers(run) as helpers:
+        with _helpers(run) as helpers:
             for t in range(config.rounds):
                 round_metrics = run_round(run, t, helpers)
                 if on_round is not None:

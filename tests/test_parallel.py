@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import fedsim.engine
+import fedsim.procs
 from fedsim.clustering import ClientProfile
 from fedsim.data import make_blobs
 from fedsim.engine import FedConfig, run_experiment
@@ -98,7 +99,7 @@ def test_only_control_crosses_the_pipes_and_the_run_outlives_its_helpers(algorit
                                                                          tmp_path):
     # every message of every process, helpers included, is logged by size of
     # its largest out-of-band buffer: the vectors stay in the shared slots
-    log, real = tmp_path / "messages", fedsim.engine._send
+    log, real = tmp_path / "messages", fedsim.procs._send
 
     def logged(pipe, obj):
         buffers = []
@@ -111,7 +112,7 @@ def test_only_control_crosses_the_pipes_and_the_run_outlives_its_helpers(algorit
     forked = cpus(1)
     serial = run_experiment(cfg, BASE, TRAIN, TEST, THREE_TIERS)
     assert forked == []
-    monkeypatch.setattr(fedsim.engine, "_send", logged)
+    monkeypatch.setattr(fedsim.procs, "_send", logged)
     forked = cpus(count)
     run = run_experiment(cfg, BASE, TRAIN, TEST, THREE_TIERS)
     assert_reaped(forked)
@@ -297,7 +298,7 @@ def assert_names_the_update_frame(exc, in_helper):
     or from this process, whose own traceback holds the frame."""
 
     if in_helper:
-        assert isinstance(exc.__cause__, fedsim.engine._RemoteTraceback)
+        assert isinstance(exc.__cause__, fedsim.procs._RemoteTraceback)
         assert ", in update\n" in str(exc.__cause__)
     else:
         assert exc.__cause__ is None
@@ -361,7 +362,7 @@ def test_the_first_evaluation_failure_in_cluster_order_is_raised_at_every_cpu_co
         with pytest.raises(RuntimeWarning, match=f"^overflow at rate {rates[first]}$") as caught:
             run_experiment(cfg, BASE, TRAIN, TEST, THREE_TIERS)
         in_helper = first not in fedsim.engine._split(run, count)[1][0]
-        assert isinstance(caught.value.__cause__, fedsim.engine._RemoteTraceback) == in_helper
+        assert isinstance(caught.value.__cause__, fedsim.procs._RemoteTraceback) == in_helper
         if in_helper:
             assert ", in evaluate\n" in str(caught.value.__cause__)
     assert_reaped(forked)
@@ -523,22 +524,22 @@ def test_every_message_crosses_a_pipe_from_a_forked_writer_unchanged():
             os.close(reader)
             with open(writer, "wb", buffering=0) as pipe:
                 for message in MESSAGES:
-                    fedsim.engine._send(pipe, message)
-                fedsim.engine._send(pipe, fedsim.engine._Sent(failed_here(ValueError("bad shard 3"))))
+                    fedsim.procs._send(pipe, message)
+                fedsim.procs._send(pipe, fedsim.procs._Sent(failed_here(ValueError("bad shard 3"))))
             status = 0
         finally:
             os._exit(status)
     os.close(writer)
     with open(reader, "rb", buffering=0) as pipe:
-        received = [fedsim.engine._recv(pipe) for _ in MESSAGES]
-        sent = fedsim.engine._recv(pipe)
+        received = [fedsim.procs._recv(pipe) for _ in MESSAGES]
+        sent = fedsim.procs._recv(pipe)
         with pytest.raises(EOFError):
-            fedsim.engine._recv(pipe)
+            fedsim.procs._recv(pipe)
     assert os.waitpid(pid, 0)[1] == 0
     for got, want in zip(received, MESSAGES):
         assert_same(got, want)
     arrays = received[3]
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
     assert type(sent) is ValueError and str(sent) == "bad shard 3"
-    assert isinstance(sent.__cause__, fedsim.engine._RemoteTraceback)
+    assert isinstance(sent.__cause__, fedsim.procs._RemoteTraceback)
     assert ", in failed_here\n" in str(sent.__cause__)
