@@ -8,8 +8,11 @@ are built in:
   same centres, so both splits come from one distribution.
 * a directory path -- one subdirectory per class (class names are the sorted
   subdirectory names); files may be ``.npy`` arrays or binary/ascii netpbm
-  images (``.pgm``/``.ppm``).  Integer-typed ``.npy`` data is scaled by
-  1/255; float arrays are taken as-is.  A netpbm image is scaled by its
+  images (``.pgm``/``.ppm``).  A ``.npy`` file is read by its raw bytes;
+  each distinct header is parsed once per load, by NumPy's own header
+  reader, and only numeric arrays of format 1.0 or 2.0 are read, so nothing
+  is ever unpickled.  Integer-typed ``.npy`` data is scaled by 1/255; float
+  arrays are taken as-is.  A netpbm image is scaled by its
   ``maxval``, which must lie in 1..65535; above 255 a binary sample takes two
   bytes, most significant first.  A header that is not whole numbers, or a
   sample that is not a whole number in ``[0, maxval]``, is a
@@ -32,11 +35,15 @@ come back sorted, so a directory draw returns its files prompt by prompt.
 
 from __future__ import annotations
 
+import io
+import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from fedsim.errors import ConfigError, DimensionError
 
@@ -153,7 +160,43 @@ def _read_netpbm(path: Path) -> np.ndarray:
     return np.moveaxis(pixels, -1, 0)
 
 
-def _read_feature_file(path: Path) -> np.ndarray:
+_NPY_HEADER_READERS = {(1, 0): npy_format.read_array_header_1_0, (2, 0): npy_format.read_array_header_2_0}
+
+
+def _npy_header(path: Path, header: bytes) -> tuple[tuple[int, ...], bool, np.dtype]:
+    """(shape, fortran_order, dtype) of a ``.npy`` header, checked by NumPy's reader."""
+
+    stream = io.BytesIO(header)
+    try:
+        version = npy_format.read_magic(stream)
+        if version not in _NPY_HEADER_READERS:
+            raise ValueError(f"format {version[0]}.{version[1]} is not read, only 1.0 and 2.0")
+        shape, fortran_order, dtype = _NPY_HEADER_READERS[version](stream)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a readable .npy file: {exc}") from None
+    if dtype.kind not in "biuf":  # an object array would need unpickling
+        raise ConfigError(f"{path}: a .npy sample must hold numbers, not {dtype}")
+    return shape, fortran_order, dtype
+
+
+def _read_npy(path: Path, headers: dict) -> np.ndarray:
+    """The array in a ``.npy`` file; ``headers`` maps header bytes to their parse."""
+
+    data = path.read_bytes()
+    width = 2 if data[6:7] == b"\x01" else 4  # bytes of the header length, by major version
+    header = data[: 8 + width + int.from_bytes(data[8 : 8 + width], "little")]
+    if header not in headers:
+        headers[header] = _npy_header(path, header)
+    shape, fortran_order, dtype = headers[header]
+    count = math.prod(shape)
+    size, needed = len(data) - len(header), count * dtype.itemsize
+    if size != needed:
+        raise ConfigError(f"{path}: .npy data is {size} bytes, its header says {needed}")
+    array = np.frombuffer(data, dtype, count, len(header))
+    return array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape)
+
+
+def _read_feature_file(path: Path, headers: dict) -> np.ndarray:
     """A single sample from a ``.npy`` / netpbm file found by ``_gather_files``.
 
     2-d arrays become (1, h, w); integer dtypes are scaled by 1/255.  A
@@ -162,7 +205,7 @@ def _read_feature_file(path: Path) -> np.ndarray:
 
     if path.suffix != ".npy":
         return _read_netpbm(path)
-    arr = np.load(path, allow_pickle=False)
+    arr = _read_npy(path, headers)
     if np.issubdtype(arr.dtype, np.integer):
         arr = arr.astype(np.float64) / 255.0
     arr = np.asarray(arr, dtype=np.float64)
@@ -172,15 +215,31 @@ def _read_feature_file(path: Path) -> np.ndarray:
 
 
 def _gather_files(root: Path) -> list[Path]:
-    return sorted(
-        p for p in root.rglob("*") if p.is_file() and p.suffix in (".npy", ".pgm", ".ppm")
-    )
+    """The ``.npy``/netpbm files under ``root``, sorted as paths.
+
+    As ``Path.rglob`` in Python 3.11: dotfiles and symlinked files are read,
+    symlinked directories are not entered, unreadable directories are skipped.
+    """
+
+    found, pending = [], [str(root)]
+    while pending:
+        try:
+            with os.scandir(pending.pop()) as entries:
+                for entry in entries:
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append(entry.path)
+                    elif (path := Path(entry.path)).suffix in (".npy", ".pgm", ".ppm") and entry.is_file():
+                        found.append(path)
+        except PermissionError:
+            continue
+    return sorted(found)
 
 
 def _read_samples(files: list[Path], what: str) -> np.ndarray:
     """The samples in ``files``, stacked; ``what`` names them in a shape error."""
 
-    samples = [_read_feature_file(f) for f in files]
+    headers: dict = {}
+    samples = [_read_feature_file(f, headers) for f in files]
     shapes = {s.shape for s in samples}
     if len(shapes) != 1:
         raise ConfigError(f"{what} disagree on shape: {sorted(shapes)}")
@@ -231,7 +290,7 @@ def partition_iid(
     rng = np.random.default_rng(seed)
     buckets: list[list[int]] = [[] for _ in range(client_count)]
     cursor = 0
-    for c in np.unique(labels[pool]):
+    for c in np.flatnonzero(np.bincount(labels[pool])):  # the classes present, ascending
         class_pool = pool[labels[pool] == c]
         for idx in rng.permutation(class_pool):
             buckets[cursor % client_count].append(int(idx))
@@ -260,7 +319,7 @@ def partition_dirichlet(
         raise ConfigError(f"cannot split {pool.size} samples across {client_count} clients")
     rng = np.random.default_rng(seed)
     buckets: list[list[int]] = [[] for _ in range(client_count)]
-    for c in np.unique(labels[pool]):
+    for c in np.flatnonzero(np.bincount(labels[pool])):  # the classes present, ascending
         class_pool = rng.permutation(pool[labels[pool] == c])
         shares = rng.dirichlet(np.full(client_count, float(alpha)))
         splits = (np.cumsum(shares)[:-1] * class_pool.size).astype(int)

@@ -243,6 +243,45 @@ def test_a_non_finite_sample_fails_before_output(tmp_path, capsys, where):
     assert not out.exists()
 
 
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+def pickle_objects(path):
+    np.save(path, np.array([{"pixels": 1}], dtype=object), allow_pickle=True)
+
+
+def write_netpbm(path):
+    path.write_bytes(b"P2 4 4 255\n" + b"0 " * 16)
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [(truncate, "data is 127 bytes"), (pickle_objects, "must hold numbers"), (write_netpbm, "not a readable")],
+    ids=["truncated", "pickled", "not npy"],
+)
+@pytest.mark.parametrize("where", ["dataset", "distillation"])
+def test_an_unreadable_npy_fails_before_output_naming_the_file(tmp_path, capsys, spoil, message, where):
+    rng = np.random.default_rng(0)
+    for split in ("train", "test", "distill"):
+        write_image_classes(tmp_path / split, rng)
+    bad = tmp_path / ("train" if where == "dataset" else "distill") / "c0" / "s1.npy"
+    spoil(bad)
+    raw = tiny_config(
+        dataset={"source": "directory", "directory": str(tmp_path)},
+        clients={"speed_factors": [1.0, 2.0]},
+        model={"kind": "cnn", "conv_channels": [2], "dense_width": 4},
+        distillation={"source": "directory", "directory": str(tmp_path / "distill"), "count": 8},
+    )
+    raw["distillation"].pop("holdout_count")
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {bad}: " in err and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_a_run_of_zero_rounds_writes_the_echo_and_an_empty_metrics_file(tmp_path):
     cfg = write_config(tmp_path, tiny_config(training={"rounds": 0}))
     out = tmp_path / "o"

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedsim.clustering import (
     ClientProfile,
@@ -19,6 +21,7 @@ from fedsim.clustering import (
     save_durations,
     silverman_bandwidth,
     _deep_minima,
+    _iqr,
     _split,
     _valley_runs,
 )
@@ -58,6 +61,26 @@ class TestBandwidth:
         iqr = np.percentile(x, 75) - np.percentile(x, 25)
         expected = 0.9 * min(std, iqr / 1.34) * 100 ** (-0.2)
         np.testing.assert_allclose(silverman_bandwidth(x), expected, rtol=1e-12)
+
+    @staticmethod
+    def assert_iqr_is_numpys(x):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.percentile(x, 75) - np.percentile(x, 25)
+        got = _iqr(x)
+        if np.isnan(want):  # a NaN's payload is not compared
+            assert np.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @given(st.lists(st.floats(allow_subnormal=True) | st.sampled_from([0.0, -0.0, 1.0]), min_size=2, max_size=40))
+    def test_iqr_is_bitwise_numpys_percentile_difference(self, values):
+        self.assert_iqr_is_numpys(np.array(values))
+
+    def test_iqr_rounds_as_numpy_does_at_every_sample_size(self):
+        rng = np.random.default_rng(3)
+        for n in range(2, 42):
+            for _ in range(25):
+                self.assert_iqr_is_numpys(rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3))
 
     def test_degenerate_sample_gets_positive_floor(self):
         assert silverman_bandwidth(np.full(10, 7.0)) > 0

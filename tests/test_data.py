@@ -1,5 +1,8 @@
 """Dataset construction, partition laws and distillation sources."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from fedsim.data import (
     LabeledDataset,
+    _gather_files,
     classes_named_in_prompts,
     draw_from_directory,
     draw_from_holdout,
@@ -367,3 +371,135 @@ class TestImageDirectory:
         np.save(tmp_path / "y" / "b.npy", np.array([[0.0, np.nan], [0.5, 0.5]]))
         with pytest.raises(ConfigError, match=r"b\.npy: sample holds a non-finite value"):
             load_image_directory(tmp_path)
+
+
+def test_gather_files_pins_which_files_are_read_and_their_order(tmp_path):
+    outside = tmp_path.parent / f"{tmp_path.name}-outside"
+    outside.mkdir()
+    (outside / "x.npy").write_bytes(b"")
+    root = tmp_path / "root"
+    (root / "a" / "b").mkdir(parents=True)
+    (root / "dir.npy").mkdir()  # a directory with a sample's suffix is entered, not read
+    for name in ["z.npy", ".hidden.npy", "..npy", ".npy", "a-c.pgm", "a/b.ppm", "a/b/deep.npy",
+                 "notes.txt", "a/upper.NPY", "data.npy.bak", "dir.npy/inner.ppm"]:
+        (root / name).write_bytes(b"")
+    (root / "linked.npy").symlink_to(outside / "x.npy")
+    (root / "linked-dir").symlink_to(outside, target_is_directory=True)
+    (root / "broken.npy").symlink_to(root / "missing.npy")
+    # dotfiles are read (".npy" alone has no suffix), a symlinked file is read,
+    # a symlinked directory and a broken link are not, and the paths sort as
+    # Paths, part by part: "a/b/deep.npy" < "a/b.ppm" < "a-c.pgm"
+    expected = ["..npy", ".hidden.npy", "a/b/deep.npy", "a/b.ppm", "a-c.pgm",
+                "dir.npy/inner.ppm", "linked.npy", "z.npy"]
+    assert _gather_files(root) == [root / name for name in expected]
+    assert all(type(p) is type(root) for p in _gather_files(root))
+
+
+def npy_oracle(path):
+    """A sample as ``np.load`` plus the conversions every ``.npy`` sample gets."""
+
+    arr = np.load(path, allow_pickle=False)
+    if np.issubdtype(arr.dtype, np.integer):
+        arr = arr.astype(np.float64) / 255.0
+    arr = np.asarray(arr, dtype=np.float64)
+    return arr[None] if arr.ndim == 2 else arr
+
+
+def write_npy(path, array, version):
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, array, version=version, allow_pickle=False)
+
+
+def write_npy_grid(directory, shape, rng):
+    """Two samples for every dtype, memory order and format version, so one
+    directory holds many headers and repeats each of them."""
+
+    directory.mkdir(parents=True)
+    grid = itertools.product(["<f8", "<f4", "u1", "<i2", ">f8"], "CF", [(1, 0), (2, 0)], range(2))
+    for i, (dtype, order, version, _) in enumerate(grid):
+        if dtype[-2] in "iu":
+            values = rng.integers(-300 if dtype[-2] == "i" else 0, 256, size=shape)
+        else:
+            values = rng.normal(size=shape)
+        array = np.asarray(values, dtype=dtype, order=order)
+        assert order == "C" or not array.flags.c_contiguous
+        write_npy(directory / f"s{i:02d}.npy", array, version)
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (2, 4, 5)], ids=["2-d", "3-d"])
+def test_the_npy_reader_returns_what_np_load_does(tmp_path, shape):
+    rng = np.random.default_rng(11)
+    write_npy_grid(tmp_path / "pool", shape, rng)
+    files = sorted((tmp_path / "pool").iterdir())
+    want = np.stack([npy_oracle(f) for f in files])
+    assert_bitwise(draw_from_directory(tmp_path / "pool", (), None, seed=0), want)
+    chosen = np.sort(np.random.default_rng(3).choice(len(files), 7, replace=False))
+    assert_bitwise(draw_from_directory(tmp_path / "pool", (), 7, seed=3), want[chosen])
+
+    write_npy_grid(tmp_path / "tree" / "a", shape, rng)
+    write_npy_grid(tmp_path / "tree" / "b", shape, rng)
+    files = sorted((tmp_path / "tree").rglob("*.npy"))
+    dataset = load_image_directory(tmp_path / "tree")
+    assert_bitwise(dataset.features, np.stack([npy_oracle(f) for f in files]))
+
+
+def test_a_directory_that_mixes_two_headers_reads_each_file_by_its_own(tmp_path):
+    rng = np.random.default_rng(5)
+    for i in range(4):
+        write_npy(tmp_path / f"f{i}.npy", np.asfortranarray(rng.normal(size=(1, 3, 2))), (1, 0))
+        np.save(tmp_path / f"u{i}.npy", rng.integers(0, 256, size=(1, 3, 2), dtype=np.uint8))
+    files = sorted(tmp_path.iterdir())
+    got = draw_from_directory(tmp_path, (), None, seed=0)
+    assert_bitwise(got, np.stack([npy_oracle(f) for f in files]))
+
+
+def truncated(path):
+    np.save(path, np.zeros((1, 2, 2)))
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+def pickled(path):
+    np.save(path, np.array([{"a": 1}, None], dtype=object), allow_pickle=True)
+
+
+def not_npy(path):
+    path.write_bytes(b"P2 2 2 255\n0 0 0 0\n")
+
+
+def trailing_byte(path):
+    np.save(path, np.zeros((1, 2, 2)))
+    path.write_bytes(path.read_bytes() + b"\0")
+
+
+def format_three(path):
+    write_npy(path, np.zeros((1, 2, 2)), (3, 0))
+
+
+UNREADABLE_NPY = {
+    "truncated": (truncated, r"\.npy data is 31 bytes, its header says 32"),
+    "pickled": (pickled, r"a \.npy sample must hold numbers, not object"),
+    "not npy": (not_npy, r"not a readable \.npy file"),
+    "trailing byte": (trailing_byte, r"\.npy data is 33 bytes, its header says 32"),
+    "format 3.0": (format_three, r"not a readable \.npy file: format 3\.0 is not read"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_NPY)
+def test_an_unreadable_npy_is_a_config_error_naming_it(tmp_path, case, monkeypatch):
+    write, message = UNREADABLE_NPY[case]
+    for c in "xy":
+        (tmp_path / c).mkdir()
+        np.save(tmp_path / c / "a.npy", np.zeros((1, 2, 2)))
+    bad = tmp_path / "y" / "bad.npy"
+    write(bad)
+    for name in ("pickle.load", "pickle.loads"):  # nothing is unpickled on the way
+        monkeypatch.setattr(name, lambda *args, **kwargs: pytest.fail("unpickled"))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(bad))}: {message}"):
+        load_image_directory(tmp_path)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(bad))}: {message}"):
+        draw_from_directory(tmp_path / "y", (), None, seed=0)
