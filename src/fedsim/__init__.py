@@ -18,9 +18,9 @@ The package is organised around a handful of small, pure modules:
   aggregators, and a run as ``prepare_run`` then one ``run_round`` per round.
 * :mod:`fedsim.procs` -- the helper processes a run forks, and the one call
   that runs a phase of a round in every process.
-* :mod:`fedsim.settings` / :mod:`fedsim.config` / :mod:`fedsim.cli` -- config
-  settings declared once each, strict YAML configuration and the command
-  line harness.
+* :mod:`fedsim.config` / :mod:`fedsim.cli` -- every config setting declared
+  once, with ``FedConfig`` and the named seed streams, strict YAML
+  configuration; and the command line harness.
 
 Everything is seeded explicitly; runs are bit-reproducible for a fixed
 configuration.

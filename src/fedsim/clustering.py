@@ -144,15 +144,19 @@ def gaussian_kernel(u: np.ndarray) -> np.ndarray:
 def _iqr(values: np.ndarray) -> float:
     """``np.percentile(values, 75) - np.percentile(values, 25)`` for two or more
     values, by the same linear method in the same float steps, without the
-    ``np.unique`` inside ``np.percentile`` that imports ``numpy.ma``."""
+    ``np.unique`` inside ``np.percentile`` that imports ``numpy.ma``.  Each
+    quantile reads its own partition at the indices ``np.percentile``
+    partitions at, as a sort may order equal values (``0.0`` and ``-0.0``)
+    otherwise."""
 
-    ordered = np.sort(values)
-    if np.isnan(ordered[-1]):  # NaN sorts last
-        return math.nan
+    last = values.size - 1
 
     def at(q: float) -> float:
-        index = (ordered.size - 1) * q
+        index = last * q
         below = math.floor(index)
+        ordered = np.partition(values, sorted({0, below, below + 1, last}))
+        if np.isnan(ordered[-1]):  # NaN sorts last
+            return math.nan
         a, b, t = float(ordered[below]), float(ordered[below + 1]), index - below
         return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 

@@ -1,4 +1,4 @@
-"""Experiment configuration: strict schema, explicit defaults, byte-stable echo.
+"""Experiment configuration: every setting declared once, a strict schema, a byte-stable echo.
 
 Configs are nested YAML documents.  Every key has a default, every value is
 type- and range-checked, and unknown keys are rejected with their dotted path
@@ -6,25 +6,207 @@ type- and range-checked, and unknown keys are rejected with their dotted path
 result that nobody can reproduce.  The resolved form (all defaults made
 explicit) can be written back out and re-run to reproduce a run exactly.
 
-Every setting is declared once: the settings a run needs on
-:class:`~fedsim.engine.FedConfig`, the data, fleet, model and output settings
-in ``SETTINGS`` below.  The declarations give the known keys, the defaults,
-the checks, the resolved mapping and the ``FedConfig`` a file resolves to.
+Each setting is declared once, with its dotted YAML path, its kind, its
+bounds and its default (a :class:`Setting`): the settings a run needs as the
+fields of :class:`FedConfig` (see :func:`setting`), the data, fleet, model
+and output settings in ``SETTINGS`` below.  :func:`coerce` checks a value
+against its declaration both when a YAML file is resolved and when
+``FedConfig`` validates itself, so the declarations are the only place a
+bound is enforced.  They give the known keys, the defaults, the checks, the
+resolved mapping and the ``FedConfig`` a file resolves to.  The named random
+streams that every seeded draw of a run takes (:func:`stream_seed`) are
+declared here too, beside the master seed they derive from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from fedsim.clustering import ClientProfile, apply_durations, load_durations
-from fedsim.data import LabeledDataset, load_image_directory, make_blobs
-from fedsim.engine import _STREAM_DATASET, FedConfig, stream_seed
+from fedsim.data import DISTILLATION_KINDS, LabeledDataset, load_image_directory, make_blobs
 from fedsim.errors import ConfigError
 from fedsim.models import ModelSpec, cnn_spec, mlp_spec
-from fedsim.settings import Setting, coerce
+
+_BOUNDS = (
+    ("gt", ">", operator.gt),
+    ("ge", ">=", operator.ge),
+    ("lt", "<", operator.lt),
+    ("le", "<=", operator.le),
+)
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One config setting.
+
+    ``kind`` is ``int``, ``float``, ``bool``, ``str`` or a tuple of allowed
+    strings; with ``many`` the setting is a list of such values.  A setting
+    whose default is ``None`` may be null.  ``gt``/``ge``/``lt``/``le`` are
+    open and closed bounds on a number (on every entry of a list).
+    """
+
+    path: str
+    kind: object
+    default: object = None
+    many: bool = False
+    gt: float | None = None
+    ge: float | None = None
+    lt: float | None = None
+    le: float | None = None
+
+
+def setting(path: str, kind, default=None, **declaration):
+    """A dataclass field whose default and metadata come from one declaration."""
+
+    return field(default=default, metadata={"setting": Setting(path, kind, default, **declaration)})
+
+
+def coerce(setting: Setting, value, where: str, entry_paths: bool = True):
+    """``value`` in the setting's kind (ints widen to floats, lists stay lists).
+
+    Raises :class:`ConfigError` at ``where`` when the value does not fit.  A
+    bad list entry is reported at ``where[i]``, or at ``where`` itself when
+    ``entry_paths`` is false.
+    """
+
+    if value is None and setting.default is None:
+        return None
+    if not setting.many:
+        return _coerce_one(setting, value, where)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"expected a list, got {value!r}", field=where)
+    return [
+        _coerce_one(setting, v, f"{where}[{i}]" if entry_paths else where)
+        for i, v in enumerate(value)
+    ]
+
+
+def _coerce_one(setting: Setting, value, where: str):
+    kind = setting.kind
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"expected true or false, got {value!r}", field=where)
+        return value
+    if kind is str or isinstance(kind, tuple):
+        if not isinstance(value, str):
+            raise ConfigError(f"expected a string, got {value!r}", field=where)
+        if isinstance(kind, tuple) and value not in kind:
+            raise ConfigError(f"must be one of {kind}, got {value!r}", field=where)
+        return value
+    if isinstance(value, bool):
+        raise ConfigError("expected a number, got a boolean", field=where)
+    if kind is int and not isinstance(value, int):
+        raise ConfigError(f"expected an integer, got {value!r}", field=where)
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}", field=where)
+    value = kind(value)
+    for name, sign, holds in _BOUNDS:
+        limit = getattr(setting, name)
+        if limit is not None and not holds(value, limit):
+            raise ConfigError(f"must be {sign} {limit}, got {value}", field=where)
+    return value
+
+
+ALGORITHMS = ("fedtsa", "fedavg", "fedprox", "heterofl")
+STAGE1_WEIGHTINGS = ("uniform", "data_size")
+PARTITION_MODES = ("iid", "dirichlet")
+
+# Disjoint random streams spawned off the master seed.  Each consumer gets its
+# own spawn key so adding rounds, clients or draws never shifts another
+# stream's values.
+_STREAM_INIT = 0  # (stream, cluster_id) - per-cluster model init
+_STREAM_LOCAL = 1  # (stream, client_id, round) - minibatch order per client
+_STREAM_PARTITION = 2
+_STREAM_HOLDOUT = 3
+_STREAM_DISTILL = 4  # (stream, round) when resampling, (stream, 0) otherwise
+_STREAM_PROFILE = 5
+_STREAM_DATASET = 6  # blobs generation, drawn by build_datasets below
+
+
+def stream_seed(master_seed: int, *key: int) -> np.random.SeedSequence:
+    """A named, independent random stream derived from the master seed."""
+
+    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
+
+
+@dataclass(frozen=True)
+class FedConfig:
+    """Everything a run needs besides the data, the model and the clients.
+
+    Defaults follow the full protocol (batch 100, 100 local epochs, learning
+    rate 0.03, 100 rounds, temperature 5, one global distillation epoch,
+    200 distillation samples); desk-scale runs override the counts, not the
+    structure.  Each field declares its config path, kind, bounds and
+    default once (see :class:`Setting`).
+    """
+
+    algorithm: str = setting("training.algorithm", ALGORITHMS, "fedtsa")
+    rounds: int = setting("training.rounds", int, 100, ge=0)
+    local_epochs: int = setting("training.local_epochs", int, 100, ge=0)
+    batch_size: int = setting("training.batch_size", int, 100, ge=1)
+    learning_rate: float = setting("training.learning_rate", float, 0.03, gt=0.0)
+    stage1_weighting: str = setting("training.stage1_weighting", STAGE1_WEIGHTINGS, "uniform")
+
+    # Stage-2 mutual distillation
+    temperature: float = setting("distillation.temperature", float, 5.0, gt=0.0)
+    global_epochs: int = setting("distillation.global_epochs", int, 1, ge=1)
+    include_self_in_consensus: bool = setting("distillation.include_self", bool, True)
+    distill_kind: str = setting("distillation.source", DISTILLATION_KINDS, "holdout")
+    distill_count: int = setting("distillation.count", int, 200, ge=1)
+    distill_prompts: tuple[str, ...] = setting("distillation.prompts", str, (), many=True)
+    distill_directory: str | None = setting("distillation.directory", str)
+    distill_resample: bool = setting("distillation.resample", bool, False)
+    holdout_count: int | None = setting("distillation.holdout_count", int, ge=1)
+
+    # baselines
+    fedprox_mu: float = setting("training.fedprox_mu", float, 0.01, ge=0.0)
+    homogeneous_pruning: float = setting(
+        "training.homogeneous_pruning", float, 1.0, gt=0.0, le=1.0
+    )
+
+    # data partitioning
+    partition_mode: str = setting("dataset.partition", PARTITION_MODES, "iid")
+    dirichlet_alpha: float = setting("dataset.dirichlet_alpha", float, 0.6, gt=0.0)
+
+    # profiling and clustering
+    workload_units: float = setting("clients.workload_units", float, 10.0, gt=0.0)
+    profile_noise_sd: float = setting(
+        "clients.profile_noise_sd", float, 0.05, ge=0.0, lt=1.0 / 3.0
+    )
+    kde_bandwidth: float | None = setting("clustering.bandwidth", float, gt=0.0)
+    rate_ladder: tuple[float, ...] | None = setting(
+        "clustering.rate_ladder", float, many=True, gt=0.0, le=1.0
+    )
+    refine_kde: bool = setting("clustering.refine", bool, True)
+
+    master_seed: int = setting("seed", int, 0, ge=0)
+
+    @staticmethod
+    def path(name: str) -> str:
+        """The dotted config key that sets field ``name``."""
+
+        return FedConfig.__dataclass_fields__[name].metadata["setting"].path
+
+    def validate(self) -> None:
+        """Check every field against its declaration, then the cross-field rules.
+
+        Errors name the field; a bad list entry is reported at the list.
+        """
+
+        for f in fields(self):
+            coerce(f.metadata["setting"], getattr(self, f.name), f.name, entry_paths=False)
+        if self.distill_kind == "directory" and not self.distill_directory:
+            raise ConfigError(
+                "required when distill_kind is 'directory'", field="distill_directory"
+            )
+        if self.rate_ladder is not None and not self.rate_ladder:
+            raise ConfigError("must be non-empty when set", field="rate_ladder")
+
 
 DATASET_SOURCES = ("blobs", "directory")
 MODEL_KINDS = ("auto", "mlp", "cnn")
@@ -223,6 +405,12 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
     if train.class_count != test.class_count or train.class_names != test.class_names:
         raise ConfigError(
             f"{root}: train/ and test/ disagree on classes", field="dataset.directory"
+        )
+    if train.input_shape != test.input_shape:
+        raise ConfigError(
+            f"{root}: train/ samples of shape {train.input_shape} and test/ samples of shape "
+            f"{test.input_shape} differ",
+            field="dataset.directory",
         )
     return train, test
 

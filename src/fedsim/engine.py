@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,8 +47,17 @@ from fedsim.clustering import (
     cluster_profiles,
     measure_durations,
 )
+from fedsim.config import (
+    _STREAM_DISTILL,
+    _STREAM_HOLDOUT,
+    _STREAM_INIT,
+    _STREAM_LOCAL,
+    _STREAM_PARTITION,
+    _STREAM_PROFILE,
+    FedConfig,
+    stream_seed,
+)
 from fedsim.data import (
-    DISTILLATION_KINDS,
     LabeledDataset,
     Partition,
     draw_from_directory,
@@ -75,102 +84,6 @@ from fedsim.models import (
 )
 from fedsim.nn import backward_from_cache, forward_cached, model_forward, sgd_step
 from fedsim.procs import Helpers, Lockstep, cpus
-from fedsim.settings import coerce, setting
-
-ALGORITHMS = ("fedtsa", "fedavg", "fedprox", "heterofl")
-STAGE1_WEIGHTINGS = ("uniform", "data_size")
-PARTITION_MODES = ("iid", "dirichlet")
-
-# Disjoint random streams spawned off the master seed.  Each consumer gets its
-# own spawn key so adding rounds, clients or draws never shifts another
-# stream's values.
-_STREAM_INIT = 0  # (stream, cluster_id) - per-cluster model init
-_STREAM_LOCAL = 1  # (stream, client_id, round) - minibatch order per client
-_STREAM_PARTITION = 2
-_STREAM_HOLDOUT = 3
-_STREAM_DISTILL = 4  # (stream, round) when resampling, (stream, 0) otherwise
-_STREAM_PROFILE = 5
-_STREAM_DATASET = 6  # blobs generation, drawn by config.build_datasets
-
-
-def stream_seed(master_seed: int, *key: int) -> np.random.SeedSequence:
-    """A named, independent random stream derived from the master seed."""
-
-    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
-
-
-@dataclass(frozen=True)
-class FedConfig:
-    """Everything a run needs besides the data, the model and the clients.
-
-    Defaults follow the full protocol (batch 100, 100 local epochs, learning
-    rate 0.03, 100 rounds, temperature 5, one global distillation epoch,
-    200 distillation samples); desk-scale runs override the counts, not the
-    structure.  Each field declares its config path, kind, bounds and
-    default once (see :mod:`fedsim.settings`).
-    """
-
-    algorithm: str = setting("training.algorithm", ALGORITHMS, "fedtsa")
-    rounds: int = setting("training.rounds", int, 100, ge=0)
-    local_epochs: int = setting("training.local_epochs", int, 100, ge=0)
-    batch_size: int = setting("training.batch_size", int, 100, ge=1)
-    learning_rate: float = setting("training.learning_rate", float, 0.03, gt=0.0)
-    stage1_weighting: str = setting("training.stage1_weighting", STAGE1_WEIGHTINGS, "uniform")
-
-    # Stage-2 mutual distillation
-    temperature: float = setting("distillation.temperature", float, 5.0, gt=0.0)
-    global_epochs: int = setting("distillation.global_epochs", int, 1, ge=1)
-    include_self_in_consensus: bool = setting("distillation.include_self", bool, True)
-    distill_kind: str = setting("distillation.source", DISTILLATION_KINDS, "holdout")
-    distill_count: int = setting("distillation.count", int, 200, ge=1)
-    distill_prompts: tuple[str, ...] = setting("distillation.prompts", str, (), many=True)
-    distill_directory: str | None = setting("distillation.directory", str)
-    distill_resample: bool = setting("distillation.resample", bool, False)
-    holdout_count: int | None = setting("distillation.holdout_count", int, ge=1)
-
-    # baselines
-    fedprox_mu: float = setting("training.fedprox_mu", float, 0.01, ge=0.0)
-    homogeneous_pruning: float = setting(
-        "training.homogeneous_pruning", float, 1.0, gt=0.0, le=1.0
-    )
-
-    # data partitioning
-    partition_mode: str = setting("dataset.partition", PARTITION_MODES, "iid")
-    dirichlet_alpha: float = setting("dataset.dirichlet_alpha", float, 0.6, gt=0.0)
-
-    # profiling and clustering
-    workload_units: float = setting("clients.workload_units", float, 10.0, gt=0.0)
-    profile_noise_sd: float = setting(
-        "clients.profile_noise_sd", float, 0.05, ge=0.0, lt=1.0 / 3.0
-    )
-    kde_bandwidth: float | None = setting("clustering.bandwidth", float, gt=0.0)
-    rate_ladder: tuple[float, ...] | None = setting(
-        "clustering.rate_ladder", float, many=True, gt=0.0, le=1.0
-    )
-    refine_kde: bool = setting("clustering.refine", bool, True)
-
-    master_seed: int = setting("seed", int, 0, ge=0)
-
-    @staticmethod
-    def path(name: str) -> str:
-        """The dotted config key that sets field ``name``."""
-
-        return FedConfig.__dataclass_fields__[name].metadata["setting"].path
-
-    def validate(self) -> None:
-        """Check every field against its declaration, then the cross-field rules.
-
-        Errors name the field; a bad list entry is reported at the list.
-        """
-
-        for f in fields(self):
-            coerce(f.metadata["setting"], getattr(self, f.name), f.name, entry_paths=False)
-        if self.distill_kind == "directory" and not self.distill_directory:
-            raise ConfigError(
-                "required when distill_kind is 'directory'", field="distill_directory"
-            )
-        if self.rate_ladder is not None and not self.rate_ladder:
-            raise ConfigError("must be non-empty when set", field="rate_ladder")
 
 
 @dataclass
@@ -671,6 +584,11 @@ def prepare_run(
         raise ConfigError("client ids must be non-negative", field="profiles")
     if train.class_count != test.class_count:
         raise DimensionError("train and test disagree on the number of classes")
+    for name, ds in (("train", train), ("test", test)):
+        if ds.input_shape != base_spec.input_shape:
+            raise DimensionError(
+                f"{name} samples of shape {ds.input_shape} do not fit model input {base_spec.input_shape}"
+            )
 
     seed = config.master_seed
     distils = config.algorithm == "fedtsa"
@@ -728,9 +646,16 @@ def prepare_run(
         distill_batches = distillation_batches(
             config, train, holdout, stream_seed(seed, _STREAM_DISTILL, 0)
         )
-        if config.distill_resample and config.distill_kind == "directory":
-            # later rounds draw other files: read each one now, so a bad one fails here
-            draw_from_directory(config.distill_directory, config.distill_prompts, None, 0)
+        if config.distill_kind == "directory":
+            # with resampling, later rounds draw other files: read each one now, so a bad one fails here
+            drawn = distill_batches[0]
+            if config.distill_resample:
+                drawn = draw_from_directory(config.distill_directory, config.distill_prompts, None, 0)
+            if drawn.shape[1:] != base_spec.input_shape:
+                raise ConfigError(
+                    f"samples of shape {drawn.shape[1:]} do not fit model input {base_spec.input_shape}",
+                    field=FedConfig.path("distill_directory"),
+                )
 
     return RunState(
         config, train, test, profiles, partition, assignment, holdout, distill_batches, states, global_params

@@ -13,8 +13,9 @@ it runs each phase the parent names and replies with its result.
 The processes send each other only control, in :func:`_send` messages:
 each phase's index and arguments, its reply, and the flags and KL table
 of the Stage-2 lockstep (:class:`Lockstep`).  An exception in a reply
-arrives as itself, with the helper's traceback as its cause.  This module
-knows nothing of federated learning.
+arrives as itself, with the helper's traceback as its cause; so does one
+that a helper's phase raises, which the parent raises where it reads the
+helper's next message.  This module knows nothing of federated learning.
 """
 
 from __future__ import annotations
@@ -165,9 +166,11 @@ class _Helper:
     through the fork.
 
     The helper ends only through ``os._exit``, so it never returns into the
-    caller or flushes the stdio it inherited.  It ends on any error of its
-    own, and when its command pipe ends: the parent closes the pipe to stop
-    it, and the pipe also ends if the parent dies.
+    caller or flushes the stdio it inherited.  A phase that raises is
+    answered with its exception, which :meth:`recv` raises, and the helper
+    ends; it also ends on any other error of its own, and when its command
+    pipe ends: the parent closes the pipe to stop it, and the pipe also ends
+    if the parent dies.
     """
 
     def __init__(self, run, phases: tuple, me: _Peer, others: list[_Helper]):
@@ -189,7 +192,12 @@ class _Helper:
                 me.commands, me.replies = open(commands_r, "rb", buffering=0), open(replies_w, "wb", buffering=0)
                 while True:
                     k, args = _recv(me.commands)
-                    _send(me.replies, _sendable(phases[k](run, *args, me)))
+                    try:
+                        reply = _sendable(phases[k](run, *args, me))
+                    except BaseException as exc:
+                        _send(me.replies, _Sent(exc))
+                        raise
+                    _send(me.replies, reply)
             finally:
                 os._exit(0)
         os.close(commands_r)
@@ -206,12 +214,16 @@ class _Helper:
             raise EngineError(f"{where}helper {self.pid} has exited") from exc
 
     def recv(self, where: str = ""):
-        """The helper's next message; a closed pipe is an :class:`EngineError`, as in :meth:`send`."""
+        """The helper's next message, raised if it is an exception; a closed
+        pipe is an :class:`EngineError`, as in :meth:`send`."""
 
         try:
-            return _recv(self.replies)
+            reply = _recv(self.replies)
         except (OSError, EOFError) as exc:
             raise EngineError(f"{where}helper {self.pid} has exited") from exc
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
 
     def close(self) -> None:
         self.commands.close()

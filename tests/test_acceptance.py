@@ -26,9 +26,9 @@ from fedsim.clustering import (
     cluster_profiles,
     kde_density,
 )
+from fedsim.config import _STREAM_DATASET
 from fedsim.data import make_blobs
 from fedsim.engine import (
-    _STREAM_DATASET,
     FedConfig,
     local_update,
     run_experiment,

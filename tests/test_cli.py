@@ -298,9 +298,9 @@ def test_missing_durations_file_fails_before_output(tmp_path):
     assert not out.exists()
 
 
-def test_runtime_failure_exits_2_and_leaves_valid_metrics(tmp_path, capsys):
-    # distillation inputs whose shape disagrees with the model only blow up
-    # once training reaches stage 2, well after output files are open
+@pytest.mark.parametrize("resample", [False, True])
+def test_distillation_samples_that_do_not_fit_the_model_fail_before_output(tmp_path, capsys, resample):
+    # flat samples of 7 features against a model of 4 inputs
     rng = np.random.default_rng(0)
     for name in ("a", "b"):
         d = tmp_path / "distill" / "train" / name
@@ -308,14 +308,35 @@ def test_runtime_failure_exits_2_and_leaves_valid_metrics(tmp_path, capsys):
         for i in range(4):
             np.save(d / f"s{i}.npy", rng.normal(size=7))
     raw = tiny_config(
-        distillation={"source": "directory", "directory": str(tmp_path / "distill" / "train")}
+        distillation={
+            "source": "directory", "directory": str(tmp_path / "distill" / "train"), "resample": resample
+        }
     )
     cfg = write_config(tmp_path, raw)
     out = tmp_path / "o"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-    assert (out / "config.yaml").is_file()
-    for line in (out / "metrics.jsonl").read_text().splitlines():
-        json.loads(line)  # whatever was written is complete, parseable JSON
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: distillation.directory: samples of shape (7,) do not fit model input (4,)" in err, err
+    assert not out.exists()
+
+
+def test_test_samples_of_another_shape_than_train_fail_before_output(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    write_image_classes(tmp_path / "train", rng, side=6)
+    write_image_classes(tmp_path / "test", rng, side=5)
+    raw = tiny_config(
+        dataset={"source": "directory", "directory": str(tmp_path)},
+        clients={"speed_factors": [1.0, 2.0]},
+        model={"kind": "cnn", "conv_channels": [2], "dense_width": 4},
+        distillation={"source": "noise"},
+    )
+    raw["distillation"].pop("holdout_count")
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: dataset.directory: " in err and "(1, 6, 6) and test/ samples of shape (1, 5, 5)" in err, err
+    assert not out.exists()
 
 
 def test_output_path_collision_exits_2(tmp_path):
@@ -410,6 +431,7 @@ def test_diverging_run_exits_2_and_keeps_earlier_rounds(tmp_path, capsys):
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert re.search(r"round \d+, cluster \d+, client \d+: local training diverged", err), err
+    assert (out / "config.yaml").is_file()
     lines = read_metrics(out)
     assert len(lines) <= 7
     assert [r["round"] for r in lines] == list(range(len(lines)))

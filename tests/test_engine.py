@@ -18,11 +18,12 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+import fedsim.config
 import fedsim.engine
 from fedsim.clustering import ClientProfile
+from fedsim.config import STAGE1_WEIGHTINGS
 from fedsim.data import make_blobs
 from fedsim.engine import (
-    STAGE1_WEIGHTINGS,
     ClusterState,
     FedConfig,
     RoundMetrics,
@@ -613,7 +614,7 @@ def make_states(rates, seed0=40, input_dim=6, classes=3):
 
 
 def test_every_random_stream_has_its_own_id():
-    ids = {k: v for k, v in vars(fedsim.engine).items() if k.startswith("_STREAM_")}
+    ids = {k: v for k, v in vars(fedsim.config).items() if k.startswith("_STREAM_")}
     assert len(set(ids.values())) == len(ids)
     assert ids["_STREAM_DATASET"] == 6  # blob generation; moving it re-draws every blobs dataset
 
@@ -1585,6 +1586,13 @@ class TestRunExperiment:
             run_experiment(
                 desk_config(algorithm="fedsgd"), self.base, self.train, self.test, self.profiles
             )
+
+    @pytest.mark.parametrize("which", ["train", "test"])
+    def test_samples_that_do_not_fit_the_model_are_rejected_before_training(self, which):
+        other_train, other_test = make_blobs(3, 60, 30, 5, seed=123)
+        train, test = (other_train, self.test) if which == "train" else (self.train, other_test)
+        with pytest.raises(DimensionError, match=rf"{which} samples of shape \(5,\) do not fit model input \(8,\)"):
+            prepare_run(desk_config(), self.base, train, test, self.profiles)
 
 
 class TestFedConfigValidation:

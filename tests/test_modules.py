@@ -56,3 +56,13 @@ def test_setting_up_a_run_does_not_import_numpy_ma(partition):
     command = [sys.executable, "-c", SET_UP_A_RUN, str(config), partition]
     result = subprocess.run(command, env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_config_imports_nothing_of_the_engine():
+    # the engine depends on its configuration, not the other way round
+    src = Path(fedsim.__file__).parents[1]
+    loaded = ("fedsim.engine", "fedsim.nn", "fedsim.losses", "fedsim.procs")
+    check = f"import sys, fedsim.config; assert not set({loaded!r}) & set(sys.modules), sorted(sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

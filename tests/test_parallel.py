@@ -438,6 +438,36 @@ def test_a_helper_that_dies_in_the_server_half_is_an_engine_error_naming_the_rou
     assert_reaped(forked)
 
 
+@pytest.mark.parametrize(
+    "target, error, frame, round_index",
+    [("stage1_aggregate", MemoryError, "_aggregate", 0), ("distillation_batches", OSError, "_round_batches", 1)],
+    ids=["merge", "stage-2-draw"],
+)
+@pytest.mark.parametrize("count", [2, 3])
+def test_an_exception_a_helpers_phase_raises_arrives_as_itself(target, error, frame, round_index, count, cpus,
+                                                               monkeypatch):
+    # the merge catches nothing; a resampled draw (round 1 on) is made in
+    # the server half before the Stage-2 lockstep, where the parent waits
+    parent, real = os.getpid(), getattr(fedsim.engine, target)
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            raise error(f"{target} failed in a helper")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fedsim.engine, target, failing)
+    forked, rounds = cpus(count), []
+    with pytest.raises(error, match=f"^{target} failed in a helper$") as caught:
+        run_experiment(config(kde_bandwidth=1.0, distill_resample=True), BASE, TRAIN, TEST, THREE_TIERS,
+                       on_round=lambda m: rounds.append(m.round_index))
+    assert rounds == list(range(round_index))
+    assert type(caught.value) is error
+    assert isinstance(caught.value.__cause__, fedsim.procs._RemoteTraceback)
+    assert f", in {frame}\n" in str(caught.value.__cause__)
+    assert len(forked) == count - 1
+    assert_reaped(forked)
+
+
 def test_helpers_exit_when_the_parent_is_killed():
     # a forked stand-in for the parent forks two helpers, reports their pids
     # and kills itself after round 0; each helper's command pipe then ends

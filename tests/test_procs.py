@@ -51,7 +51,14 @@ def exchange(context, me):
     return me.finish(np.array([[10.0 + c for c in me.owned]]), None)[0], [row.tolist() for row in rows]
 
 
-PHASES = (whoami, failing, exchange)
+def raising(context, me):
+    """A phase that raises in every helper, as a merge that runs out of memory."""
+
+    if me.part[0]:
+        raise LookupError(f"part {me.part[0]} found nothing")
+
+
+PHASES = (whoami, failing, exchange, raising)
 
 
 def helpers(count, slots=None):
@@ -101,6 +108,16 @@ def test_an_exception_nested_in_a_reply_arrives_with_the_helpers_traceback(count
         else:
             assert isinstance(exc.__cause__, fedsim.procs._RemoteTraceback)
             assert ", in raised\n" in str(exc.__cause__)
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_an_exception_a_helpers_phase_raises_arrives_as_itself(count):
+    with pytest.raises(LookupError, match="^part 1 found nothing$") as caught, helpers(count) as processes:
+        pids = [helper.pid for helper in processes.processes]
+        processes.each(raising)
+    assert isinstance(caught.value.__cause__, fedsim.procs._RemoteTraceback)
+    assert ", in raising\n" in str(caught.value.__cause__)
+    assert_reaped(pids)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])

@@ -11,10 +11,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fedsim.config import SETTINGS, resolve_config
-from fedsim.engine import FedConfig
+from fedsim.config import SETTINGS, FedConfig, coerce, resolve_config
 from fedsim.errors import ConfigError
-from fedsim.settings import coerce
 
 FED_FIELD = {f.metadata["setting"].path: f.name for f in fields(FedConfig)}
 
