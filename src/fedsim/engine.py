@@ -18,7 +18,10 @@ A round runs in up to one process per CPU the process may use, as three
 phases run in every process (:func:`_train_share`, :func:`_aggregate` and
 :func:`_server_half`), over one shared region that holds every vector a
 round moves (:class:`_Slots`); :mod:`fedsim.procs` forks the helpers and
-runs each phase in all of them.
+runs each phase in all of them.  Stage 2's own exchange between the
+processes, its logits in the slots, its per-step agreement, its KL table
+and its first failure, is :func:`stage2_dml`'s; ``procs`` carries its
+values without reading them.
 
 An update is a pure function of its start vector, its rows and its own
 ``(client, round)`` stream, a Stage-2 step of the consensus and its own
@@ -83,7 +86,7 @@ from fedsim.models import (
     validate_params,
 )
 from fedsim.nn import backward_from_cache, forward_cached, model_forward, sgd_step
-from fedsim.procs import Helpers, Lockstep, cpus
+from fedsim.procs import Helpers, cpus
 
 
 @dataclass
@@ -395,7 +398,7 @@ def stage2_dml(
     states: list[ClusterState],
     batches: list[np.ndarray],
     config: FedConfig,
-    lockstep: Lockstep | None = None,
+    me=None,
 ) -> tuple[list[ClusterState], float]:
     """Deep mutual learning between cluster models on unlabeled inputs.
 
@@ -410,15 +413,19 @@ def stage2_dml(
     parameters are checked against its spec once, on entry, and trained in
     place on a private copy; the input states are not written.
 
-    ``lockstep`` spreads the clusters over processes (see :mod:`fedsim.procs`):
-    this process steps only ``lockstep.owned``, and for each batch it gathers
-    the other clusters' logits from the processes that step them, so every
-    process builds the same consensus; with shared ``slots``, each owned
-    cluster trains in place, in the vector its state holds.  The first
-    failure of any process, in order of epoch, batch, then cluster, is
-    raised, and the per-step KL values of every process join the sum.
-    Without one, this process steps every cluster and its gather does
-    nothing.
+    ``me``, a process's own side in a round (see :mod:`fedsim.procs`),
+    spreads the clusters over the processes that own them: this process
+    steps only ``me.owned``, each in place in the vector its state holds.
+    For each batch every process writes its clusters' logits to
+    ``me.slots.logits[step]`` and, once :meth:`~fedsim.procs.Helpers.agree`
+    says every process is ok, reads every cluster's, so every process
+    builds the same consensus; else Stage 2 ends in all of them.  At the
+    end each hands its per-step KL values and first failure to the first
+    process (:meth:`~fedsim.procs.Helpers.collect`), which raises the first
+    failure of any process, in order of epoch, batch, then cluster, and sums
+    the KL values of every cluster.  A helper returns its own clusters' new
+    states and KL values, whatever failed: the first process raises the
+    failure, and the helper is reaped with the round's processes.
 
     With a single cluster the consensus equals the cluster's own
     distribution, the gradient is exactly zero, and parameters come back
@@ -430,8 +437,7 @@ def stage2_dml(
     m = len(states)
     if m == 1 and not config.include_self_in_consensus:
         raise EngineError("consensus over zero peers: a single cluster must include itself")
-    lockstep = lockstep or Lockstep(range(m))
-    owned = lockstep.owned
+    owned = range(m) if me is None else me.owned
     steps = config.global_epochs * len(batches)
     kl = np.zeros((steps, len(owned)))
     # this process's first failure, ((step, phase, cluster), exception), in the
@@ -442,7 +448,7 @@ def stage2_dml(
     try:
         for c in owned:
             where = (-1, 0, c)
-            models[c] = _Learner(states[c].spec, states[c].params, out=states[c].params if lockstep.slots else None)
+            models[c] = _Learner(states[c].spec, states[c].params, out=None if me is None else states[c].params)
     except Exception as exc:
         failure = where, exc
     for step in range(steps):
@@ -456,7 +462,11 @@ def stage2_dml(
                     forwards.append(forward_cached(states[c].spec, models[c].params, batch))
             except Exception as exc:
                 failure = where, exc
-        logits = lockstep.gather(step, None if failure is not None else [own for own, _ in forwards])
+        logits = None if failure is not None else [own for own, _ in forwards]
+        if me is not None:  # each process writes its clusters' rows, and all go on only if all are ok
+            if logits is not None:
+                me.slots.logits[step][owned] = logits
+            logits = list(me.slots.logits[step]) if me.agree(logits is not None) else None
         if logits is None:
             break
         try:
@@ -473,9 +483,14 @@ def stage2_dml(
                 models[c].check_finite([kl[step, i]], f"cluster {states[c].cluster_id}: distillation")
         except Exception as exc:
             failure = where, exc
-    kl, failure = lockstep.finish(kl, failure)
-    if failure is not None:
-        raise failure[1]
+    ends = [(owned, kl, failure)] if me is None else me.collect((owned, kl, failure))
+    if ends is not None:  # this is the first process: every cluster's KL column, in cluster order
+        kl = np.empty((steps, m))
+        for columns, theirs, _ in ends:
+            kl[:, columns] = theirs
+        failures = [end[2] for end in ends if end[2] is not None]
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
     kl_sum = 0.0
     for value in kl.ravel().tolist():
         kl_sum += value
@@ -723,9 +738,10 @@ def _aggregate(run: RunState, me) -> None:
         stage1_aggregate(models, run.partition.sizes()[positions], run.config.stage1_weighting, part, state.params)
 
 
-def _server_half(run: RunState, t: int, me: Lockstep) -> tuple[float, list]:
-    """Stage 2 of round ``t`` (``fedtsa`` only), in lockstep ``me``, then the
-    evaluation of each cluster in ``me.owned``: the third phase of a round.
+def _server_half(run: RunState, t: int, me) -> tuple[float, list]:
+    """Stage 2 of round ``t`` (``fedtsa`` only), spread over the processes
+    by ``me``, then the evaluation of each cluster in ``me.owned``: the
+    third phase of a round.
 
     Stage 2's models replace those in ``run.states``, and a
     :class:`FedsimError` it raises becomes an :class:`EngineError` naming the
@@ -867,7 +883,7 @@ def run_round(run: RunState, t: int, helpers: Helpers | None = None) -> RoundMet
     mean_local_loss = float(np.mean(losses)) if losses else float("nan")
 
     replies = helpers.each(_server_half, t, where=f"round {t}: ", serving=True)
-    stage2_kl = replies[0][1][0]  # this process's: its lockstep sums every cluster's KL values
+    stage2_kl = replies[0][1][0]  # this process's: its Stage 2 sums every cluster's KL values
     outcomes = {}
     for process, (_, reply) in replies:
         outcomes.update(zip(process.owned, reply))

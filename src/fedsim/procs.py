@@ -11,19 +11,19 @@ every process and returns their replies.  A helper's loop knows no round:
 it runs each phase the parent names and replies with its result.
 
 The processes send each other only control, in :func:`_send` messages:
-each phase's index and arguments, its reply, and the flags and KL table
-of the Stage-2 lockstep (:class:`Lockstep`).  An exception in a reply
-arrives as itself, with the helper's traceback as its cause; so does one
-that a helper's phase raises, which the parent raises where it reads the
-helper's next message.  This module knows nothing of federated learning.
+each phase's index and arguments, its reply, and what a phase exchanges
+mid-way through :meth:`Helpers.agree` and :meth:`Helpers.collect`, which
+carry values they never look at.  An exception in a reply or a collected
+value arrives as itself, with the helper's traceback as its cause; so does
+one that a helper's phase raises, which the parent raises where it reads
+the helper's next message.  This module knows nothing of federated
+learning.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-
-import numpy as np
 
 from fedsim.errors import EngineError
 
@@ -100,63 +100,23 @@ def _sendable(obj):
     return obj
 
 
-class Lockstep:
-    """Stage 2 in one process alone: it steps every cluster in ``owned``.
-
-    Spread over processes, each steps the clusters it owns; :class:`Helpers`
-    is the parent's side and :class:`_Peer` a helper's, both with the run's
-    ``slots``, whose ``logits[step]`` holds every cluster's logits at a
-    step.  For each step, :meth:`gather` writes the logits of this process's
-    clusters (``None`` once it has failed) to their slots and, once
-    :meth:`agree` says every process is ok, returns every cluster's in
-    cluster order, else ``None``, which ends Stage 2 in all of them.  At the
-    end, :meth:`finish` takes this process's per-step KL values (one column
-    per owned cluster) and first failure (``None`` if none), and returns
-    those of every cluster and the first failure of any process.
-    """
-
-    def __init__(self, owned, slots=None):
-        self.owned = list(owned)
-        self.slots = slots
-
-    def gather(self, step: int, logits: list[np.ndarray] | None) -> list[np.ndarray] | None:
-        if self.slots is None:
-            return logits
-        if logits is not None:
-            self.slots.logits[step][self.owned] = logits
-        return list(self.slots.logits[step]) if self.agree(logits is not None) else None
-
-    def finish(self, kl: np.ndarray, failure: tuple | None) -> tuple[np.ndarray, tuple | None]:
-        return kl, failure
-
-
-class _Peer(Lockstep):
+class _Peer:
     """A helper's own side, the ``me`` of every phase it runs: its share of
     the clients ``share``, its part ``part`` of every merge, the clusters it
-    owns, the run's ``slots``, and its end of the Stage-2 lockstep over its
-    pipes to the parent, ``commands`` and ``replies``.
-
-    For each step it tells the parent whether it is ok and hears whether
-    every process is.  At the end it sends its KL values and its first
-    failure; a helper that failed or was stopped then ends, as the parent
-    raises the first failure and reaps it.
+    owns, the run's ``slots``, and its pipes to the parent, ``commands`` and
+    ``replies``, over which a phase exchanges values mid-way with
+    :meth:`agree` and :meth:`collect` (see :class:`Helpers`).
     """
 
     def __init__(self, share: list[int], owned: list[int], part: tuple[int, int], slots):
-        super().__init__(owned, slots)
-        self.share, self.part = share, part
-        self.stopped = False
+        self.share, self.owned, self.part, self.slots = share, owned, part, slots
 
-    def agree(self, ok):
+    def agree(self, ok: bool) -> bool:
         _send(self.replies, ok)
-        self.stopped = not _recv(self.commands)
-        return not self.stopped
+        return _recv(self.commands)
 
-    def finish(self, kl, failure):
-        _send(self.replies, _sendable((kl, failure)))
-        if failure is not None or self.stopped:
-            os._exit(0)
-        return kl, None
+    def collect(self, value) -> None:
+        _send(self.replies, _sendable(value))
 
 
 class _Helper:
@@ -230,26 +190,29 @@ class _Helper:
         self.replies.close()
 
 
-class Helpers(Lockstep):
-    """A run's helpers, and this process's own side of every phase and of
-    the Stage-2 lockstep.
+class Helpers:
+    """A run's helpers, and this process's own side of every phase.
 
     ``shares`` and ``owners`` hold, per process, its share of the clients
     and the clusters it owns.  This process keeps the first of each
     (``share`` and ``owned``); one :class:`_Helper` per further share takes
-    the rest.  ``serving`` lists the helpers that own a cluster, and only
-    they take part in Stage 2.  Process ``k`` (this one is 0) merges part
-    ``part = (k, count)`` of every vector.  ``slots`` must be shared memory
-    mapped before this forks.  ``phases`` are the functions :meth:`each`
-    runs, with ``run`` as their first argument.  Leaving a ``with`` block
-    reaps every helper, killing it first if an exception ends the block.
+    the rest.  ``serving`` lists the helpers that own a cluster.  Process
+    ``k`` (this one is 0) merges part ``part = (k, count)`` of every vector.
+    ``slots`` must be shared memory mapped before this forks.  ``phases``
+    are the functions :meth:`each` runs, with ``run`` as their first
+    argument.  Leaving a ``with`` block reaps every helper, killing it first
+    if an exception ends the block.
+
+    A phase run with ``serving`` exchanges values mid-way, each process
+    calling the same method on its own side ``me``: :meth:`agree` tells
+    each whether every one is ok, and :meth:`collect` hands every value to
+    this process.
     """
 
     def __init__(self, run, shares: list[list[int]], owners: list[list[int]], slots, phases: tuple):
-        count, self.cluster_count = len(shares), sum(map(len, owners))
-        (self.share, *shares), (owned, *owners) = shares, owners
-        super().__init__(owned, slots)
-        self.run, self.phases, self.part = run, phases, (0, count)
+        count = len(shares)
+        (self.share, *shares), (self.owned, *owners) = shares, owners
+        self.run, self.phases, self.part, self.slots = run, phases, (0, count), slots
         self.processes: list[_Helper] = []
         try:
             for k, (share, clusters) in enumerate(zip(shares, owners), 1):
@@ -282,22 +245,20 @@ class Helpers(Lockstep):
         replies = [(self, phase(self.run, *args, self))]
         return replies + [(helper, helper.recv(where)) for helper in helpers]
 
-    def agree(self, ok):
+    def agree(self, ok: bool) -> bool:
+        """Whether ``ok`` is true in this process and every serving helper."""
+
         for helper in self.serving:
             ok = helper.recv() and ok
         for helper in self.serving:
             helper.send(ok)
         return ok
 
-    def finish(self, kl, failure):
-        table = np.empty((kl.shape[0], self.cluster_count))
-        table[:, self.owned] = kl
-        failures = [] if failure is None else [failure]
-        for helper in self.serving:
-            table[:, helper.owned], theirs = helper.recv()
-            if theirs is not None:
-                failures.append(theirs)
-        return table, min(failures, key=lambda f: f[0], default=None)
+    def collect(self, value) -> list:
+        """``value`` and each serving helper's, in process order; a helper's
+        :meth:`_Peer.collect` sends its own and returns ``None``."""
+
+        return [value] + [helper.recv() for helper in self.serving]
 
     def stop(self, kill: bool) -> None:
         """Close every helper's pipes, which stops an idle one, kill each one

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import fedsim.config
 import fedsim.engine
+import fedsim.procs
 from fedsim.clustering import ClientProfile
 from fedsim.config import STAGE1_WEIGHTINGS
 from fedsim.data import make_blobs
@@ -716,6 +717,41 @@ class TestStage2DML:
         batches = split_batches(np.random.default_rng(3).normal(size=(12, 6)), 5)
         stage2_dml(states, batches, FedConfig(global_epochs=2))  # 6 steps per cluster
         assert calls == [s.spec for s in states]
+
+    def test_the_first_process_joins_every_kl_column_and_raises_the_first_failure_by_position(self):
+        # one process of two owns cluster 0; ``theirs`` stands in for what
+        # the other, owning cluster 1, hands over at the end of Stage 2
+        class Side:
+            owned = [0]
+
+            def __init__(self, theirs, first=True):
+                self.theirs, self.first, self.sent = theirs, first, []
+                self.slots = type("Slots", (), {"logits": [np.zeros((2, 4, 3)) for _ in range(2)]})()
+
+            def agree(self, ok):
+                return ok
+
+            def collect(self, value):
+                self.sent.append(value)
+                return [value, self.theirs] if self.first else None
+
+        batches = split_batches(np.random.default_rng(6).normal(size=(8, 6)), 4)
+        me = Side(([1], np.array([[0.25], [0.5]]), None))
+        _, kl = stage2_dml(make_states([1.0, 0.5]), batches, FedConfig(), me)
+        [(owned, mine, failure)] = me.sent
+        assert (owned, failure) == ([0], None) and mine.shape == (2, 1)
+        assert kl == (((mine[0, 0] + 0.25) + mine[1, 0]) + 0.5) / 4  # step by step, cluster by cluster
+
+        # this process's forward fails at step 1, after the other's step 0 failed
+        wide = [batches[0], np.zeros((4, 7))]
+        me = Side(([1], np.zeros((2, 1)), ((0, 1, 1), EngineError("cluster 1: distillation diverged"))))
+        with pytest.raises(EngineError, match="^cluster 1: distillation diverged$"):
+            stage2_dml(make_states([1.0, 0.5]), wide, FedConfig(), me)
+        assert me.sent[0][2][0] == (1, 0, 0)
+        # a helper hands its failure over and returns, as the first process raises it
+        me = Side(None, first=False)
+        stage2_dml(make_states([1.0, 0.5]), wide, FedConfig(), me)
+        assert type(me.sent[0][2][1]) is DimensionError
 
     def test_wrong_shaped_tensor_is_named(self):
         states = make_states([1.0, 0.5])
@@ -1547,6 +1583,28 @@ class TestRunExperiment:
             assert [s.params.flat.tobytes() for s in forked.states] == [
                 s.params.flat.tobytes() for s in run.states
             ]
+
+    def test_a_two_cpu_fedtsa_round_sends_its_helper_two_messages_per_stage2_step_and_seven_more(
+        self, monkeypatch, tmp_path
+    ):
+        # per round: a command and a reply for each of three phases, one ok
+        # each way per Stage-2 step, and the helper's hand-over at its end
+        log, real = tmp_path / "senders", fedsim.procs._send
+
+        def counted(pipe, obj):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            real(pipe, obj)
+
+        monkeypatch.setattr(fedsim.procs, "_send", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = desk_config(rounds=2, global_epochs=2)
+        run = run_experiment(cfg, self.base, self.train, self.test, self.profiles)
+        steps = cfg.global_epochs * len(run.distill_batches)
+        assert len(run.states) == 2 and steps > 1  # the helper owns a cluster
+        senders = log.read_text().split()
+        parent = senders.count(str(os.getpid()))
+        assert (parent, len(senders) - parent) == (cfg.rounds * (3 + steps), cfg.rounds * (4 + steps))
 
     def test_a_run_holds_its_datasets_without_copying_them(self):
         run = prepare_run(desk_config(), self.base, self.train, self.test, self.profiles)

@@ -2,24 +2,24 @@
 
 Each test builds :class:`~fedsim.procs.Helpers` at one, two and three
 processes.  The shares and owners below give, at three processes, one
-helper that owns a cluster and one that owns none.
+helper that owns a cluster and one that owns none; the test of the
+mid-phase calls adds four, where two helpers that own one sit around one
+that owns none.
 """
 
-import mmap
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import fedsim.procs
 from fedsim.procs import Helpers
 
 CONTEXT = {"name": "toy"}
-SHARES = {1: [[0, 1, 2, 3]], 2: [[0, 2], [1, 3]], 3: [[0], [1, 3], [2]]}
-OWNERS = {1: [[0, 1]], 2: [[0], [1]], 3: [[0], [], [1]]}
+SHARES = {1: [[0, 1, 2, 3]], 2: [[0, 2], [1, 3]], 3: [[0], [1, 3], [2]], 4: [[0], [1], [2], [3]]}
+OWNERS = {1: [[0, 1]], 2: [[0], [1]], 3: [[0], [], [1]], 4: [[0], [1], [], [2]]}
 
 
 def whoami(context, tag, me):
@@ -43,12 +43,11 @@ def failing(context, me):
     return 0.5, [1.0, raised(ValueError(f"bad part {me.part[0]}"))]
 
 
-def exchange(context, me):
-    """One Stage-2 lockstep step: each process writes its clusters' rows,
-    reads every cluster's, and the KL table joins one column per cluster."""
+def vote(context, against, me):
+    """Each process agrees unless its part is ``against``, then hands over
+    its part and pid."""
 
-    rows = me.gather(0, [np.full(2, float(c)) for c in me.owned])
-    return me.finish(np.array([[10.0 + c for c in me.owned]]), None)[0], [row.tolist() for row in rows]
+    return me.agree(me.part[0] != against), me.collect((me.part[0], os.getpid()))
 
 
 def raising(context, me):
@@ -58,11 +57,11 @@ def raising(context, me):
         raise LookupError(f"part {me.part[0]} found nothing")
 
 
-PHASES = (whoami, failing, exchange, raising)
+PHASES = (whoami, failing, vote, raising)
 
 
-def helpers(count, slots=None):
-    return Helpers(CONTEXT, SHARES[count], OWNERS[count], slots, PHASES)
+def helpers(count):
+    return Helpers(CONTEXT, SHARES[count], OWNERS[count], None, PHASES)
 
 
 def assert_reaped(pids):
@@ -120,16 +119,17 @@ def test_an_exception_a_helpers_phase_raises_arrives_as_itself(count):
     assert_reaped(pids)
 
 
-@pytest.mark.parametrize("count", [1, 2, 3])
-def test_the_lockstep_shows_every_owner_every_clusters_rows(count):
-    slots = type("Slots", (), {})()
-    slots.logits = [np.frombuffer(mmap.mmap(-1, 8 * 2 * 2)).reshape(2, 2)]
-    with helpers(count, slots) as processes:
-        replies = processes.each(exchange, serving=True)
-    (kl, rows), *theirs = [reply for _, reply in replies]
-    assert kl.tolist() == [[10.0, 11.0]]
-    assert rows == [[0.0, 0.0], [1.0, 1.0]]
-    assert all(their_rows == rows for _, their_rows in theirs)
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_agree_and_collect_reach_this_process_and_the_serving_helpers_in_order(count):
+    # each vote has one process say no, or none (-1); a process that owns
+    # no cluster is never asked
+    with helpers(count) as processes:
+        votes = [processes.each(vote, against, serving=True) for against in range(-1, count)]
+        asked = [(0, os.getpid())] + [(processes.processes.index(h) + 1, h.pid) for h in processes.serving]
+    assert [k for k, _ in asked] == [k for k, owned in enumerate(OWNERS[count]) if owned]
+    for against, replies in enumerate(votes, -1):
+        agreed = against not in [k for k, _ in asked]
+        assert [reply for _, reply in replies] == [(agreed, asked)] + [(agreed, None)] * (len(asked) - 1)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])
@@ -144,7 +144,7 @@ def test_every_helper_is_reaped_and_killed_when_the_block_fails(count):
 
 def test_procs_imports_nothing_of_the_engine():
     src = Path(fedsim.procs.__file__).parents[1]
-    check = "import sys, fedsim.procs; assert 'fedsim.engine' not in sys.modules, sorted(sys.modules)"
+    check = "import sys, fedsim.procs; assert not {'fedsim.engine', 'numpy'} & set(sys.modules), sorted(sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
