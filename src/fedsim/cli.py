@@ -5,7 +5,8 @@ next to the results (re-running it reproduces the run), per-round metrics are
 appended line by line so an interrupted run leaves a valid file, and nothing
 in ``metrics.jsonl`` depends on wall time.
 
-Exit codes: 0 success, 1 configuration problem, 2 runtime failure.
+Exit codes: 0 success, 1 configuration problem, 2 runtime failure (an
+unexpected exception also prints its traceback).
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import json
 import math
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from fedsim.clustering import format_cluster_report, save_durations
 from fedsim.config import (
     ExperimentConfig,
-    apply_overrides,
     build_datasets,
     build_model_spec,
     build_profiles,
@@ -90,19 +91,17 @@ def _default_out_dir(config_path: str, cfg: ExperimentConfig) -> Path:
     return Path("runs") / f"{Path(config_path).stem}-{cfg.fed.algorithm}-seed{cfg.fed.master_seed}"
 
 
-def _load_resolved(args) -> ExperimentConfig:
-    raw = load_config_dict(args.config)
-    raw = apply_overrides(
-        raw,
-        seed=getattr(args, "seed", None),
-        algorithm=getattr(args, "algo", None),
-        out=getattr(args, "out_dir", None),
-    )
-    return resolve_config(raw)
+def _load_resolved(args, **paths) -> ExperimentConfig:
+    """``args.config`` resolved with ``--seed`` and ``paths`` (dotted setting
+    paths to flag values) in place of the file's; a flag not given is None."""
+
+    overrides = {"seed": args.seed, **paths}
+    given = {path: value for path, value in overrides.items() if value is not None}
+    return resolve_config(load_config_dict(args.config), given)
 
 
 def cmd_run(args) -> int:
-    cfg = _load_resolved(args)
+    cfg = _load_resolved(args, **{"training.algorithm": args.algo, "output.directory": args.out_dir})
 
     # everything that can fail fast does so before any output file is touched
     train, test = build_datasets(cfg)
@@ -240,14 +239,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except FedsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FedsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("interrupted; metrics written so far remain valid", file=sys.stderr)
+        return 2
+    except Exception:
+        traceback.print_exc()
         return 2
 
 

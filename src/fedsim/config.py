@@ -3,8 +3,11 @@
 Configs are nested YAML documents.  Every key has a default, every value is
 type- and range-checked, and unknown keys are rejected with their dotted path
 -- a silently ignored typo ("lerning_rate") is the easiest way to publish a
-result that nobody can reproduce.  The resolved form (all defaults made
-explicit) can be written back out and re-run to reproduce a run exactly.
+result that nobody can reproduce.  Overrides, such as the command line's
+``--seed``, are dotted settings too: :func:`resolve_config` takes them in the
+same pass as the file, so they are checked and echoed as if written there.
+The resolved form (all defaults made explicit) can be written back out and
+re-run to reproduce a run exactly.
 
 Each setting is declared once, with its dotted YAML path, its kind, its
 bounds and its default (a :class:`Setting`): the settings a run needs as the
@@ -12,8 +15,9 @@ fields of :class:`FedConfig` (see :func:`setting`), the data, fleet, model
 and output settings in ``SETTINGS`` below.  :func:`coerce` checks a value
 against its declaration both when a YAML file is resolved and when
 ``FedConfig`` validates itself, so the declarations are the only place a
-bound is enforced.  They give the known keys, the defaults, the checks, the
-resolved mapping and the ``FedConfig`` a file resolves to.  The named random
+bound is enforced, and a bad list entry is reported at its index either
+way.  They give the known keys, the defaults, the checks, the resolved
+mapping and the ``FedConfig`` a file resolves to.  The named random
 streams that every seeded draw of a run takes (:func:`stream_seed`) are
 declared here too, beside the master seed they derive from.
 """
@@ -66,12 +70,11 @@ def setting(path: str, kind, default=None, **declaration):
     return field(default=default, metadata={"setting": Setting(path, kind, default, **declaration)})
 
 
-def coerce(setting: Setting, value, where: str, entry_paths: bool = True):
+def coerce(setting: Setting, value, where: str):
     """``value`` in the setting's kind (ints widen to floats, lists stay lists).
 
-    Raises :class:`ConfigError` at ``where`` when the value does not fit.  A
-    bad list entry is reported at ``where[i]``, or at ``where`` itself when
-    ``entry_paths`` is false.
+    Raises :class:`ConfigError` at ``where`` when the value does not fit, or
+    at ``where[i]`` when entry ``i`` of a list does not.
     """
 
     if value is None and setting.default is None:
@@ -80,10 +83,7 @@ def coerce(setting: Setting, value, where: str, entry_paths: bool = True):
         return _coerce_one(setting, value, where)
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"expected a list, got {value!r}", field=where)
-    return [
-        _coerce_one(setting, v, f"{where}[{i}]" if entry_paths else where)
-        for i, v in enumerate(value)
-    ]
+    return [_coerce_one(setting, v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
 def _coerce_one(setting: Setting, value, where: str):
@@ -195,11 +195,11 @@ class FedConfig:
     def validate(self) -> None:
         """Check every field against its declaration, then the cross-field rules.
 
-        Errors name the field; a bad list entry is reported at the list.
+        Errors name the field, and a bad list entry its index in the field.
         """
 
         for f in fields(self):
-            coerce(f.metadata["setting"], getattr(self, f.name), f.name, entry_paths=False)
+            coerce(f.metadata["setting"], getattr(self, f.name), f.name)
         if self.distill_kind == "directory" and not self.distill_directory:
             raise ConfigError(
                 "required when distill_kind is 'directory'", field="distill_directory"
@@ -213,7 +213,6 @@ MODEL_KINDS = ("auto", "mlp", "cnn")
 
 # the settings FedConfig holds, by field name
 _FED_SETTINGS = {f.name: f.metadata["setting"] for f in fields(FedConfig)}
-_FED_PATHS = {s.path for s in _FED_SETTINGS.values()}
 
 # every setting: FedConfig's, then the ones only the builders below read
 SETTINGS = (
@@ -281,12 +280,22 @@ def load_config_dict(path) -> dict:
     return raw
 
 
+def _unknown(path: str) -> ConfigError:
+    """The error for a dotted path that no setting declares, naming its known neighbours."""
+
+    section = path.rpartition(".")[0]
+    known = _TOP_LEVEL
+    if section in _SECTIONS:
+        known = sorted(p.split(".")[1] for p in _PATHS if p.startswith(f"{section}."))
+    return ConfigError(f"unknown key (known: {', '.join(known)})", field=path)
+
+
 def _blocks(raw: dict) -> dict[str, dict]:
     """Each section's mapping (top-level settings under ``""``), unknown keys rejected."""
 
     for key in raw:
         if key not in _TOP_LEVEL:
-            raise ConfigError(f"unknown key (known: {', '.join(_TOP_LEVEL)})", field=str(key))
+            raise _unknown(str(key))
     blocks = {"": raw}
     for section in _SECTIONS:
         block = raw.get(section)
@@ -295,27 +304,31 @@ def _blocks(raw: dict) -> dict[str, dict]:
             raise ConfigError("expected a mapping of settings", field=section)
         for key in block:
             if f"{section}.{key}" not in _PATHS:
-                known = sorted(p.split(".")[1] for p in _PATHS if p.startswith(f"{section}."))
-                raise ConfigError(
-                    f"unknown key (known: {', '.join(known)})", field=f"{section}.{key}"
-                )
+                raise _unknown(f"{section}.{key}")
         blocks[section] = block
     return blocks
 
 
-def resolve_config(raw: dict) -> ExperimentConfig:
+def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Validate a raw mapping and make every default explicit.
 
-    Errors name the dotted path.  A bad entry of a list that ``FedConfig``
-    holds is reported at the list, as :meth:`FedConfig.validate` reports it.
+    ``overrides`` maps dotted setting paths (``"seed"``,
+    ``"training.algorithm"``) to values that replace the file's; they are
+    resolved in the same pass, so they are checked and echoed as if the file
+    held them, and an unknown path is rejected as an unknown key is.  Errors
+    name the dotted path, and a bad list entry its index (``path[i]``).
     """
 
     blocks = _blocks(raw)
+    overrides = overrides or {}
+    for path in overrides:
+        if path not in _PATHS:
+            raise _unknown(path)
     values = {}
     for s in SETTINGS:
         section, _, key = s.path.rpartition(".")
-        value = blocks[section].get(key, s.default)
-        values[s.path] = coerce(s, value, s.path, entry_paths=s.path not in _FED_PATHS)
+        value = overrides.get(s.path, blocks[section].get(key, s.default))
+        values[s.path] = coerce(s, value, s.path)
 
     if values["dataset.source"] == "directory" and values["dataset.directory"] is None:
         raise ConfigError("required when dataset.source is 'directory'", field="dataset.directory")
@@ -352,27 +365,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         output=resolved["output"],
         fed=fed,
     )
-
-
-def apply_overrides(
-    raw: dict, seed: int | None = None, algorithm: str | None = None, out: str | None = None
-) -> dict:
-    """Fold command-line overrides into a raw config mapping.
-
-    A section that is present but not a mapping is left as it is, for
-    :func:`resolve_config` to reject as it rejects it without an override.
-    """
-
-    if seed is not None:
-        raw["seed"] = seed
-    for section, key, value in (("training", "algorithm", algorithm), ("output", "directory", out)):
-        if value is None:
-            continue
-        if raw.get(section) is None:
-            raw[section] = {}
-        if isinstance(raw[section], dict):
-            raw[section][key] = value
-    return raw
 
 
 def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -111,15 +111,16 @@ class RoundMetrics:
     stage2_kl: float
 
     def as_dict(self) -> dict:
-        return {
-            "round": self.round_index,
-            "cluster_accuracy": list(self.cluster_accuracy),
-            "client_weighted_accuracy": self.client_weighted_accuracy,
-            "data_weighted_accuracy": self.data_weighted_accuracy,
-            "unweighted_accuracy": self.unweighted_accuracy,
-            "mean_local_loss": self.mean_local_loss,
-            "stage2_kl": self.stage2_kl,
-        }
+        """Every field in order, as ``metrics.jsonl`` writes it: ``round_index``
+        as ``round``, a tuple as a list."""
+
+        record = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            record["round" if f.name == "round_index" else f.name] = (
+                list(value) if isinstance(value, tuple) else value
+            )
+        return record
 
 
 @dataclass
@@ -643,18 +644,19 @@ def prepare_run(
             field=FedConfig.path("include_self_in_consensus"),
         )
 
-    states: list[ClusterState] = []
-    for c, rate in enumerate(assignment.rates):
-        spec_c = build_pruned_spec(base_spec, float(rate))
-        params_c = init_params(spec_c, stream_seed(seed, _STREAM_INIT, c))
-        states.append(ClusterState(c, spec_c, params_c))
-
+    # heterofl's clusters start as slices of one full-width model
     global_params = None
     if config.algorithm == "heterofl":
         global_params = init_params(base_spec, stream_seed(seed, _STREAM_INIT, 0))
-        for state in states:
-            overlap_map(base_spec, state.spec)
-            state.params = extract_overlap(global_params, state.spec)
+    states: list[ClusterState] = []
+    for c, rate in enumerate(assignment.rates):
+        spec_c = build_pruned_spec(base_spec, float(rate))
+        if global_params is None:
+            params_c = init_params(spec_c, stream_seed(seed, _STREAM_INIT, c))
+        else:
+            overlap_map(base_spec, spec_c)
+            params_c = extract_overlap(global_params, spec_c)
+        states.append(ClusterState(c, spec_c, params_c))
 
     distill_batches: list[np.ndarray] = []
     if distils:

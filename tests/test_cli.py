@@ -4,12 +4,16 @@ import csv
 import json
 import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import fedsim
 from fedsim.cli import SUMMARY_COLUMNS, main
 from fedsim.clustering import load_durations
 from fedsim.models import load_checkpoint
@@ -115,6 +119,18 @@ def test_algo_override_lands_in_the_summary(tmp_path):
         row = next(csv.DictReader(fh))
     assert row["algorithm"] == "fedavg"
     assert row["clusters"] == "1"
+
+
+def test_flags_echo_the_same_config_as_the_file_setting_them(tmp_path):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, tiny_config())
+    argv = ["run", "--config", cfg, "--seed", "7", "--algo", "fedavg", "--out", str(out)]
+    assert main(argv) == 0
+    by_flags = (out / "config.yaml").read_bytes()
+    shutil.rmtree(out)
+    raw = tiny_config(seed=7, training={"algorithm": "fedavg"}, output={"directory": str(out)})
+    assert main(["run", "--config", write_config(tmp_path, raw, "set.yaml")]) == 0
+    assert (out / "config.yaml").read_bytes() == by_flags
 
 
 def test_default_output_directory_is_derived(tmp_path, monkeypatch):
@@ -344,6 +360,50 @@ def test_output_path_collision_exits_2(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("not a directory")
     assert main(["run", "--config", cfg, "--out", str(blocker)]) == 2
+
+
+# a second-round local update that raises what no fedsim code raises
+FAIL_IN_ROUND_1 = """
+import runpy
+import fedsim.engine
+
+trained = fedsim.engine.local_update
+
+def local_update(*args, **kwargs):
+    if args[5].spawn_key[-1] == 1:  # the stream's last key is the round
+        raise ValueError("planted failure")
+    return trained(*args, **kwargs)
+
+fedsim.engine.local_update = local_update
+runpy.run_module("fedsim.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_exit_codes_of_the_module_run_as_a_program(tmp_path):
+    src = str(Path(fedsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cfg = write_config(tmp_path, tiny_config(training={"rounds": 3}))
+
+    def fedsim_run(*args, program=("-m", "fedsim.cli")):
+        command = [sys.executable, *program, "run", "--config", cfg, *args]
+        return subprocess.run(command, env=env, capture_output=True, text=True, cwd=tmp_path)
+
+    assert fedsim_run("--out", "ok").returncode == 0
+
+    bad = fedsim_run("--algo", "sgd", "--out", "bad")
+    assert bad.returncode == 1, bad.stderr
+    assert "config error: training.algorithm: must be one of" in bad.stderr
+    assert not (tmp_path / "bad").exists()
+
+    failed = fedsim_run("--out", "failed", program=("-c", FAIL_IN_ROUND_1))
+    assert failed.returncode == 2, failed.stderr
+    assert "Traceback" in failed.stderr and "ValueError: planted failure" in failed.stderr
+    text = (tmp_path / "failed" / "metrics.jsonl").read_text()
+    assert text.endswith("\n")
+    assert [json.loads(line)["round"] for line in text.splitlines()] == [0]
+    assert (tmp_path / "failed" / "config.yaml").read_text() == (
+        (tmp_path / "ok" / "config.yaml").read_text().replace("directory: ok", "directory: failed")
+    )
 
 
 # ------------------------------------------------------- profile / cluster

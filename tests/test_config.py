@@ -1,5 +1,14 @@
-"""Config layer: strict validation, explicit defaults, reproducible echo."""
+"""Config layer: strict validation, explicit defaults, reproducible echo.
 
+The per-setting cases are generated from the declarations themselves, so a
+setting added later is covered without touching this file.  Each bad value
+is tried through ``resolve_config`` (the error names the dotted path) and,
+for the settings ``FedConfig`` holds, through ``FedConfig.validate`` (the
+error names the field); a bad list entry is named at its index either way.
+"""
+
+import copy
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,14 +18,17 @@ import yaml
 from fedsim.config import (
     SETTINGS,
     ExperimentConfig,
-    apply_overrides,
+    FedConfig,
     build_datasets,
     build_model_spec,
     build_profiles,
+    coerce,
     load_config_dict,
     resolve_config,
 )
 from fedsim.errors import ConfigError
+
+FED_FIELD = {f.metadata["setting"].path: f.name for f in fields(FedConfig)}
 
 
 def minimal_raw(**extra) -> dict:
@@ -29,6 +41,15 @@ def write_config(tmp_path, raw, name="exp.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(raw))
     return path
+
+
+def raw_with(path, value, raw=None):
+    """``raw`` (a minimal config by default) with ``value`` written at the dotted ``path``."""
+
+    raw = copy.deepcopy(raw) if raw is not None else minimal_raw()
+    section, _, key = path.rpartition(".")
+    (raw.setdefault(section, {}) if section else raw)[key] = value
+    return raw
 
 
 # ---------------------------------------------------------------- defaults
@@ -193,7 +214,7 @@ def test_engine_level_errors_carry_config_paths():
     raw = minimal_raw(clustering={"rate_ladder": [1.0, 2.0]})
     with pytest.raises(ConfigError) as err:
         resolve_config(raw)
-    assert err.value.field == "clustering.rate_ladder"
+    assert err.value.field == "clustering.rate_ladder[1]"
 
     raw = minimal_raw(distillation={"source": "directory"})
     with pytest.raises(ConfigError) as err:
@@ -206,6 +227,105 @@ def test_directory_dataset_requires_a_directory():
     with pytest.raises(ConfigError) as err:
         resolve_config(raw)
     assert err.value.field == "dataset.directory"
+
+
+# ----------------------------------------------------- every setting, by kind
+
+
+def wrong_types(s):
+    """Single values of the wrong type for the setting's kind."""
+
+    if s.kind is bool:
+        bad = [1, "yes"]
+    elif s.kind is str or isinstance(s.kind, tuple):
+        bad = [5]
+    elif s.kind is int:
+        bad = ["x", True, 1.5]
+    else:
+        bad = ["x", False]
+    return bad if s.default is None else bad + [None]
+
+
+def nudge(s, value, direction):
+    """The next value of the setting's kind above (+1) or below (-1) ``value``."""
+
+    if s.kind is int:
+        return value + direction
+    return float(np.nextafter(value, direction * np.inf))
+
+
+def edges(s):
+    """(just outside, just inside) a pair of values for each bound of a number."""
+
+    pairs = []
+    bounds = ((s.gt, -1, False), (s.ge, -1, True), (s.lt, 1, False), (s.le, 1, True))
+    for bound, outward, closed in bounds:
+        if bound is not None:
+            bound = s.kind(bound)
+            if closed:
+                pairs.append((nudge(s, bound, outward), bound))
+            else:
+                pairs.append((bound, nudge(s, bound, -outward)))
+    return pairs
+
+
+def past_bounds(s):
+    """Single values just outside each bound (or not among the choices)."""
+
+    if isinstance(s.kind, tuple):
+        return ["not-a-choice"]
+    return [outside for outside, _ in edges(s)]
+
+
+def bad_cases(s):
+    """(value, dotted path of the error, field-name error) for one setting.
+
+    A bad list entry is named at its index, whichever dataclass holds the list.
+    """
+
+    name = FED_FIELD.get(s.path)
+    singles = wrong_types(s) + past_bounds(s)
+    if not s.many:
+        return [(v, s.path, name) for v in singles]
+    return [("x" if s.kind is not str else 5, s.path, name)] + [
+        ([v], f"{s.path}[0]", name and f"{name}[0]") for v in singles if v is not None
+    ]
+
+
+CASES = [(s, *case) for s in SETTINGS for case in bad_cases(s)]
+
+
+def test_each_path_is_declared_once():
+    assert len({s.path for s in SETTINGS}) == len(SETTINGS)
+
+
+@pytest.mark.parametrize(
+    "s, value, path, name", CASES, ids=[f"{c[0].path}={c[1]!r}" for c in CASES]
+)
+def test_bad_value_is_rejected_at_its_path(s, value, path, name):
+    with pytest.raises(ConfigError) as err:
+        resolve_config(raw_with(s.path, value))
+    assert err.value.field == path
+    if name is not None:
+        with pytest.raises(ConfigError) as err:
+            FedConfig(**{FED_FIELD[s.path]: value}).validate()
+        assert err.value.field == name
+
+
+@pytest.mark.parametrize("s", [s for s in SETTINGS if edges(s)], ids=lambda s: s.path)
+def test_values_on_the_inner_side_of_each_bound_pass(s):
+    for _, value in edges(s):
+        given = [value] if s.many else value
+        assert coerce(s, given, s.path) == given
+
+
+def test_ints_widen_to_floats_and_lists_stay_lists():
+    cfg = resolve_config(raw_with("clients.workload_units", 10))
+    assert cfg.resolved["clients"]["workload_units"] == 10.0
+    assert isinstance(cfg.fed.workload_units, float)
+    cfg = resolve_config(raw_with("clustering.rate_ladder", (1, 0.5)))
+    assert cfg.resolved["clustering"]["rate_ladder"] == [1.0, 0.5]
+    assert cfg.fed.rate_ladder == (1.0, 0.5)
 
 
 # --------------------------------------------------- clients reconciliation
@@ -271,26 +391,81 @@ def test_echo_is_sorted_and_explicit():
 
 def test_overrides_replace_seed_algorithm_and_output():
     raw = minimal_raw(training={"rounds": 2})
-    out = apply_overrides(raw, seed=13, algorithm="fedavg", out="runs/x")
-    cfg = resolve_config(out)
+    overrides = {"seed": 13, "training.algorithm": "fedavg", "output.directory": "runs/x"}
+    cfg = resolve_config(raw, overrides)
     assert cfg.fed.master_seed == 13
     assert cfg.fed.algorithm == "fedavg"
     assert cfg.output["directory"] == "runs/x"
     assert cfg.fed.rounds == 2  # untouched
+    assert raw == minimal_raw(training={"rounds": 2})  # the file's mapping is not edited
 
 
 def test_overrides_leave_absent_values_alone():
     raw = minimal_raw(seed=5)
-    cfg = resolve_config(apply_overrides(raw))
+    cfg = resolve_config(raw, {})
     assert cfg.fed.master_seed == 5
     assert cfg.fed.algorithm == "fedtsa"
+    assert cfg.echo_text() == resolve_config(raw).echo_text()
 
 
 def test_overrides_tolerate_null_sections():
     raw = {"clients": {"count": 2}, "training": None, "output": None}
-    cfg = resolve_config(apply_overrides(raw, algorithm="heterofl", out="o"))
+    cfg = resolve_config(raw, {"training.algorithm": "heterofl", "output.directory": "o"})
     assert cfg.fed.algorithm == "heterofl"
     assert cfg.output["directory"] == "o"
+
+
+# an override only needs a section's key to exist when the section points there
+OVERRIDE_BASE = {
+    "clients": {"count": 4},
+    "dataset": {"directory": "data"},
+    "distillation": {"directory": "distil"},
+}
+
+
+def other_entry(s, default):
+    """A legal value of the setting's kind other than ``default``."""
+
+    if isinstance(s.kind, tuple):
+        return next(choice for choice in s.kind if choice != default)
+    if s.kind is bool:
+        return not default
+    if s.kind is str:
+        return f"other-{default}"
+    if s.kind is int:
+        return 2 if default is None else default + 1
+    return 0.5 if default is None else default / 2  # inside every declared float bound
+
+
+def other_value(s):
+    """One legal value of the setting other than its default, or None when it has none."""
+
+    if isinstance(s.kind, tuple) and len(s.kind) == 1:
+        return None
+    if s.path == "clients.speed_factors":
+        return [0.5] * OVERRIDE_BASE["clients"]["count"]
+    if not s.many:
+        return other_entry(s, s.default)
+    return [other_entry(s, d) for d in s.default or [None]]
+
+
+OVERRIDABLE = [(s, other_value(s)) for s in SETTINGS if other_value(s) is not None]
+
+
+@pytest.mark.parametrize("s, value", OVERRIDABLE, ids=[s.path for s, _ in OVERRIDABLE])
+def test_an_override_resolves_as_the_same_value_in_the_file(s, value):
+    overridden = resolve_config(OVERRIDE_BASE, {s.path: value})
+    written = resolve_config(raw_with(s.path, value, OVERRIDE_BASE))
+    assert overridden.echo_text() == written.echo_text()
+    assert overridden.fed == written.fed
+    assert overridden.echo_text() != resolve_config(OVERRIDE_BASE).echo_text()
+
+
+@pytest.mark.parametrize("path", ["sede", "training.lerning_rate", "trainning.rounds", "training"])
+def test_an_unknown_override_path_is_rejected_at_that_path(path):
+    with pytest.raises(ConfigError, match="unknown key") as err:
+        resolve_config(minimal_raw(), {path: 1})
+    assert err.value.field == path
 
 
 # ------------------------------------------------------------ file loading
