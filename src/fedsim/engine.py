@@ -400,6 +400,7 @@ def stage2_dml(
     batches: list[np.ndarray],
     config: FedConfig,
     me=None,
+    owned: list[int] | None = None,
 ) -> tuple[list[ClusterState], float]:
     """Deep mutual learning between cluster models on unlabeled inputs.
 
@@ -414,19 +415,18 @@ def stage2_dml(
     parameters are checked against its spec once, on entry, and trained in
     place on a private copy; the input states are not written.
 
-    ``me``, a process's own side in a round (see :mod:`fedsim.procs`),
-    spreads the clusters over the processes that own them: this process
-    steps only ``me.owned``, each in place in the vector its state holds.
-    For each batch every process writes its clusters' logits to
-    ``me.slots.logits[step]`` and, once :meth:`~fedsim.procs.Helpers.agree`
-    says every process is ok, reads every cluster's, so every process
-    builds the same consensus; else Stage 2 ends in all of them.  At the
-    end each hands its per-step KL values and first failure to the first
+    This process steps the clusters ``owned`` (all when omitted); with
+    ``me``, its own side in a round (see :mod:`fedsim.procs`), each in place
+    in the vector its state holds.  For each batch every process writes its
+    clusters' logits to ``me.slots.logits[step]`` and, once
+    :meth:`~fedsim.procs.Helpers.agree` says every process is ok, reads
+    every cluster's, so every process builds the same consensus; else
+    Stage 2 ends in all of them.  At the end each hands its per-step KL
+    values (none if it owns no cluster) and first failure to the first
     process (:meth:`~fedsim.procs.Helpers.collect`), which raises the first
     failure of any process, in order of epoch, batch, then cluster, and sums
-    the KL values of every cluster.  A helper returns its own clusters' new
-    states and KL values, whatever failed: the first process raises the
-    failure, and the helper is reaped with the round's processes.
+    the KL values of every cluster.  A helper returns its clusters' new
+    states whatever failed, as the first process raises the failure.
 
     With a single cluster the consensus equals the cluster's own
     distribution, the gradient is exactly zero, and parameters come back
@@ -438,7 +438,7 @@ def stage2_dml(
     m = len(states)
     if m == 1 and not config.include_self_in_consensus:
         raise EngineError("consensus over zero peers: a single cluster must include itself")
-    owned = range(m) if me is None else me.owned
+    owned = range(m) if owned is None else owned
     steps = config.global_epochs * len(batches)
     kl = np.zeros((steps, len(owned)))
     # this process's first failure, ((step, phase, cluster), exception), in the
@@ -465,7 +465,7 @@ def stage2_dml(
                 failure = where, exc
         logits = None if failure is not None else [own for own, _ in forwards]
         if me is not None:  # each process writes its clusters' rows, and all go on only if all are ok
-            if logits is not None:
+            if logits:
                 me.slots.logits[step][owned] = logits
             logits = list(me.slots.logits[step]) if me.agree(logits is not None) else None
         if logits is None:
@@ -605,6 +605,8 @@ def prepare_run(
             raise DimensionError(
                 f"{name} samples of shape {ds.input_shape} do not fit model input {base_spec.input_shape}"
             )
+    if train.class_count != base_spec.class_count:
+        raise DimensionError(f"data of {train.class_count} classes does not fit a model of {base_spec.class_count}")
 
     seed = config.master_seed
     distils = config.algorithm == "fedtsa"
@@ -691,9 +693,9 @@ def _round_batches(run: RunState, t: int) -> list[np.ndarray]:
     return run.distill_batches
 
 
-def _train_share(run: RunState, t: int, me) -> list:
-    """The local updates of round ``t`` of the clients at positions
-    ``me.share``, in order: the first phase of a round.
+def _train_share(run: RunState, t: int, shares: list[list[int]], me) -> list:
+    """The local updates of round ``t`` of the clients at the positions of
+    ``shares[me.part[0]]``, in order: the first phase of a round.
 
     ``me`` is the running process's own side (see :mod:`fedsim.procs`), as
     in every phase.  A member of cluster ``c`` starts from
@@ -704,7 +706,7 @@ def _train_share(run: RunState, t: int, me) -> list:
 
     config = run.config
     outcomes = []
-    for pos in me.share:
+    for pos in shares[me.part[0]]:
         state = run.states[run.assignment.cluster_of[pos]]
         idx = run.partition.client_indices[pos]
         try:
@@ -740,27 +742,30 @@ def _aggregate(run: RunState, me) -> None:
         stage1_aggregate(models, run.partition.sizes()[positions], run.config.stage1_weighting, part, state.params)
 
 
-def _server_half(run: RunState, t: int, me) -> tuple[float, list]:
+def _server_half(run: RunState, t: int, owners: list[list[int]], me) -> tuple[float, list]:
     """Stage 2 of round ``t`` (``fedtsa`` only), spread over the processes
-    by ``me``, then the evaluation of each cluster in ``me.owned``: the
-    third phase of a round.
+    by ``me``, then the evaluation of each cluster in ``owners[me.part[0]]``:
+    the third phase of a round.
 
     Stage 2's models replace those in ``run.states``, and a
     :class:`FedsimError` it raises becomes an :class:`EngineError` naming the
-    round.  Returns the mean Stage-2 KL value (0.0 without Stage 2) and, per
-    owned cluster in order, its accuracy or the exception the evaluation
-    raised; the first exception ends the list, as in :func:`_train_share`.
+    round; a process that owns no cluster draws no batches, as it needs
+    only their count.  Returns the mean Stage-2 KL value (0.0 without
+    Stage 2) and, per owned cluster in order, its accuracy or the exception
+    the evaluation raised; the first exception ends the list, as in
+    :func:`_train_share`.
     """
 
-    config = run.config
+    config, owned = run.config, owners[me.part[0]]
     stage2_kl = 0.0
     if config.algorithm == "fedtsa":
+        batches = _round_batches(run, t) if owned else run.distill_batches
         try:
-            run.states, stage2_kl = stage2_dml(run.states, _round_batches(run, t), config, me)
+            run.states, stage2_kl = stage2_dml(run.states, batches, config, me, owned)
         except FedsimError as exc:
             raise EngineError(f"round {t}, stage 2: {exc}") from exc
     outcomes = []
-    for c in me.owned:
+    for c in owned:
         state = run.states[c]
         try:
             outcomes.append(evaluate(state.spec, state.params, run.test.features, run.test.labels))
@@ -838,13 +843,12 @@ class _Slots:
 
 def _helpers(run: RunState, count: int | None = None) -> Helpers:
     """``count`` processes for ``run``'s rounds, this one and ``count - 1``
-    forked helpers, each with a share of the clients and of the clusters
-    (:func:`_split`) and the run's :class:`_Slots`, mapped before the first
+    forked helpers, with the run's :class:`_Slots`, mapped before the first
     fork.  ``count`` is by default ``min(CPUs, clients)``
     (:func:`fedsim.procs.cpus`)."""
 
-    shares, owners = _split(run, min(cpus(), len(run.profiles)) if count is None else count)
-    return Helpers(run, shares, owners, _Slots(run), (_train_share, _aggregate, _server_half))
+    count = min(cpus(), len(run.profiles)) if count is None else count
+    return Helpers(run, count, _Slots(run), (_train_share, _aggregate, _server_half))
 
 
 def run_round(run: RunState, t: int, helpers: Helpers | None = None) -> RoundMetrics:
@@ -852,23 +856,25 @@ def run_round(run: RunState, t: int, helpers: Helpers | None = None) -> RoundMet
 
     A round is three phases, each run in every process of ``helpers`` by
     one :meth:`~fedsim.procs.Helpers.each` call (without ``helpers``, this
-    process does all); the vectors stay in the slots.  Each process trains
+    process does all) and given its part of the round's split
+    (:func:`_split`); the vectors stay in the slots.  Each process trains
     its clients (:func:`_train_share`), and the first failure in member
     order is raised as in one process: a :class:`FedsimError` as an
     :class:`EngineError` naming the round, cluster and client, any other as
     it is.  Then each process merges its part (:func:`_aggregate`; the
     parts check the same inputs, so this process fails first).  After
-    heterofl's extraction, each owner of a cluster runs
-    :func:`_server_half`, and the first evaluation failure in cluster order
-    is raised as it is.
+    heterofl's extraction, each runs :func:`_server_half` on the clusters
+    it owns, and the first evaluation failure in cluster order is raised
+    as it is.
     """
 
     config = run.config
     helpers = helpers or _helpers(run, 1)
+    shares, owners = _split(run, helpers.part[1])
     cluster_of, sizes = run.assignment.cluster_of, run.partition.sizes()
     outcomes = {}
-    for process, reply in helpers.each(_train_share, t, where=f"round {t}: training "):
-        outcomes.update(zip(process.share, reply))
+    for share, reply in zip(shares, helpers.each(_train_share, t, shares, where=f"round {t}: training ")):
+        outcomes.update(zip(share, reply))
     losses = []
     for pos in np.argsort(cluster_of, kind="stable").tolist():  # member order
         outcome = outcomes[pos]
@@ -884,11 +890,11 @@ def run_round(run: RunState, t: int, helpers: Helpers | None = None) -> RoundMet
             extract_overlap(run.global_params, state.spec, state.params)
     mean_local_loss = float(np.mean(losses)) if losses else float("nan")
 
-    replies = helpers.each(_server_half, t, where=f"round {t}: ", serving=True)
-    stage2_kl = replies[0][1][0]  # this process's: its Stage 2 sums every cluster's KL values
+    replies = helpers.each(_server_half, t, owners, where=f"round {t}: ")
+    stage2_kl = replies[0][0]  # this process's: its Stage 2 sums every cluster's KL values
     outcomes = {}
-    for process, (_, reply) in replies:
-        outcomes.update(zip(process.owned, reply))
+    for owned, (_, reply) in zip(owners, replies):
+        outcomes.update(zip(owned, reply))
     accuracies = []
     for state in run.states:
         outcome = outcomes[state.cluster_id]

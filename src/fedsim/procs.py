@@ -1,14 +1,15 @@
 """A run's helper processes, and the one call that runs a phase in every process.
 
-:class:`Helpers` forks one helper per share of a run beyond the first,
-which the forking process keeps.  Each process keeps its own side for the
-whole run: its share of the clients, its part of every merge, the clusters
-it owns and the run's shared slots, which a helper inherits through the
-fork with the run itself.  A round is a few phases, functions
-``phase(run, *args, me)`` handed over when the helpers are built, where
-``me`` is the running process's own side; :meth:`Helpers.each` runs one in
-every process and returns their replies.  A helper's loop knows no round:
-it runs each phase the parent names and replies with its result.
+:class:`Helpers` forks ``count - 1`` helpers; the forking process is the
+first of the ``count``.  Each process keeps its own side for the whole run:
+its position ``part = (k, count)`` and the run's slots, which a helper
+inherits through the fork with the run itself.  A round is a few phases,
+functions ``phase(run, *args, me)`` handed over when the helpers are built,
+where ``me`` is the running process's own side; :meth:`Helpers.each` runs
+one in every process and returns their replies.  What a process does in a
+phase, the phase reads from its arguments at ``me.part``.  A helper's loop
+knows no round: it runs each phase the parent names and replies with its
+result.
 
 The processes send each other only control, in :func:`_send` messages:
 each phase's index and arguments, its reply, and what a phase exchanges
@@ -101,15 +102,14 @@ def _sendable(obj):
 
 
 class _Peer:
-    """A helper's own side, the ``me`` of every phase it runs: its share of
-    the clients ``share``, its part ``part`` of every merge, the clusters it
-    owns, the run's ``slots``, and its pipes to the parent, ``commands`` and
-    ``replies``, over which a phase exchanges values mid-way with
+    """A helper's own side, the ``me`` of every phase it runs: its position
+    ``part``, the run's ``slots``, and its pipes to the parent, ``commands``
+    and ``replies``, over which a phase exchanges values mid-way with
     :meth:`agree` and :meth:`collect` (see :class:`Helpers`).
     """
 
-    def __init__(self, share: list[int], owned: list[int], part: tuple[int, int], slots):
-        self.share, self.owned, self.part, self.slots = share, owned, part, slots
+    def __init__(self, part: tuple[int, int], slots):
+        self.part, self.slots = part, slots
 
     def agree(self, ok: bool) -> bool:
         _send(self.replies, ok)
@@ -134,7 +134,6 @@ class _Helper:
     """
 
     def __init__(self, run, phases: tuple, me: _Peer, others: list[_Helper]):
-        self.share, self.owned = me.share, me.owned
         commands_r, commands_w = os.pipe()
         replies_r, replies_w = os.pipe()
         try:
@@ -191,37 +190,29 @@ class _Helper:
 
 
 class Helpers:
-    """A run's helpers, and this process's own side of every phase.
+    """A run's ``count`` processes, and this process's own side of every phase.
 
-    ``shares`` and ``owners`` hold, per process, its share of the clients
-    and the clusters it owns.  This process keeps the first of each
-    (``share`` and ``owned``); one :class:`_Helper` per further share takes
-    the rest.  ``serving`` lists the helpers that own a cluster.  Process
-    ``k`` (this one is 0) merges part ``part = (k, count)`` of every vector.
-    ``slots`` must be shared memory mapped before this forks.  ``phases``
-    are the functions :meth:`each` runs, with ``run`` as their first
-    argument.  Leaving a ``with`` block reaps every helper, killing it first
-    if an exception ends the block.
+    This process is the first, at position ``part = (0, count)``; one
+    :class:`_Helper` is forked for each further position ``(k, count)``.
+    ``slots`` must be mapped before this forks, so that every process sees
+    the same memory.  ``phases`` are the functions :meth:`each` runs, with
+    ``run`` as their first argument.  Leaving a ``with`` block reaps every
+    helper, killing it first if an exception ends the block.
 
-    A phase run with ``serving`` exchanges values mid-way, each process
-    calling the same method on its own side ``me``: :meth:`agree` tells
-    each whether every one is ok, and :meth:`collect` hands every value to
-    this process.
+    A phase exchanges values mid-way, each process calling the same method
+    on its own side ``me``: :meth:`agree` tells each whether every one is
+    ok, and :meth:`collect` hands every value to this process.
     """
 
-    def __init__(self, run, shares: list[list[int]], owners: list[list[int]], slots, phases: tuple):
-        count = len(shares)
-        (self.share, *shares), (self.owned, *owners) = shares, owners
+    def __init__(self, run, count: int, slots, phases: tuple):
         self.run, self.phases, self.part, self.slots = run, phases, (0, count), slots
         self.processes: list[_Helper] = []
         try:
-            for k, (share, clusters) in enumerate(zip(shares, owners), 1):
-                me = _Peer(share, clusters, (k, count), slots)
-                self.processes.append(_Helper(run, phases, me, self.processes))
+            for k in range(1, count):
+                self.processes.append(_Helper(run, phases, _Peer((k, count), slots), self.processes))
         except BaseException:
             self.stop(kill=True)
             raise
-        self.serving = [helper for helper in self.processes if helper.owned]
 
     def __enter__(self) -> Helpers:
         return self
@@ -229,36 +220,34 @@ class Helpers:
     def __exit__(self, exc_type, exc, traceback) -> None:
         self.stop(kill=exc_type is not None)
 
-    def each(self, phase, *args, where: str = "", serving: bool = False) -> list[tuple]:
-        """Run ``phase(run, *args, me)`` in every process (with ``serving``,
-        in this one and the helpers in :attr:`serving` only), and return each
-        process and its reply, this one first, then the helpers in order.
+    def each(self, phase, *args, where: str = "") -> list:
+        """Run ``phase(run, *args, me)`` in every process and return their
+        replies in process order, this one's first.
 
         ``phase`` is one of ``phases``, and a helper is told its index.
         Every helper has its command before this process runs its own; a
         closed pipe is an :class:`EngineError` starting with ``where``.
         """
 
-        helpers = self.serving if serving else self.processes
-        for helper in helpers:
+        for helper in self.processes:
             helper.send((self.phases.index(phase), args), where)
-        replies = [(self, phase(self.run, *args, self))]
-        return replies + [(helper, helper.recv(where)) for helper in helpers]
+        replies = [phase(self.run, *args, self)]
+        return replies + [helper.recv(where) for helper in self.processes]
 
     def agree(self, ok: bool) -> bool:
-        """Whether ``ok`` is true in this process and every serving helper."""
+        """Whether ``ok`` is true in every process."""
 
-        for helper in self.serving:
+        for helper in self.processes:
             ok = helper.recv() and ok
-        for helper in self.serving:
+        for helper in self.processes:
             helper.send(ok)
         return ok
 
     def collect(self, value) -> list:
-        """``value`` and each serving helper's, in process order; a helper's
+        """``value`` and each helper's, in process order; a helper's
         :meth:`_Peer.collect` sends its own and returns ``None``."""
 
-        return [value] + [helper.recv() for helper in self.serving]
+        return [value] + [helper.recv() for helper in self.processes]
 
     def stop(self, kill: bool) -> None:
         """Close every helper's pipes, which stops an idle one, kill each one

@@ -6,6 +6,7 @@ the snapshot/consensus/step recipe; permutation invariances are asserted
 bitwise.
 """
 
+import collections
 import contextlib
 import math
 import mmap
@@ -722,8 +723,6 @@ class TestStage2DML:
         # one process of two owns cluster 0; ``theirs`` stands in for what
         # the other, owning cluster 1, hands over at the end of Stage 2
         class Side:
-            owned = [0]
-
             def __init__(self, theirs, first=True):
                 self.theirs, self.first, self.sent = theirs, first, []
                 self.slots = type("Slots", (), {"logits": [np.zeros((2, 4, 3)) for _ in range(2)]})()
@@ -737,7 +736,7 @@ class TestStage2DML:
 
         batches = split_batches(np.random.default_rng(6).normal(size=(8, 6)), 4)
         me = Side(([1], np.array([[0.25], [0.5]]), None))
-        _, kl = stage2_dml(make_states([1.0, 0.5]), batches, FedConfig(), me)
+        _, kl = stage2_dml(make_states([1.0, 0.5]), batches, FedConfig(), me, owned=[0])
         [(owned, mine, failure)] = me.sent
         assert (owned, failure) == ([0], None) and mine.shape == (2, 1)
         assert kl == (((mine[0, 0] + 0.25) + mine[1, 0]) + 0.5) / 4  # step by step, cluster by cluster
@@ -746,11 +745,11 @@ class TestStage2DML:
         wide = [batches[0], np.zeros((4, 7))]
         me = Side(([1], np.zeros((2, 1)), ((0, 1, 1), EngineError("cluster 1: distillation diverged"))))
         with pytest.raises(EngineError, match="^cluster 1: distillation diverged$"):
-            stage2_dml(make_states([1.0, 0.5]), wide, FedConfig(), me)
+            stage2_dml(make_states([1.0, 0.5]), wide, FedConfig(), me, owned=[0])
         assert me.sent[0][2][0] == (1, 0, 0)
         # a helper hands its failure over and returns, as the first process raises it
         me = Side(None, first=False)
-        stage2_dml(make_states([1.0, 0.5]), wide, FedConfig(), me)
+        stage2_dml(make_states([1.0, 0.5]), wide, FedConfig(), me, owned=[0])
         assert type(me.sent[0][2][1]) is DimensionError
 
     def test_wrong_shaped_tensor_is_named(self):
@@ -1606,6 +1605,32 @@ class TestRunExperiment:
         parent = senders.count(str(os.getpid()))
         assert (parent, len(senders) - parent) == (cfg.rounds * (3 + steps), cfg.rounds * (4 + steps))
 
+    def test_at_three_cpus_each_helpers_server_half_is_two_messages_per_stage2_step_and_three_more(
+        self, monkeypatch, tmp_path
+    ):
+        # the third process owns no cluster, yet runs the server half as the
+        # second does: a command and a reply, one ok each way per Stage-2
+        # step, and its hand-over; training and the merge are two each
+        log, real = tmp_path / "senders", fedsim.procs._send
+
+        def counted(pipe, obj):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {pipe.fileno()}\n")
+            real(pipe, obj)
+
+        monkeypatch.setattr(fedsim.procs, "_send", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        cfg = desk_config(rounds=2, global_epochs=2)
+        run = run_experiment(cfg, self.base, self.train, self.test, self.profiles)
+        assert fedsim.engine._split(run, 3)[1] == [[0], [1], []]
+        steps = cfg.global_epochs * len(run.distill_batches)
+        pipes = collections.Counter(log.read_text().splitlines())  # per sender and pipe
+        to_helpers = [n for key, n in pipes.items() if key.split()[0] == str(os.getpid())]
+        from_helpers = [n for key, n in pipes.items() if key.split()[0] != str(os.getpid())]
+        assert to_helpers == [cfg.rounds * (3 + steps)] * 2
+        assert from_helpers == [cfg.rounds * (4 + steps)] * 2
+        assert to_helpers[0] + from_helpers[0] == cfg.rounds * (2 + 2 + (2 * steps + 3))
+
     def test_a_run_holds_its_datasets_without_copying_them(self):
         run = prepare_run(desk_config(), self.base, self.train, self.test, self.profiles)
         assert run.train is self.train and run.test is self.test
@@ -1644,6 +1669,12 @@ class TestRunExperiment:
             run_experiment(
                 desk_config(algorithm="fedsgd"), self.base, self.train, self.test, self.profiles
             )
+
+    @pytest.mark.parametrize("classes", [2, 4])
+    def test_a_model_of_another_class_count_is_rejected_before_training(self, classes):
+        base = mlp_spec((8,), (16,), classes)
+        with pytest.raises(DimensionError, match=rf"^data of 3 classes does not fit a model of {classes}$"):
+            prepare_run(desk_config(), base, self.train, self.test, self.profiles)
 
     @pytest.mark.parametrize("which", ["train", "test"])
     def test_samples_that_do_not_fit_the_model_are_rejected_before_training(self, which):

@@ -13,10 +13,18 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import numerics_fingerprint
 from fedsim.cli import main
 from fedsim.config import load_config_dict, resolve_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# the numerics the hashes below were pinned under (conftest.numerics_fingerprint);
+# a golden failure under other numerics may be theirs, not the code's
+PINNED_UNDER = (
+    "numpy 2.4.6; dispatch X86_V3,X86_V4,AVX512_ICL,AVX512_SPR; blas scipy-openblas 0.3.31.188.0; "
+    "openblas core SkylakeX"
+)
 
 METRICS_SHA256 = {
     "quickstart-fedtsa": "8a112488cdef10541387818b867121a2eb60647638919bde1d37f1955c4f43ab",
@@ -54,6 +62,12 @@ ECHO_SHA256 = {
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def numerics() -> str:
+    """The message of every golden assertion: both fingerprints."""
+
+    return f"pinned under:  {PINNED_UNDER}\nrunning under: {numerics_fingerprint()}"
 
 
 def write_images(root: Path, seed: int = 17) -> None:
@@ -147,12 +161,12 @@ def output_sha256(out: Path) -> str:
 @pytest.mark.parametrize("name", sorted(METRICS_SHA256))
 def test_metrics_bytes_are_pinned(name, golden_run):
     out = golden_run(name)
-    assert sha256((out / "metrics.jsonl").read_bytes()) == METRICS_SHA256[name]
+    assert sha256((out / "metrics.jsonl").read_bytes()) == METRICS_SHA256[name], numerics()
 
 
 @pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
 def test_report_and_checkpoint_bytes_are_pinned(name, golden_run):
-    assert output_sha256(golden_run(name)) == OUTPUT_SHA256[name]
+    assert output_sha256(golden_run(name)) == OUTPUT_SHA256[name], numerics()
 
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_TWIN))
@@ -164,4 +178,4 @@ def test_variant_metrics_differ_from_default_twin(name, golden_run):
 @pytest.mark.parametrize("name", sorted(ECHO_SHA256))
 def test_resolved_echo_bytes_are_pinned(name):
     text = resolve_config(load_config_dict(CONFIGS / name)).echo_text()
-    assert sha256(text.encode()) == ECHO_SHA256[name]
+    assert sha256(text.encode()) == ECHO_SHA256[name], numerics()

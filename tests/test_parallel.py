@@ -153,7 +153,7 @@ def test_owners_cover_every_cluster_once_and_balance_the_cost():
     assert fedsim.engine._split(run, 2)[1] == [[0], [1, 2]]
 
 
-def test_a_helper_that_owns_no_cluster_stays_out_of_stage_2(cpus):
+def test_a_helper_that_owns_no_cluster_joins_stage_2_with_nothing_to_step(cpus):
     run = fedsim.engine.prepare_run(config(), BASE, TRAIN, TEST, PROFILES)
     assert fedsim.engine._split(run, 3)[1] == [[0], [1], []]
     runs = []
@@ -162,6 +162,28 @@ def test_a_helper_that_owns_no_cluster_stays_out_of_stage_2(cpus):
         runs.append(outputs(run_experiment(config(global_epochs=2), BASE, TRAIN, TEST, PROFILES)))
     assert runs[1] == runs[0]
     assert len(forked) == 2
+    assert_reaped(forked)
+
+
+def test_a_helper_that_owns_no_cluster_draws_no_distillation_batches(cpus, monkeypatch, tmp_path):
+    # with resampling, every round from 1 on draws its own batches, which a
+    # directory source reads from files: only an owner of a cluster draws
+    cfg = config(rounds=3, distill_resample=True, holdout_count=30)
+    assert fedsim.engine._split(fedsim.engine.prepare_run(cfg, BASE, TRAIN, TEST, PROFILES), 3)[1] == [[0], [1], []]
+    log, real = tmp_path / "drawers", fedsim.engine.distillation_batches
+
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(fedsim.engine, "distillation_batches", logged)
+    forked = cpus(3)
+    run_experiment(cfg, BASE, TRAIN, TEST, PROFILES)
+    drawers = log.read_text().split()
+    assert len(forked) == 2
+    assert drawers.count(str(os.getpid())) == cfg.rounds  # round 0's draw is made in prepare_run
+    assert drawers.count(str(forked[0])) == cfg.rounds - 1 and str(forked[1]) not in drawers
     assert_reaped(forked)
 
 
